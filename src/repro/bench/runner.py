@@ -14,10 +14,10 @@ warm-up still matters — it populates the datatype layout cache, so
 steady-state iterations measure cache-hit behaviour exactly as the real
 runtime does.
 
-Every iteration also verifies byte-exactness of all delivered buffers
-against a NumPy reference (something the original hardware experiments
-could not do inline), so the performance harness doubles as an
-end-to-end correctness check.
+Every wet run also verifies byte-exactness of all delivered buffers
+(the layout's bytes, packed from receiver and sender) — something the
+original hardware experiments could not do inline — so the performance
+harness doubles as an end-to-end correctness check.
 
 Passing ``faults=FaultPlan(...)`` runs the same exchange on an
 imperfect fabric/GPU: the harness attaches the plan to the simulator,
@@ -47,6 +47,7 @@ from ..config import (
     WorkloadCfg,
 )
 from ..datatypes.layout import DataLayout
+from ..datatypes.pack import pack_bytes, unpack_bytes
 from ..mpi.communicator import Runtime
 from ..net.systems import SystemConfig
 from ..net.topology import Cluster
@@ -202,9 +203,14 @@ class ExperimentResult:
         return other.mean_latency / self.mean_latency
 
 
-def _fill_random(buffers, rng: np.random.Generator) -> None:
+def _fill_random(buffers, layout: DataLayout, rng: np.random.Generator) -> None:
+    """Randomise the layout's bytes of each buffer; the rest stay zero.
+
+    Only payload bytes are ever sent or verified, so filling the whole
+    extent would cost (and fault in) memory no check ever reads.
+    """
     for buf in buffers:
-        buf.data[:] = rng.integers(0, 256, buf.nbytes, dtype=np.uint8)
+        unpack_bytes(rng.integers(0, 256, layout.size, dtype=np.uint8), layout, buf.data)
 
 
 def run_bulk_exchange(
@@ -239,8 +245,10 @@ def run_bulk_exchange(
     its validation) before running; no knob is read from anywhere else.
 
     ``data_plane=False`` prices every operation but moves no bytes —
-    identical timing, used for multi-megabyte sweeps where the NumPy
-    copies would dominate harness wall time.  ``noise`` / ``faults``
+    identical timing, used for the figure sweeps.  A wet run also fills,
+    moves and verifies the layout's bytes, at host cost proportional to
+    the payload plus first-touch page faults on the buffers' touched
+    pages; a dry run never materialises a buffer.  ``noise`` / ``faults``
     attach an execution-noise model and a fault-injection plan; with
     faults the result carries a :class:`RecoveryReport`.
 
@@ -470,7 +478,7 @@ def _run_experiment(
         token.free()
 
     if data_plane:
-        _fill_random(send_bufs[0] + send_bufs[1], rng)
+        _fill_random(send_bufs[0] + send_bufs[1], layout, rng)
     else:
         verify = False
     procs = [
@@ -491,10 +499,11 @@ def _run_experiment(
         )
 
     if verify:
-        idx = layout.gather_index()
         for me, peer in ((0, 1), (1, 0)):
             for sbuf, rbuf in zip(send_bufs[peer], recv_bufs[me]):
-                if not np.array_equal(rbuf.data[idx], sbuf.data[idx]):
+                if not np.array_equal(
+                    pack_bytes(rbuf.data, layout), pack_bytes(sbuf.data, layout)
+                ):
                     raise AssertionError(
                         f"data corruption: {result.scheme} on {spec.name} "
                         f"(rank {me}, {spec.summary()})"

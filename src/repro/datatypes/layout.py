@@ -9,9 +9,13 @@ Chu et al. [24], both of which this reproduction implements.
 :class:`DataLayout` stores the blocks as two NumPy ``int64`` vectors and
 provides:
 
+* a cached *strided normal form* ``(first, count, stride, length)`` for
+  layouts whose blocks share one length and one stride — the canonical
+  shape TEMPI reduces vector types to, which the data plane copies
+  through a 2-D strided view,
 * vectorized *gather-index* construction (one flat index array that
-  pulls every payload byte out of the strided source in a single NumPy
-  fancy-indexing operation — this is our "GPU pack kernel" data plane),
+  pulls every payload byte out of an irregular source in a single
+  NumPy fancy-indexing operation),
 * replication across a ``count`` of datatype instances separated by the
   type extent,
 * coalescing of adjacent blocks (what a good flattener does to vector
@@ -31,7 +35,13 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["DataLayout", "coalesce_blocks"]
+__all__ = ["DataLayout", "StridedForm", "coalesce_blocks"]
+
+#: ``(first, count, stride, length)``: ``count`` blocks of ``length``
+#: bytes, the first at byte ``first``, each ``stride`` bytes after the one before
+StridedForm = Tuple[int, int, int, int]
+#: cached for layouts without a strided form (a real form has count >= 1)
+_IRREGULAR: StridedForm = (0, 0, 0, 0)
 
 
 def coalesce_blocks(
@@ -85,6 +95,7 @@ class DataLayout:
         "extent",
         "_gather_index",
         "_shifted_index",
+        "_strided",
         "_size",
         "_min_block",
         "_max_block",
@@ -128,6 +139,7 @@ class DataLayout:
         self.extent = int(extent)
         self._gather_index: Optional[np.ndarray] = None
         self._shifted_index: Optional[dict] = None
+        self._strided: Optional[StridedForm] = None
         self._size: Optional[int] = None
         self._min_block: Optional[int] = None
         self._max_block: Optional[int] = None
@@ -240,6 +252,28 @@ class DataLayout:
         )
 
     # -- the data plane -------------------------------------------------------
+    @property
+    def strided_form(self) -> Optional[StridedForm]:
+        """``(first, count, stride, length)`` when the layout is uniform.
+
+        Uniform means every block has one length and consecutive blocks
+        are one stride apart (a single block is trivially uniform, with
+        ``stride == length``).  Such a layout is a ``(count, length)``
+        strided view of its buffer, so pack/unpack copy through the view
+        instead of a per-byte gather index.  ``None`` for irregular and
+        empty layouts.  Computed once and cached.
+        """
+        form = self._strided
+        if form is None:
+            form = self._strided = _IRREGULAR
+            n = self.num_blocks
+            if n and self.min_block == self.max_block:
+                first, length = int(self.offsets[0]), self.max_block
+                stride = int(self.offsets[1] - first) if n > 1 else length
+                if not np.any(np.diff(self.offsets) != stride):
+                    form = self._strided = (first, n, stride, length)
+        return form if form[1] else None
+
     def gather_index(self, base_offset: int = 0) -> np.ndarray:
         """Flat ``int64`` byte-index array selecting every payload byte.
 

@@ -8,14 +8,23 @@ funnel through these two functions, so a single correctness property
 entire data plane.
 
 Buffers are 1-D ``uint8`` NumPy arrays (raw device or host memory).
-The hot path is one fancy-indexing gather/scatter using the layout's
-cached flat index — the vectorized-NumPy idiom the HPC guides
-recommend over Python-level block loops.
+Each call costs in proportion to the payload, never the buffer extent.
+The copy path is chosen from the layout alone:
+
+* a *uniform* layout (one block length, one stride — see
+  :attr:`DataLayout.strided_form`) is copied as one ``(count, length)``
+  strided view of the buffer, with no index array at all;
+* any other layout falls back to one fancy-indexing gather/scatter
+  through the layout's cached flat byte index.
+
+Both are single vectorized NumPy copies; neither loops over blocks in
+Python.  Bounds are checked against the layout before any view is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .layout import DataLayout
 
@@ -42,6 +51,15 @@ def _check(buffer: np.ndarray, layout: DataLayout, base_offset: int, what: str) 
         )
 
 
+def _rows(buffer: np.ndarray, start: int, count: int, stride: int, length: int) -> np.ndarray:
+    """``(count, length)`` view of ``buffer``: row ``i`` starts at byte
+    ``start + i * stride``.  Unchecked — callers bound it first."""
+    step = buffer.strides[0]
+    return as_strided(
+        buffer[start:], shape=(count, length), strides=(stride * step, step)
+    )
+
+
 def pack_bytes(
     source: np.ndarray,
     layout: DataLayout,
@@ -56,16 +74,22 @@ def pack_bytes(
     argument of ``MPI_Pack``).
     """
     _check(source, layout, base_offset, "source")
-    index = layout.gather_index(base_offset)
     if packed is None:
-        return source[index]
-    if packed.dtype != np.uint8 or packed.ndim != 1:
+        packed = np.empty(layout.size, dtype=np.uint8)
+    elif packed.dtype != np.uint8 or packed.ndim != 1:
         raise TypeError("packed buffer must be a 1-D uint8 array")
-    if len(packed) < layout.size:
+    elif len(packed) < layout.size:
         raise IndexError(
             f"packed buffer of {len(packed)} bytes cannot hold {layout.size}"
         )
-    np.take(source, index, out=packed[: layout.size])
+    form = layout.strided_form
+    if form is None:
+        np.take(source, layout.gather_index(base_offset), out=packed[: layout.size])
+    else:
+        first, count, stride, length = form
+        _rows(packed, 0, count, length, length)[...] = _rows(
+            source, first + base_offset, count, stride, length
+        )
     return packed
 
 
@@ -86,8 +110,14 @@ def unpack_bytes(
         raise IndexError(
             f"packed buffer of {len(packed)} bytes is shorter than {layout.size}"
         )
-    index = layout.gather_index(base_offset)
-    dest[index] = packed[: layout.size]
+    form = layout.strided_form
+    if form is None:
+        dest[layout.gather_index(base_offset)] = packed[: layout.size]
+    else:
+        first, count, stride, length = form
+        _rows(dest, first + base_offset, count, stride, length)[...] = _rows(
+            packed, 0, count, length, length
+        )
     return dest
 
 

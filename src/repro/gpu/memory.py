@@ -14,6 +14,7 @@ prices GPU-resident and host-resident endpoints differently.
 from __future__ import annotations
 
 import itertools
+import mmap
 from typing import Literal, Optional
 
 import numpy as np
@@ -36,6 +37,13 @@ class GPUBuffer:
     the eager ``np.zeros`` per allocation dominated wall time.  Contents
     are unchanged — the first touch sees exactly the zeros (or ``fill``)
     the eager allocation produced.
+
+    Zero-initialised stores are anonymous ``mmap`` regions rather than
+    ``np.zeros``: NumPy advises allocations of 4 MiB and up for huge
+    pages, so on a host with transparent huge pages in ``madvise`` mode
+    one touched byte would fault in and zero a whole 2 MiB page.  A
+    strided payload spread thinly over a large buffer then pays for the
+    extent; with plain 4 KiB pages it pays for the pages it touches.
     """
 
     __slots__ = ("_data", "_nbytes", "_fill", "space", "owner", "buffer_id", "name", "functional")
@@ -67,11 +75,13 @@ class GPUBuffer:
         """The buffer's bytes (materialized on first access)."""
         data = self._data
         if data is None:
-            data = self._data = (
-                np.zeros(self._nbytes, dtype=np.uint8)
-                if self._fill is None
-                else np.full(self._nbytes, self._fill, dtype=np.uint8)
-            )
+            if self._fill is not None:
+                data = np.full(self._nbytes, self._fill, dtype=np.uint8)
+            elif self._nbytes:
+                data = np.frombuffer(mmap.mmap(-1, self._nbytes), dtype=np.uint8)
+            else:
+                data = np.zeros(0, dtype=np.uint8)
+            self._data = data
         return data
 
     @property
@@ -199,6 +209,8 @@ class BufferPool:
             self.hits += 1
             buffer = cached.pop()
             if self.functional:
+                # A fresh buffer's contents: otherwise a skipped pack
+                # would pass verification with last message's bytes.
                 buffer.data[:] = 0
             return buffer
         self.misses += 1

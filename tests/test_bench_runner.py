@@ -88,10 +88,20 @@ def test_runner_validation():
 
 
 def test_verification_detects_dropped_bytes(monkeypatch):
-    """verify=True really checks: sabotage the unpack data plane and the
-    harness must raise its corruption error."""
+    """verify=True really checks: sabotage the data plane — drop every
+    byte, or pack from one byte off the layout — and the harness must
+    raise its corruption error, although fill and verification touch
+    only the layout's bytes."""
     import repro.bench.runner as runner_mod
+    import repro.gpu.kernels as kernels_mod
     from repro.net.topology import Cluster as RealCluster
+
+    def assert_corruption_caught(spec):
+        with pytest.raises(AssertionError, match="corruption"):
+            run_bulk_exchange(
+                LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec,
+                nbuffers=2, iterations=1, warmup=0,
+            )
 
     class SabotagedCluster(RealCluster):
         def __init__(self, sim, system, nodes=2, ranks_per_node=1, functional=True):
@@ -99,13 +109,22 @@ def test_verification_detects_dropped_bytes(monkeypatch):
             # believes the data plane is live.
             super().__init__(sim, system, nodes, ranks_per_node, functional=False)
 
-    monkeypatch.setattr(runner_mod, "Cluster", SabotagedCluster)
-    spec = WORKLOADS["NAS_MG"](16)
-    with pytest.raises(AssertionError, match="corruption"):
-        run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec,
-            nbuffers=2, iterations=1, warmup=0,
-        )
+    with monkeypatch.context() as m:
+        m.setattr(runner_mod, "Cluster", SabotagedCluster)
+        assert_corruption_caught(WORKLOADS["NAS_MG"](16))
+
+    real_pack = kernels_mod.pack_bytes
+
+    def off_by_one_pack(source, layout, packed=None, base_offset=0):
+        # Every block is read one byte early: the gap byte before each
+        # block is sent and the block's last payload byte is missed.
+        return real_pack(source, layout, packed, base_offset=base_offset - 1)
+
+    monkeypatch.setattr(kernels_mod, "pack_bytes", off_by_one_pack)
+    # Both start past byte 0, so the shifted read stays in bounds: WRF
+    # takes the strided path, specfem3D_cm the gather path.
+    assert_corruption_caught(WORKLOADS["WRF"](16))
+    assert_corruption_caught(WORKLOADS["specfem3D_cm"](16))
 
 
 # -- report formatting -------------------------------------------------------------

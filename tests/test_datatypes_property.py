@@ -7,7 +7,10 @@ The invariants DESIGN.md §6 promises:
 * ``pack ∘ unpack`` is the identity on the selected bytes and touches
   nothing else;
 * replication scales size linearly and preserves validity;
-* coalescing is idempotent and conserves bytes.
+* coalescing is idempotent and conserves bytes;
+* the strided path (uniform layouts) and the gather path (irregular
+  ones) both equal fancy indexing with ``gather_index``, and bounds are
+  checked before any strided view is built.
 
 Datatype trees are generated recursively over all constructors with
 parameters chosen to keep typemaps non-overlapping (the class this
@@ -15,9 +18,11 @@ reproduction supports, and the class halo workloads occupy).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.datatypes.pack as pack_mod
 from repro.datatypes import (
     DOUBLE,
     FLOAT,
@@ -218,3 +223,112 @@ def test_signature_stable_and_equality_consistent(dt):
     lay1 = dt.flatten()
     lay2 = dt.flatten()
     assert lay1 is lay2  # cached on the handle
+
+
+# -- strided and gather paths agree with the gather-index reference ----------------
+
+
+def _check_against_reference(lay, base_offset, seed):
+    """pack/unpack through whichever path the layout selects must equal
+    fancy indexing with ``gather_index`` (the irregular path's index)."""
+    rng = np.random.default_rng(seed)
+    hi = int(lay.offsets[-1] + lay.lengths[-1]) if lay.num_blocks else 0
+    src = rng.integers(0, 256, hi + base_offset + 7, dtype=np.uint8)
+    idx = lay.gather_index(base_offset)
+
+    packed = pack_bytes(src, lay, base_offset=base_offset)
+    assert np.array_equal(packed, src[idx])
+    out = np.full(lay.size + 3, 0xAB, dtype=np.uint8)
+    pack_bytes(src, lay, out, base_offset=base_offset)
+    assert np.array_equal(out[: lay.size], src[idx])
+    assert (out[lay.size :] == 0xAB).all()
+
+    dst = rng.integers(0, 256, len(src), dtype=np.uint8)
+    expected = dst.copy()
+    expected[idx] = packed
+    unpack_bytes(packed, lay, dst, base_offset=base_offset)
+    assert np.array_equal(dst, expected)
+
+
+@st.composite
+def _uniform(draw):
+    first, count = draw(st.integers(0, 20)), draw(st.integers(1, 8))
+    length, gap = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    offsets = [first + i * (length + gap) for i in range(count)]
+    return DataLayout(offsets, [length] * count), (first, count, length, gap)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_uniform(), st.integers(0, 16), st.integers(0, 99))
+def test_uniform_layouts_take_strided_form(case, base_offset, seed):
+    lay, (first, count, length, gap) = case
+    if gap and count > 1:
+        assert lay.strided_form == (first, count, length + gap, length)
+    else:
+        # stride == length coalesces to one block; a single block is its
+        # own (count 1) form
+        assert lay.num_blocks == 1
+        assert lay.strided_form == (first, 1, count * length, count * length)
+    _check_against_reference(lay, base_offset, seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(1, 9)), min_size=0, max_size=12),
+    st.integers(0, 16),
+    st.integers(0, 99),
+)
+def test_any_block_list_matches_reference(raw, base_offset, seed):
+    offsets, lengths, cursor = [], [], 0
+    for gap, length in raw:
+        offsets.append(cursor + gap)
+        lengths.append(length)
+        cursor += gap + length
+    lay = DataLayout(offsets, lengths)
+    uniform = lay.num_blocks > 0 and len(set(lay.lengths.tolist())) == 1 and (
+        len(set(np.diff(lay.offsets).tolist())) <= 1
+    )
+    assert (lay.strided_form is not None) == uniform
+    _check_against_reference(lay, base_offset, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(DATATYPES, st.integers(1, 4), st.integers(0, 16), st.integers(0, 99))
+def test_replicated_datatypes_match_reference(dt, count, base_offset, seed):
+    lay = dt.commit().flatten().replicate(count)
+    _check_against_reference(lay, base_offset, seed)
+
+
+def test_irregular_layouts_fall_back_to_gather():
+    for lay in (
+        DataLayout([0, 10], [4, 6]),  # two lengths
+        DataLayout([0, 8, 20], [4, 4, 4]),  # two strides
+        DataLayout([], []),
+    ):
+        assert lay.strided_form is None
+        if lay.size:
+            _check_against_reference(lay, 3, 0)
+
+
+def test_replicated_vector_stays_uniform_only_on_a_stride_multiple():
+    block = DataLayout([0, 16], [4, 4], extent=32)
+    assert block.replicate(3).strided_form == (0, 6, 16, 4)
+    assert DataLayout([0, 16], [4, 4], extent=40).replicate(3).strided_form is None
+
+
+@pytest.mark.parametrize(
+    "lay", [DataLayout([2, 10, 18], [4, 4, 4]), DataLayout([2, 10, 30], [4, 6, 4])]
+)
+@pytest.mark.parametrize("base_offset", [-3, 1, 100])
+def test_out_of_bounds_raises_before_any_view(monkeypatch, lay, base_offset):
+    def no_view(*args, **kwargs):
+        raise AssertionError("strided view built before the bounds check")
+
+    monkeypatch.setattr(pack_mod, "as_strided", no_view)
+    # the buffer ends exactly at the layout's last byte
+    buf = np.zeros(int(lay.offsets[-1] + lay.lengths[-1]), dtype=np.uint8)
+    packed = np.zeros(lay.size, dtype=np.uint8)
+    with pytest.raises(IndexError, match="exceeds"):
+        pack_bytes(buf, lay, base_offset=base_offset)
+    with pytest.raises(IndexError, match="exceeds"):
+        unpack_bytes(packed, lay, buf, base_offset=base_offset)
