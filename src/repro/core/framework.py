@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from ..gpu.kernels import KernelOp
 from ..net.topology import RankSite
-from ..sim.engine import us
+from ..sim.engine import CompletionWatch, us
 from ..sim.trace import Category, Trace
 from ..schemes.base import OpHandle, PackingScheme, SchemeCapabilities, SchemeGen
 from ..schemes.gpu_sync import GPUSyncScheme
@@ -104,21 +104,16 @@ class KernelFusionScheme(PackingScheme):
         Blocking semantics: the batch launches immediately, idle or not.
         """
         yield from self.scheduler.flush()
-        while True:
-            pending = [h for h in handles if not h.done]
-            if not pending:
-                return
+        watch = CompletionWatch(self.sim, [h.done_event for h in handles if not h.done])
+        while watch.remaining:
             # One response-status read per outstanding request.
             yield from self._charge(
-                Category.SYNC, self.flag_poll_cost * len(pending), "flag-poll"
+                Category.SYNC, self.flag_poll_cost * watch.remaining, "flag-poll"
             )
-            pending = [h for h in handles if not h.done]
-            if not pending:
+            if not watch.remaining:
                 return
             start = self.sim.now
-            watch = [h.done_event for h in pending]
-            watch.append(self.sim.timeout(self.poll_interval))
-            yield self.sim.any_of(watch)
+            yield watch.sleep(self.poll_interval)
             self.trace.charge(Category.PACK, start, self.sim.now, label="wait")
 
     def progress_tick(self) -> SchemeGen:

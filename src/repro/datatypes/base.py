@@ -35,11 +35,14 @@ class Datatype(ABC):
     relative to the instance base address) and :meth:`signature`.
     """
 
-    __slots__ = ("_committed", "_flat")
+    __slots__ = ("_committed", "_flat", "_hash")
 
     def __init__(self) -> None:
         self._committed = False
         self._flat: Optional[DataLayout] = None
+        #: memoised ``hash(signature())``; valid because a type's
+        #: structure is immutable once constructed
+        self._hash: Optional[int] = None
 
     # -- metrics -------------------------------------------------------------
     @property
@@ -99,7 +102,13 @@ class Datatype(ABC):
         return self.signature() == other.signature()
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        # Signatures of indexed types are O(blocks) to build and hash;
+        # per-message layout lookups key on the type itself, so pay
+        # that once per type rather than once per message.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.signature())
+        return h
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -200,13 +200,18 @@ class Indexed(_Derived):
         displacements: Sequence[int],
         base: Datatype,
     ):
-        bl = np.asarray(blocklengths, dtype=np.int64)
-        dp = np.asarray(displacements, dtype=np.int64)
+        # Private copies, frozen below: the caller's arrays stay
+        # writable and later edits to them cannot reach this type.
+        bl = np.array(blocklengths, dtype=np.int64)
+        dp = np.array(displacements, dtype=np.int64)
         if bl.shape != dp.shape or bl.ndim != 1:
             raise DatatypeError("blocklengths/displacements must be equal-length 1-D")
         if np.any(bl < 0):
             raise DatatypeError("blocklengths must be non-negative")
         super().__init__(int(bl.sum()) * base.size, 0)
+        # The signature, and so the memoised hash, covers both arrays.
+        bl.flags.writeable = False
+        dp.flags.writeable = False
         self.blocklengths = bl
         self.displacements = dp
         self.base = base

@@ -35,7 +35,7 @@ from ..datatypes.layout import DataLayout
 from ..gpu.memory import BufferPool, GPUBuffer
 from ..net.topology import Cluster, RankSite
 from ..schemes.base import PackingScheme
-from ..sim.engine import Event, Simulator
+from ..sim.engine import CompletionWatch, Event, Simulator
 from ..sim.trace import Category, Trace
 from .matching import ANY_SOURCE, MatchingEngine, MessageRecord
 from .protocols import (
@@ -311,8 +311,11 @@ class Rank:
         self.staging_pool = BufferPool(
             self.device.memory, functional=self.device.functional
         )
+        #: ``(datatype, count)`` → layout.  Keyed by the type itself: its
+        #: hash is memoised, and equal-signature types compare equal, so
+        #: structurally identical handles still share one entry.
         self._layout_memo: Dict[tuple, DataLayout] = {}
-        #: signatures whose flatten cost has been charged (cache hits)
+        #: ``(datatype, count)`` keys whose flatten cost has been charged
         self._layout_paid: set = set()
 
     # -- argument validation ----------------------------------------------------
@@ -348,7 +351,7 @@ class Rank:
         """
         if isinstance(datatype, DataLayout):
             return datatype.replicate(count) if count != 1 else datatype
-        key = (datatype.signature(), count)
+        key = (datatype, count)
         memo = self._layout_memo.get(key)
         if memo is None:
             memo = self.layout_cache.get_or_flatten(datatype).replicate(count)
@@ -369,7 +372,7 @@ class Rank:
         """
         if isinstance(datatype, DataLayout):
             return datatype.replicate(count) if count != 1 else datatype
-        key = (datatype.signature(), count)
+        key = (datatype, count)
         memo = self._layout_memo.get(key)
         hit = key in self._layout_paid and self.runtime.layout_cache_enabled
         if memo is None:
@@ -487,15 +490,21 @@ class Rank:
         return rreq
 
     # -- completion --------------------------------------------------------------
-    def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
-        """Block until all requests complete (``MPI_Waitall``).
+    def _progress_until(
+        self, pending: Callable[[], List[Event]], slack: int = 0
+    ) -> Generator[Event, None, None]:
+        """Drive the progress engine until at most ``slack`` of the
+        events ``pending()`` returns are still outstanding.
 
-        Each progress iteration first gives the scheme its sync-point
-        flush (§IV-C scenario 1: "the communication progress engine has
-        no more operations to request"), then sleeps until a request
-        completes or the poll interval elapses.
+        Each iteration holds the CPU for the scheme's sync-point flush
+        (§IV-C scenario 1: "the communication progress engine has no
+        more operations to request") and progress tick, then sleeps
+        until a watched event fires or the poll interval elapses.
+        ``pending`` runs once, after the first flush; from then on a
+        :class:`~repro.sim.engine.CompletionWatch` counts completions,
+        so no poll re-scans or re-subscribes the whole set.
         """
-        reqs = list(requests)
+        watch = None
         while True:
             yield self.cpu.request()
             try:
@@ -503,36 +512,40 @@ class Rank:
                 yield from self.scheme.progress_tick()
             finally:
                 self.cpu.release()
-            pending = [r for r in reqs if not r.done]
-            if not pending:
+            if watch is None:
+                watch = CompletionWatch(self.sim, pending())
+            if watch.remaining <= slack:
                 return
-            watch = [r.completion for r in pending]
-            watch.append(self.sim.timeout(self.runtime.poll_interval))
-            yield self.sim.any_of(watch)
+            yield watch.sleep(self.runtime.poll_interval)
+
+    def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
+        """Block until all requests complete (``MPI_Waitall``).
+
+        Progress runs through :meth:`_progress_until`: each request's
+        ``done`` is read once and its completion subscribed once, so a
+        bulk of N requests costs O(N) bookkeeping however many poll
+        wakes the wait takes.
+        """
+        reqs = list(requests)
+        yield from self._progress_until(
+            lambda: [r.completion for r in reqs if not r.done]
+        )
 
     def wait(self, request: Request) -> Generator[Event, None, None]:
         """Block until one request completes (``MPI_Wait``)."""
         yield from self.waitall([request])
 
     def waitany(self, requests: Sequence[Request]) -> Generator[Event, None, int]:
-        """Block until *some* request completes; returns its index
-        (``MPI_Waitany``).  Progress semantics match :meth:`waitall`."""
+        """Block until *some* request completes; returns the lowest
+        completed index (``MPI_Waitany``).  Progress semantics match
+        :meth:`waitall`."""
         reqs = list(requests)
         if not reqs:
             raise ValueError("waitany requires at least one request")
-        while True:
-            yield self.cpu.request()
-            try:
-                yield from self.scheme.flush()
-                yield from self.scheme.progress_tick()
-            finally:
-                self.cpu.release()
-            for index, req in enumerate(reqs):
-                if req.done:
-                    return index
-            watch = [r.completion for r in reqs]
-            watch.append(self.sim.timeout(self.runtime.poll_interval))
-            yield self.sim.any_of(watch)
+        yield from self._progress_until(
+            lambda: [r.completion for r in reqs if not r.done], slack=len(reqs) - 1
+        )
+        return next(index for index, req in enumerate(reqs) if req.done)
 
     def waitsome(self, requests: Sequence[Request]) -> Generator[Event, None, List[int]]:
         """Block until at least one request completes; returns the

@@ -272,19 +272,9 @@ class Window:
         epoch = self.group.epoch  # stable across this fence round
         # Barrier 1: no rank is still *issuing* epoch operations.
         yield from barrier(rank, tag_round=epoch * 2 + self.group.group_id)
-        while True:
-            yield rank.cpu.request()
-            try:
-                yield from rank.scheme.flush()
-                yield from rank.scheme.progress_tick()
-            finally:
-                rank.cpu.release()
-            pending = [e for e in self.group.epoch_ops if not e.processed]
-            if not pending:
-                break
-            watch = list(pending)
-            watch.append(rank.sim.timeout(self.group.runtime.poll_interval))
-            yield rank.sim.any_of(watch)
+        yield from rank._progress_until(
+            lambda: [e for e in self.group.epoch_ops if not e.processed]
+        )
         # Barrier 2: everyone has observed the drain; recycle the epoch
         # (one designated rank advances the shared counter).
         yield from barrier(rank, tag_round=epoch * 2 + 1 + self.group.group_id)

@@ -8,6 +8,7 @@ kernel.  See :mod:`repro.sim.engine` for the execution model.
 from .engine import (
     AllOf,
     AnyOf,
+    CompletionWatch,
     Event,
     Interrupt,
     Process,
@@ -34,6 +35,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "CompletionWatch",
     "Interrupt",
     "SimulationError",
     "fastpath_enabled",

@@ -12,6 +12,8 @@ dependency-free engine in the style of SimPy:
   events (or other processes) and is resumed when they fire, which gives
   ordinary sequential-looking code for concurrent behaviour.
 * :class:`AllOf` / :class:`AnyOf` compose events.
+* :class:`CompletionWatch` counts down a fixed set of events for
+  polling progress loops (``waitall`` and friends).
 
 Determinism
 -----------
@@ -67,6 +69,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "CompletionWatch",
     "Interrupt",
     "SimulationError",
     "fastpath_enabled",
@@ -365,6 +368,53 @@ class AnyOf(_Condition):
 
     def _satisfied(self) -> bool:
         return self._done_count >= 1 or not self.events
+
+
+class CompletionWatch:
+    """Countdown over a fixed set of events, with a re-armable poll wake.
+
+    The primitive behind ``waitall``-style polling loops.  One callback
+    per pending event is registered once; :attr:`remaining` counts
+    down as they fire.  Each :meth:`sleep` arms a fresh wake plus one
+    poll timeout, and whichever of a watched event or *that* timeout
+    fires first succeeds the wake.  An event firing while no sleep is
+    armed only counts down; a timeout from an earlier sleep is ignored.
+    Calendar order matches rebuilding an ``AnyOf`` over the pending
+    events and a fresh timeout on every sleep (docs/performance.md,
+    "Progress engine").  Watched events are expected to succeed.
+    """
+
+    __slots__ = ("sim", "remaining", "_wake", "_timer")
+
+    def __init__(self, sim: "Simulator", pending: Iterable[Event]):
+        self.sim = sim
+        self.remaining = 0
+        self._wake: Optional[Event] = None
+        self._timer: Optional[Timeout] = None
+        on_done = self._on_done
+        for ev in pending:
+            ev.add_callback(on_done)
+            self.remaining += 1
+
+    def _on_done(self, _ev: Event) -> None:
+        self.remaining -= 1
+        self._wake_up()
+
+    def _on_timer(self, ev: Event) -> None:
+        if ev is self._timer:
+            self._wake_up()
+
+    def _wake_up(self) -> None:
+        wake = self._wake
+        if wake is not None and not wake._triggered:
+            wake.succeed()
+
+    def sleep(self, poll_interval: float) -> Event:
+        """Arm a wake for the next completion or ``poll_interval``."""
+        self._timer = timer = Timeout(self.sim, poll_interval)
+        timer._callbacks = self._on_timer
+        self._wake = wake = Event(self.sim)
+        return wake
 
 
 ProcessGenerator = Generator[Event, Any, Any]

@@ -294,3 +294,42 @@ def test_layout_count_replication():
     assert t.layout(3).size == 3 * t.size
     with pytest.raises(DatatypeError):
         t.layout(-1)
+
+
+# -- immutability and hashing ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bl, dp: Indexed(bl, dp, DOUBLE),
+        lambda bl, dp: HIndexed(bl, dp * 8, DOUBLE),
+        lambda bl, dp: IndexedBlock(2, dp, DOUBLE),
+    ],
+    ids=["Indexed", "HIndexed", "IndexedBlock"],
+)
+def test_committed_indexed_type_is_immutable(make):
+    bl = np.array([2, 2, 2], dtype=np.int64)
+    dp = np.array([0, 5, 9], dtype=np.int64)
+    dt = make(bl, dp).commit()
+    for arr in (dt.blocklengths, dt.displacements):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    # The type holds private copies: the caller's arrays stay writable
+    # and editing them does not reach the committed type.
+    sig = dt.signature()
+    bl[0] = dp[0] = 1
+    assert dt.signature() == sig
+
+
+def test_hash_is_memoised_and_stable():
+    dt = Indexed([3, 1, 2], [0, 6, 10], FLOAT)
+    h = hash(dt)
+    assert h == hash(dt.signature())
+    dt.commit()
+    dt.flatten()
+    assert hash(dt) == h
+    twin = Indexed([3, 1, 2], [0, 6, 10], FLOAT)
+    assert twin is not dt and twin == dt and hash(twin) == h
+    for prim in (BYTE, INT, FLOAT, DOUBLE):
+        assert hash(prim) == hash(prim.signature())

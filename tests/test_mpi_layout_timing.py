@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datatypes import DOUBLE, Vector
+from repro.datatypes import DOUBLE, Indexed, Vector
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
@@ -46,6 +46,21 @@ def test_cache_hit_is_free():
     t1 = sim.now
     _drive(sim, rank.resolve_layout_timed(Vector(128, 2, 5, DOUBLE).commit(), 1))
     assert sim.now == t1  # structural twin: hit, no charge
+
+
+def test_equal_distinct_types_share_one_memo_entry():
+    """The per-rank memo keys on the type itself; structurally equal
+    handles still resolve to one entry and pay one flatten."""
+    sim, rt = _runtime()
+    rank = rt.rank(0)
+    a = Indexed([4, 1, 3], [0, 10, 20], DOUBLE).commit()
+    b = Indexed([4, 1, 3], [0, 10, 20], DOUBLE).commit()
+    assert a is not b
+    lay_a = _drive(sim, rank.resolve_layout_timed(a, 2))
+    lay_b = _drive(sim, rank.resolve_layout_timed(b, 2))
+    assert lay_a is lay_b is rank.resolve_layout(b, 2)
+    assert len(rank._layout_memo) == 1
+    assert len([s for s in rank.trace.spans if s.label == "flatten"]) == 1
 
 
 def test_cache_disabled_charges_every_time():

@@ -16,7 +16,7 @@ from repro.gpu.kernels import OpKind
 from repro.gpu.memory import GPUBuffer
 from repro.gpu.stream import CudaEvent, ExecutionEngine, Stream
 from repro.net.link import Link, LinkSpec
-from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from repro.sim.engine import AllOf, AnyOf, CompletionWatch, Event, Process, Simulator, Timeout
 from repro.sim.resources import Channel, ChannelEnd, Resource, Store
 
 
@@ -40,6 +40,7 @@ def _instances():
         sim.process(gen()),
         AllOf(sim, []),
         AnyOf(sim, []),
+        CompletionWatch(sim, []),
         Resource(sim),
         Store(sim),
         channel,
@@ -74,7 +75,7 @@ def test_slotted_classes_reject_adhoc_attributes():
 
 
 EXPECTED_SLOTTED = [
-    Event, Timeout, Process, AllOf, AnyOf,
+    Event, Timeout, Process, AllOf, AnyOf, CompletionWatch,
     Resource, Store, Channel, ChannelEnd,
     Link, ExecutionEngine, Stream, CudaEvent,
     GPUBuffer, DataLayout, CircularRequestList, FusionRequest,
