@@ -11,8 +11,9 @@ paper's evaluation (Section V).  Conventions:
   ``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_CACHE``) fan shards across a
   worker pool and reuse the content-addressed result cache.
 * Simulated latencies come from :func:`repro.bench.run_bulk_exchange`
-  with the data plane disabled (byte-exactness is covered by
-  ``tests/``; benchmarks only need the clock).
+  on configs derived from :data:`repro.bench.figures.FIG_BASE` — two
+  iterations past one warm-up, data plane disabled (byte-exactness is
+  covered by ``tests/``; benchmarks only need the clock).
 * Each benchmark prints its paper-style table through the capture-
   disabled console *and* writes it to ``<results-dir>/<name>.txt``
   so EXPERIMENTS.md can reference stable artifacts.
@@ -34,27 +35,13 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict
 
 import pytest
 
-from repro.bench import ExperimentResult, FigureRun, run_bulk_exchange
-from repro.core import FusionPolicy, KernelFusionScheme
-from repro.net import SystemConfig
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
+from repro.bench import FigureRun
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: benchmark-wide measurement settings (the paper uses 500 iters /
-#: 50 warm-up on hardware; the simulator is deterministic so steady
-#: state needs only a couple of iterations past the cache-warming one)
-ITERATIONS = 2
-WARMUP = 1
-
-#: harness parameters recorded in every artifact entry so
-#: ``repro.obs.regress.rerun_entry`` can reproduce the number
-RUN_PARAMS = {"iterations": ITERATIONS, "warmup": WARMUP, "data_plane": False}
 
 
 def pytest_addoption(parser):
@@ -112,58 +99,6 @@ def sweep_run(request) -> Callable[[str], FigureRun]:
         return runs[figure]
 
     return get
-
-
-def proposed_factory(
-    threshold_bytes: int = 512 * 1024,
-    capacity: int = 256,
-    name: Optional[str] = None,
-    **policy_kwargs,
-):
-    """Factory for the proposed scheme with a specific fusion policy."""
-
-    def factory(site, trace):
-        return KernelFusionScheme(
-            site,
-            trace,
-            policy=FusionPolicy(threshold_bytes=threshold_bytes, **policy_kwargs),
-            capacity=capacity,
-            name=name,
-        )
-
-    return factory
-
-
-def run_grid(
-    system: SystemConfig,
-    schemes: Dict[str, Callable],
-    workload: str,
-    dims: Sequence[int],
-    *,
-    nbuffers: int = 16,
-    rendezvous_protocol: str = "rput",
-) -> Dict[str, Dict[int, ExperimentResult]]:
-    """results[scheme][dim] over a workload's dimension sweep."""
-    results: Dict[str, Dict[int, ExperimentResult]] = {s: {} for s in schemes}
-    for dim in dims:
-        spec = WORKLOADS[workload](dim)
-        for name, factory in schemes.items():
-            results[name][dim] = run_bulk_exchange(
-                system,
-                factory,
-                spec,
-                nbuffers=nbuffers,
-                iterations=ITERATIONS,
-                warmup=WARMUP,
-                data_plane=False,
-                rendezvous_protocol=rendezvous_protocol,
-            )
-    return results
-
-
-def baseline_schemes(*names: str) -> Dict[str, Callable]:
-    """Pick registry schemes by name, preserving order."""
-    return {n: SCHEME_REGISTRY[n] for n in names}
 
 
 def best_speedup(results, scheme: str, over: str) -> float:

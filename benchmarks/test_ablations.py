@@ -22,36 +22,27 @@ show *why* the framework is built the way §IV describes.
 
 
 from repro.bench import run_bulk_exchange
+from repro.bench.figures import FIG_BASE
+from repro.config import ProtocolCfg
 from repro.core import KernelFusionScheme, ModelBasedPolicy
-from repro.net import LASSEN
-from repro.schemes import GPUAsyncScheme, SCHEME_REGISTRY
+from repro.schemes import SCHEME_REGISTRY
 from repro.sim import us
-from repro.workloads import WORKLOADS
-
-from conftest import ITERATIONS, WARMUP, proposed_factory
 
 KiB = 1024
-SPEC = ("specfem3D_cm", 2000)
+#: the ablation exchange: the proposed scheme on specfem3D_cm dim 2000
+ABLATION = FIG_BASE.with_overrides({"workload.name": "specfem3D_cm", "workload.dim": 2000})
 
 
-def _run(factory, *, rendezvous="rput", workload=SPEC[0], dim=SPEC[1], nbuffers=16):
+def _run(overrides=None, *, scheme_factory=None):
+    """One ablation point: dotted-path ``overrides`` on :data:`ABLATION`."""
     return run_bulk_exchange(
-        LASSEN, factory, WORKLOADS[workload](dim), nbuffers=nbuffers,
-        iterations=ITERATIONS, warmup=WARMUP, data_plane=False,
-        rendezvous_protocol=rendezvous,
+        ABLATION.with_overrides(overrides or {}), scheme_factory=scheme_factory
     )
 
 
-def _fusion_factory(**kwargs):
-    def factory(site, trace):
-        return KernelFusionScheme(site, trace, **kwargs)
-
-    return factory
-
-
 def test_ablation_rput_overlaps_handshake(benchmark, report):
-    rput = _run(proposed_factory(), rendezvous="rput")
-    rget = _run(proposed_factory(), rendezvous="rget")
+    rput = _run({"protocol.rendezvous": "rput"})
+    rget = _run({"protocol.rendezvous": "rget"})
     report(
         "ablation_rendezvous",
         "Ablation — rendezvous sub-protocol (proposed, specfem3D_cm)\n"
@@ -63,8 +54,8 @@ def test_ablation_rput_overlaps_handshake(benchmark, report):
 
 
 def test_ablation_sync_point_linger(benchmark, report):
-    eager_flush = _run(_fusion_factory(idle_linger=0.0))
-    lingered = _run(_fusion_factory(idle_linger=us(6.0)))
+    eager_flush = _run({"scheme.options.idle_linger": 0.0})
+    lingered = _run({"scheme.options.idle_linger": us(6.0)})
     report(
         "ablation_linger",
         "Ablation — sync-point flush linger (proposed, specfem3D_cm)\n"
@@ -79,8 +70,8 @@ def test_ablation_sync_point_linger(benchmark, report):
 
 
 def test_ablation_request_list_capacity(benchmark, report):
-    big = _run(_fusion_factory(capacity=256))
-    tiny = _run(_fusion_factory(capacity=2))
+    big = _run({"scheme.fusion.capacity": 256})
+    tiny = _run({"scheme.fusion.capacity": 2})
     report(
         "ablation_capacity",
         "Ablation — circular request list capacity (proposed)\n"
@@ -101,8 +92,8 @@ def test_ablation_cooperative_grid(benchmark, report):
 
         return factory
 
-    full = _run(grid_factory(None))  # saturation grid
-    starved = _run(grid_factory(8))
+    full = _run(scheme_factory=grid_factory(None))  # saturation grid
+    starved = _run(scheme_factory=grid_factory(8))
     report(
         "ablation_grid",
         "Ablation — fused-kernel grid size (proposed)\n"
@@ -123,8 +114,9 @@ def test_ablation_model_based_policy(benchmark, report):
     rows = []
     ok = True
     for workload, dim in (("specfem3D_cm", 2000), ("MILC", 16), ("NAS_MG", 64)):
-        tuned = _run(proposed_factory(), workload=workload, dim=dim)
-        model = _run(model_factory, workload=workload, dim=dim)
+        point = {"workload.name": workload, "workload.dim": dim}
+        tuned = _run(point)
+        model = _run(point, scheme_factory=model_factory)
         rows.append(
             f"  {workload:<14} heuristic={tuned.mean_latency * 1e6:9.2f}us  "
             f"model-based={model.mean_latency * 1e6:9.2f}us"
@@ -141,13 +133,12 @@ def test_ablation_model_based_policy(benchmark, report):
 
 
 def test_ablation_async_pipeline_depth(benchmark, report):
-    def async_factory(chunks):
-        def factory(site, trace):
-            return GPUAsyncScheme(site, trace, pipeline_chunks=chunks)
-
-        return factory
-
-    lat = {c: _run(async_factory(c)).mean_latency for c in (1, 2, 4)}
+    lat = {
+        c: _run(
+            {"scheme.name": "GPU-Async", "scheme.options.pipeline_chunks": c}
+        ).mean_latency
+        for c in (1, 2, 4)
+    }
     report(
         "ablation_async_chunks",
         "Ablation — GPU-Async pipeline depth (chunks = launches/op)\n"
@@ -162,23 +153,12 @@ def test_ablation_layout_cache(benchmark, report):
     """Table I's 'Layout Cache' column [24]: without it, every message
     re-extracts the datatype layout — a per-block tree walk that grows
     with sparsity and lands straight on the critical path."""
-    from repro.bench import run_bulk_exchange
-    from repro.net import LASSEN
-    from repro.workloads import WORKLOADS
-
     rows = []
     effects = {}
     for workload, dim in (("specfem3D_cm", 4000), ("MILC", 16)):
-        spec = WORKLOADS[workload](dim)
-        cached = run_bulk_exchange(
-            LASSEN, proposed_factory(), spec, nbuffers=16,
-            iterations=ITERATIONS, warmup=WARMUP, data_plane=False,
-        )
-        uncached = run_bulk_exchange(
-            LASSEN, proposed_factory(), spec, nbuffers=16,
-            iterations=ITERATIONS, warmup=WARMUP, data_plane=False,
-            layout_cache_enabled=False,
-        )
+        point = {"workload.name": workload, "workload.dim": dim}
+        cached = _run(point)
+        uncached = _run({**point, "protocol.layout_cache_enabled": False})
         effects[workload] = uncached.mean_latency / cached.mean_latency
         rows.append(
             f"  {workload:<14} cached={cached.mean_latency * 1e6:9.2f}us  "
@@ -213,10 +193,8 @@ def test_ablation_pipeline_chunk_size(benchmark, report):
     def staged_latency(chunk_bytes):
         sim = Simulator()
         cluster = Cluster(sim, ABCI, nodes=2, functional=False)
-        rt = Runtime(
-            sim, cluster, SCHEME_REGISTRY["GPU-Sync"],
-            host_staging_threshold=1, pipeline_chunk_bytes=chunk_bytes,
-        )
+        protocol = ProtocolCfg(host_staging_threshold=1, pipeline_chunk_bytes=chunk_bytes)
+        rt = Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"], protocol=protocol)
         lay = DataLayout.contiguous(PAYLOAD)
         r0, r1 = rt.rank(0), rt.rank(1)
         sbuf, rbuf = r0.device.alloc(PAYLOAD), r1.device.alloc(PAYLOAD)

@@ -16,8 +16,6 @@ from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
 
-from conftest import proposed_factory
-
 SIZE = 4
 N = 256  # local matrix N x N doubles
 
@@ -46,10 +44,8 @@ def _transpose_latency(scheme_factory) -> tuple:
 
 def test_transpose_alltoall(benchmark, report):
     schemes = {
-        "GPU-Sync": SCHEME_REGISTRY["GPU-Sync"],
-        "GPU-Async": SCHEME_REGISTRY["GPU-Async"],
-        "CPU-GPU-Hybrid": SCHEME_REGISTRY["CPU-GPU-Hybrid"],
-        "Proposed": proposed_factory(),
+        name: SCHEME_REGISTRY[name]
+        for name in ("GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed")
     }
     rows = []
     latency = {}

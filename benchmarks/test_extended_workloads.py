@@ -12,11 +12,9 @@ wins, with the biggest factors on the many-small-block layouts.
 
 
 from repro.bench import format_latency_table, run_bulk_exchange
-from repro.net import LASSEN
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
+from repro.bench.figures import FIG_BASE
 
-from conftest import ITERATIONS, WARMUP, best_speedup, proposed_factory
+from conftest import best_speedup
 
 SWEEPS = {
     "WRF": [16, 32, 64],
@@ -25,12 +23,20 @@ SWEEPS = {
     "FFT2D": [64, 128, 256],
     "LAMMPS_full": [256, 1024, 4096],
 }
-SCHEMES = {
-    "GPU-Sync": SCHEME_REGISTRY["GPU-Sync"],
-    "GPU-Async": SCHEME_REGISTRY["GPU-Async"],
-    "CPU-GPU-Hybrid": SCHEME_REGISTRY["CPU-GPU-Hybrid"],
-    "Proposed": proposed_factory(),
-}
+SCHEMES = ["GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed"]
+
+
+def _run(scheme, workload, dim, iterations=FIG_BASE.harness.iterations):
+    return run_bulk_exchange(
+        FIG_BASE.with_overrides(
+            {
+                "scheme.name": scheme,
+                "workload.name": workload,
+                "workload.dim": dim,
+                "harness.iterations": iterations,
+            }
+        )
+    )
 
 
 def test_extended_workloads(benchmark, report):
@@ -39,12 +45,8 @@ def test_extended_workloads(benchmark, report):
     for workload, dims in SWEEPS.items():
         grid = {name: {} for name in SCHEMES}
         for dim in dims:
-            spec = WORKLOADS[workload](dim)
-            for name, factory in SCHEMES.items():
-                grid[name][dim] = run_bulk_exchange(
-                    LASSEN, factory, spec, nbuffers=16,
-                    iterations=ITERATIONS, warmup=WARMUP, data_plane=False,
-                )
+            for name in SCHEMES:
+                grid[name][dim] = _run(name, workload, dim)
         chunks.append(
             format_latency_table(
                 grid,
@@ -61,10 +63,4 @@ def test_extended_workloads(benchmark, report):
         assert factor > 1.5, (workload, factor)
     assert max(speedups.values()) > 3.0
 
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            LASSEN, SCHEMES["Proposed"], WORKLOADS["WRF"](32),
-            nbuffers=16, iterations=1, warmup=1, data_plane=False,
-        ),
-        rounds=1,
-    )
+    benchmark.pedantic(lambda: _run("Proposed", "WRF", 32, iterations=1), rounds=1)

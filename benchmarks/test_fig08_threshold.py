@@ -18,9 +18,10 @@ Expected shape (paper, §IV-C): a U-curve per input size —
 """
 
 
-from repro.bench import ExperimentSpec
+from repro.bench import run_bulk_exchange
 from repro.bench.figures import FIG08_DIMS as DIMS
 from repro.bench.figures import FIG08_THRESHOLDS as THRESHOLDS
+from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig08_views
 
 KiB = 1024
@@ -75,12 +76,14 @@ def test_fig08_threshold_sweep(benchmark, report, artifact, sweep_run):
     assert grid[4000][4096 * KiB] > 1.05 * best_4000
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic",
-            key="fig08",
-            config={"threshold_bytes": 512 * KiB},
-            dim=2000,
-            iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            FIG_BASE.with_overrides(
+                {
+                    "scheme.fusion.threshold_bytes": 512 * KiB,
+                    "workload.dim": 2000,
+                    "harness.iterations": 1,
+                }
+            )
+        ),
         rounds=1,
     )

@@ -18,9 +18,10 @@ Expected shape (paper):
 """
 
 
-from repro.bench import ExperimentSpec, format_breakdown_table
+from repro.bench import format_breakdown_table, run_bulk_exchange
 from repro.bench.figures import FIG11_DIM as DIM
 from repro.bench.figures import FIG11_NBUF as NBUF
+from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig11_results
 from repro.sim import Category, us
 
@@ -65,9 +66,15 @@ def test_fig11_time_breakdown(benchmark, report, artifact, sweep_run):
     assert by_name["Proposed"].mean_latency == min(r.mean_latency for r in results)
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig11", system="ABCI", workload="MILC",
-            dim=DIM, iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            FIG_BASE.with_overrides(
+                {
+                    "system.name": "ABCI",
+                    "workload.name": "MILC",
+                    "workload.dim": DIM,
+                    "harness.iterations": 1,
+                }
+            )
+        ),
         rounds=1,
     )

@@ -98,11 +98,12 @@ def test_fig12_lassen(benchmark, report, artifact, sweep_run):
     emit_tables(report, "Fig12", "Lassen", tables)
     check_figure_shape(tables, sparse_min_speedup=3.0)
 
-    from repro.bench import ExperimentSpec
+    from repro.bench import run_bulk_exchange
+    from repro.bench.figures import FIG_BASE
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig12", dim=1000, iterations=1
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            FIG_BASE.with_overrides({"workload.dim": 1000, "harness.iterations": 1})
+        ),
         rounds=1,
     )

@@ -22,7 +22,8 @@ shard plane.
 """
 
 
-from repro.bench import ExperimentSpec
+from repro.bench import run_bulk_exchange
+from repro.bench.figures import FIG_BASE
 from repro.bench.figures import FIG12_SWEEPS as SWEEPS
 from repro.bench.figures import fig12_tables, fig13_lassen_views
 
@@ -65,9 +66,10 @@ def test_fig13_abci(benchmark, report, artifact, sweep_run):
     assert async_ratio(tables, "MILC", 16) < lassen_ratio * 1.05
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig13", system="ABCI", dim=1000,
-            iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            FIG_BASE.with_overrides(
+                {"system.name": "ABCI", "workload.dim": 1000, "harness.iterations": 1}
+            )
+        ),
         rounds=1,
     )

@@ -13,8 +13,9 @@ Normalized to SpectrumMPI (higher is better), like the paper's bars:
 """
 
 
-from repro.bench import ExperimentSpec, format_speedup_table, speedup_matrix
+from repro.bench import format_speedup_table, run_bulk_exchange, speedup_matrix
 from repro.bench.figures import FIG14_CASES as CASES
+from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig14_grids
 
 
@@ -62,9 +63,15 @@ def test_fig14_production_libraries(benchmark, report, artifact, sweep_run):
     assert sparse_factor > dense_factor
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig14", scheme="MVAPICH2-GDR",
-            workload="MILC", dim=16, iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            FIG_BASE.with_overrides(
+                {
+                    "scheme.name": "MVAPICH2-GDR",
+                    "workload.name": "MILC",
+                    "workload.dim": 16,
+                    "harness.iterations": 1,
+                }
+            )
+        ),
         rounds=1,
     )

@@ -14,8 +14,6 @@ from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
 from repro.workloads import WORKLOADS
 
-from conftest import proposed_factory
-
 NBUF = 8
 
 
@@ -62,7 +60,7 @@ def test_scaling_ring(benchmark, report):
     speedups = {}
     for rpn in (1, 2, 4):
         sync = _ring_latency(SCHEME_REGISTRY["GPU-Sync"], rpn)
-        prop = _ring_latency(proposed_factory(), rpn)
+        prop = _ring_latency(SCHEME_REGISTRY["Proposed"], rpn)
         speedups[rpn] = sync / prop
         rows.append(
             f"  {2 * rpn} ranks (2 nodes x {rpn} GPUs): "
@@ -78,4 +76,4 @@ def test_scaling_ring(benchmark, report):
     for rpn, factor in speedups.items():
         assert factor > 2.0, (rpn, factor)
 
-    benchmark.pedantic(lambda: _ring_latency(proposed_factory(), 2), rounds=1)
+    benchmark.pedantic(lambda: _ring_latency(SCHEME_REGISTRY["Proposed"], 2), rounds=1)

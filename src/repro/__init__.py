@@ -62,15 +62,20 @@ __all__ = [
 def quick_compare(workload: str = "specfem3D_cm", dim: int = 2000, nbuffers: int = 16) -> str:
     """Run every scheme on one workload and return a latency table."""
     from .bench import format_latency_table
-    from .net import LASSEN
+    from .config import ExperimentConfig
 
-    results = {}
-    for name, factory in SCHEME_REGISTRY.items():
-        r = run_bulk_exchange(
-            LASSEN, factory, WORKLOADS[workload](dim), nbuffers=nbuffers,
-            iterations=3, warmup=1,
-        )
-        results[name] = {dim: r}
+    base = ExperimentConfig().with_overrides(
+        {
+            "workload.name": workload,
+            "workload.dim": dim,
+            "workload.nbuffers": nbuffers,
+            "harness.iterations": 3,
+        }
+    )
+    results = {
+        name: {dim: run_bulk_exchange(base.with_overrides({"scheme.name": name}))}
+        for name in SCHEME_REGISTRY
+    }
     return format_latency_table(
         results,
         title=f"{workload} (dim={dim}, {nbuffers} buffers) on Lassen",

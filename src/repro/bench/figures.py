@@ -117,9 +117,7 @@ def _spec(
     experiment: str, key: str, overrides: Mapping[str, Any]
 ) -> ExperimentSpec:
     """One grid point: the figure base config + dotted-path overrides."""
-    return ExperimentSpec.from_config(
-        experiment, key, FIG_BASE.with_overrides(overrides)
-    )
+    return ExperimentSpec(experiment, key, FIG_BASE.with_overrides(overrides))
 
 
 def _scheme_overrides(
@@ -141,7 +139,12 @@ def _scheme_overrides(
 
 
 def _fig01_table() -> Dict[str, Dict[str, float]]:
-    """Launch overhead vs pack-kernel time across GPU generations."""
+    """Launch overhead vs pack-kernel time across GPU generations.
+
+    Rows come back sorted by architecture name — the order a cached
+    (``sort_keys=True``) shard entry replays them in — so a fresh and a
+    cached run render the same table.
+    """
     from ..gpu import ARCHITECTURES, kernel_compute_time
     from ..workloads import WORKLOADS
 
@@ -150,7 +153,7 @@ def _fig01_table() -> Dict[str, Dict[str, float]]:
         "MILC": WORKLOADS["MILC"](16),
     }
     data: Dict[str, Dict[str, float]] = {}
-    for arch_name, arch in ARCHITECTURES.items():
+    for arch_name, arch in sorted(ARCHITECTURES.items()):
         entry: Dict[str, float] = {"launch": arch.kernel_launch_overhead}
         for wl, spec in specs.items():
             lay = spec.datatype.flatten().replicate(spec.count)

@@ -32,7 +32,7 @@ import tracemalloc
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs.artifact import experiment_artifact
-from ..sim.engine import Simulator, fastpath_enabled
+from ..sim.engine import Simulator
 from ..sim.resources import Store
 
 __all__ = [
@@ -181,7 +181,7 @@ def wallclock_artifact(
         "figures": bench_figures(figures) if figures else {},
         "allocations": bench_allocations(max(1_000, int(50_000 * scale))),
     }
-    doc_meta: Dict[str, Any] = {"fastpath": fastpath_enabled(), "scale": scale}
+    doc_meta: Dict[str, Any] = {"scale": scale}
     if meta:
         doc_meta.update(meta)
     return experiment_artifact(EXPERIMENT, (), data=data, meta=doc_meta)

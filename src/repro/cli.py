@@ -291,7 +291,14 @@ def cmd_autotune(args) -> int:
     model = recommend_threshold(system.gpu_arch, layout)
     print(f"model-based recommendation: {model // KiB} KB "
           f"(§IV-C: fused time >= 2x launch overhead)\n")
-    result = autotune_threshold(system, spec, nbuffers=args.nbuffers)
+    base = ExperimentConfig(
+        system=SystemCfg(name=args.system),
+        workload=WorkloadCfg(
+            name=args.workload, dim=args.dim, nbuffers=args.nbuffers
+        ),
+        harness=HarnessCfg(iterations=2, warmup=1, data_plane=False),
+    )
+    result = autotune_threshold(base)
     print("empirical sweep:")
     print(result.describe())
     print(f"\nempirical best: {result.best_threshold // KiB} KB "

@@ -283,30 +283,6 @@ class ProtocolCfg:
         if not (isinstance(self.pipeline_chunk_bytes, int) and self.pipeline_chunk_bytes >= 1):
             raise ValueError("pipeline_chunk_bytes must be positive")
 
-    #: legacy ``Runtime.__init__`` keyword → config field
-    _LEGACY_KWARGS = {
-        "rendezvous_protocol": "rendezvous",
-        "eager_threshold": "eager_threshold",
-        "enable_direct_ipc": "enable_direct_ipc",
-        "layout_cache_enabled": "layout_cache_enabled",
-        "poll_interval": "poll_interval",
-        "flatten_base_cost": "flatten_base_cost",
-        "flatten_block_cost": "flatten_block_cost",
-        "host_staging_threshold": "host_staging_threshold",
-        "pipeline_chunk_bytes": "pipeline_chunk_bytes",
-    }
-
-    @classmethod
-    def from_kwargs(cls, **legacy: Any) -> "ProtocolCfg":
-        """Build from the legacy ``Runtime``/``run_bulk_exchange``
-        keyword vocabulary (``rendezvous_protocol=...``)."""
-        unknown = set(legacy) - set(cls._LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"unknown protocol keyword(s): {sorted(unknown)}"
-            )
-        return cls(**{cls._LEGACY_KWARGS[k]: v for k, v in legacy.items()})
-
 
 @dataclass(frozen=True)
 class FaultsCfg:

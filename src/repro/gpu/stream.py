@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from ..sim.engine import Event, Simulator, fastpath_enabled
+from ..sim.engine import Event, Simulator
 from .kernels import KernelOp
 
 __all__ = ["ExecutionEngine", "Stream", "CudaEvent"]
@@ -109,26 +109,12 @@ class Stream:
         self._tail = end
         self.busy_time += duration
         self.op_count += 1
-        if fastpath_enabled():
-            # Fast path: the completion timeout *is* the completion
-            # event.  The generic path below relays through a second
-            # zero-delay event, which doubles the calendar traffic of
-            # every GPU op without moving any timestamp; the CI
-            # equivalence sweep proves the collapse is byte-identical.
-            trigger = sim.timeout(end - sim.now, value)
-            if apply is not None:
-                trigger.add_callback(lambda _ev: apply())
-            return trigger
-        done = Event(sim)
-        relay = sim.timeout(end - sim.now)
-
-        def _complete(_: Event) -> None:
-            if apply is not None:
-                apply()
-            done.succeed(value)
-
-        relay.add_callback(_complete)
-        return done
+        # The completion timeout *is* the completion event: no relay
+        # event, so each GPU op costs one calendar entry.
+        trigger = sim.timeout(end - sim.now, value)
+        if apply is not None:
+            trigger.add_callback(lambda _ev: apply())
+        return trigger
 
     def barrier(self) -> Event:
         """Event firing when all currently enqueued work has completed."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator
 
-from ..sim.engine import Event, Simulator, fastpath_enabled
+from ..sim.engine import Event, Simulator
 from ..sim.faults import FaultError
 from ..sim.resources import Resource
 
@@ -120,14 +120,14 @@ class Link:
         start = sim.now
         port = self._port(direction)
         faults = sim.faults
-        if faults is None and sim.noise is None and fastpath_enabled():
+        if faults is None and sim.noise is None:
             # Closed-form fast path: with no fault plan and no noise the
             # generic loop below always runs exactly one attempt with no
             # flap wait and no retransmission, i.e. it degenerates to
             # request → timeout → release.  Emitting those same events
-            # directly keeps the virtual-time trace byte-identical (the
-            # CI equivalence job proves it) while skipping the per-chunk
-            # bookkeeping that dominates the no-fault sweeps.
+            # directly keeps the virtual-time trace identical while
+            # skipping the per-chunk bookkeeping that dominates the
+            # no-fault sweeps.
             yield port.request()
             try:
                 yield sim.timeout(self.spec.transfer_time(nbytes))

@@ -117,8 +117,9 @@ def entries_from_grid(
 ) -> List[Dict[str, Any]]:
     """Entries for a ``results[scheme][column_value]`` benchmark grid.
 
-    The shape every figure benchmark produces (``run_grid`` and
-    friends).  Keys become ``[prefix/]scheme/<column>=<value>``.
+    The grid shape the report formatters take
+    (:func:`repro.bench.format_latency_table`).  Keys become
+    ``[prefix/]scheme/<column>=<value>``.
     """
     entries = []
     for scheme, per_column in results.items():

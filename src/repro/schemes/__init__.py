@@ -4,12 +4,12 @@ The proposed design itself lives in :mod:`repro.core`; this package
 holds the scheme interface and every competitor, plus a registry used
 by the benchmark harness.  :func:`make_scheme_factory` is the single
 instantiation path: it consumes a :class:`~repro.config.SchemeCfg`
-(or a legacy ``(name, **kwargs)`` pair) and validates every override
-against the scheme's constructor signature.
+and validates every override against the scheme's constructor
+signature.
 """
 
 import inspect
-from typing import Any, Callable, Dict, Union
+from typing import Any, Callable, Dict
 
 from ..config import SchemeCfg
 from ..net.topology import RankSite
@@ -61,8 +61,9 @@ SCHEME_REGISTRY: Dict[str, Callable[[RankSite, Trace], PackingScheme]] = {
 }
 
 
-#: alias factories take no constructor overrides
-_ALIASED = (_spectrum_factory, _openmpi_factory, _proposed_factory)
+#: alias factories take no constructor overrides (options on
+#: ``Proposed`` build a fusion variant instead)
+_ALIASED = (_spectrum_factory, _openmpi_factory)
 
 
 def _validate_scheme_kwargs(name: str, ctor: Callable, kwargs: Dict[str, Any]) -> None:
@@ -110,28 +111,18 @@ def _fusion_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme
     return factory
 
 
-def make_scheme_factory(
-    scheme: Union[str, SchemeCfg], **kwargs: Any
-) -> Callable[[RankSite, Trace], PackingScheme]:
+def make_scheme_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme]:
     """The single scheme-instantiation path: ``factory(site, trace)``.
 
-    Accepts a :class:`~repro.config.SchemeCfg` (the config plane) or a
-    legacy ``(name, **kwargs)`` pair, which is folded into one.  A
-    fusion-configured scheme config (any ``fusion`` override or a
-    ``label``) builds a :class:`~repro.core.framework.KernelFusionScheme`
-    exactly as the benchmark drivers do; everything else resolves
-    through :data:`SCHEME_REGISTRY`.  Unknown scheme names raise
-    ``KeyError``; unknown constructor overrides raise ``ValueError``
-    naming the bad key and the scheme.
+    A fusion variant — any ``fusion`` override, a ``label``, or
+    constructor ``options`` on ``Proposed`` — builds a
+    :class:`~repro.core.framework.KernelFusionScheme` exactly as the
+    benchmark drivers do; everything else resolves through
+    :data:`SCHEME_REGISTRY`.  Unknown scheme names raise ``KeyError``;
+    unknown constructor overrides raise ``ValueError`` naming the bad
+    key and the scheme.
     """
-    if isinstance(scheme, SchemeCfg):
-        if kwargs:
-            raise TypeError("pass overrides inside SchemeCfg, not as keywords")
-        cfg = scheme
-    else:
-        cfg = SchemeCfg.from_overrides(scheme, kwargs)
-
-    if cfg.fusion_configured:
+    if cfg.fusion_configured or (cfg.name == "Proposed" and cfg.options):
         return _fusion_factory(cfg)
 
     if cfg.name not in SCHEME_REGISTRY:

@@ -15,14 +15,11 @@ from .engine import (
     SimulationError,
     Simulator,
     Timeout,
-    fastpath_enabled,
     ms,
     ns,
-    set_fastpath,
     us,
 )
 from .resources import Channel, Resource, Store
-from .chrometrace import chrome_trace_events, export_chrome_trace
 from .faults import FAULT_PRESETS, FaultError, FaultPlan, FaultSpec, FaultStats
 from .noise import NoiseModel
 from .timeline import render_timeline
@@ -38,8 +35,6 @@ __all__ = [
     "CompletionWatch",
     "Interrupt",
     "SimulationError",
-    "fastpath_enabled",
-    "set_fastpath",
     "Resource",
     "Store",
     "Channel",
@@ -47,14 +42,12 @@ __all__ = [
     "Span",
     "Trace",
     "render_timeline",
-    "chrome_trace_events",
     "NoiseModel",
     "FaultPlan",
     "FaultSpec",
     "FaultStats",
     "FaultError",
     "FAULT_PRESETS",
-    "export_chrome_trace",
     "us",
     "ns",
     "ms",

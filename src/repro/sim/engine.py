@@ -40,11 +40,10 @@ allocation-lean:
   lazily by ``__repr__``, and :meth:`Simulator.run` drains the calendar
   with the step body inlined.
 
-The *semantics* are identical on every path; clients additionally guard
-closed-form shortcuts (e.g. :meth:`repro.net.link.Link.transmit`)
-behind :func:`fastpath_enabled`, which the ``REPRO_SIM_FASTPATH``
-environment variable (default on) controls so CI can prove virtual-time
-equivalence of fast and generic paths.
+Clients take closed-form shortcuts where the general path would emit
+the same calendar events (e.g. :meth:`repro.net.link.Link.transmit`
+with no fault plan and no noise); the committed figure artifacts pin
+their virtual time.
 
 Units
 -----
@@ -56,7 +55,6 @@ and network cost models.
 from __future__ import annotations
 
 import itertools
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
@@ -72,8 +70,6 @@ __all__ = [
     "CompletionWatch",
     "Interrupt",
     "SimulationError",
-    "fastpath_enabled",
-    "set_fastpath",
     "us",
     "ns",
     "ms",
@@ -93,33 +89,6 @@ def ns(value: float) -> float:
 def ms(value: float) -> float:
     """Convert milliseconds to simulator seconds."""
     return value * 1e-3
-
-
-#: closed-form client fast paths on/off (the engine's own lean paths are
-#: unconditional — they are exactly equivalent by construction)
-_FASTPATH: bool = os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
-
-
-def fastpath_enabled() -> bool:
-    """Whether clients may take their closed-form no-fault fast paths.
-
-    Controlled by ``REPRO_SIM_FASTPATH`` (default on; set to ``0`` to
-    force every component down its generic path).  The CI equivalence
-    job runs the full figure plane both ways and byte-compares the
-    artifacts — fast paths must never change virtual time.
-    """
-    return _FASTPATH
-
-
-def set_fastpath(enabled: bool) -> bool:
-    """Toggle client fast paths at runtime; returns the previous value.
-
-    Intended for tests that prove fast/generic equivalence in-process.
-    """
-    global _FASTPATH
-    previous = _FASTPATH
-    _FASTPATH = bool(enabled)
-    return previous
 
 
 class SimulationError(RuntimeError):

@@ -10,21 +10,25 @@ from repro.bench import (
     run_bulk_exchange,
     speedup_matrix,
 )
-from repro.net import LASSEN
+from repro.config import ExperimentConfig
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Category
-from repro.workloads import WORKLOADS
+
+NAS_MG = ExperimentConfig().with_overrides(
+    {"scheme.name": "GPU-Sync", "workload.name": "NAS_MG", "workload.dim": 32}
+)
 
 
 @pytest.fixture(scope="module")
 def results():
-    spec = WORKLOADS["NAS_MG"](32)
-    out = {}
-    for name in ("GPU-Sync", "Proposed"):
-        out[name] = run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY[name], spec, nbuffers=4, iterations=3, warmup=1
+    return {
+        name: run_bulk_exchange(
+            NAS_MG.with_overrides(
+                {"scheme.name": name, "workload.nbuffers": 4, "harness.iterations": 3}
+            )
         )
-    return out
+        for name in ("GPU-Sync", "Proposed")
+    }
 
 
 def test_result_latencies_recorded(results):
@@ -68,23 +72,34 @@ def test_scheduler_stats_captured(results):
 
 
 def test_data_plane_off_matches_timing():
-    spec = WORKLOADS["NAS_MG"](32)
-    wet = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=2, iterations=2, warmup=1
-    )
-    dry = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=2, iterations=2, warmup=1,
-        data_plane=False,
-    )
+    wet_cfg = NAS_MG.with_overrides({"workload.nbuffers": 2, "harness.iterations": 2})
+    wet = run_bulk_exchange(wet_cfg)
+    dry = run_bulk_exchange(wet_cfg.with_overrides({"harness.data_plane": False}))
     assert dry.mean_latency == pytest.approx(wet.mean_latency, rel=1e-9)
 
 
 def test_runner_validation():
-    spec = WORKLOADS["NAS_MG"](16)
     with pytest.raises(ValueError):
-        run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, iterations=0
-        )
+        NAS_MG.with_overrides({"harness.iterations": 0})
+
+
+def test_live_fault_plan_and_configured_faults_are_exclusive():
+    from repro.sim import FaultPlan
+
+    cfg = NAS_MG.with_overrides({"faults.preset": "light"})
+    with pytest.raises(TypeError, match="faults"):
+        run_bulk_exchange(cfg, faults=FaultPlan(seed=1))
+
+
+@pytest.mark.parametrize("scheme", ["GPU-Sync", "Proposed"])
+def test_scheme_factory_override_matches_config_named_run(scheme):
+    cfg = NAS_MG.with_overrides(
+        {"scheme.name": scheme, "workload.nbuffers": 2, "harness.data_plane": False}
+    )
+    named = run_bulk_exchange(cfg)
+    injected = run_bulk_exchange(cfg, scheme_factory=SCHEME_REGISTRY[scheme])
+    assert injected.scheme == named.scheme == scheme
+    assert injected.latencies == named.latencies
 
 
 def test_verification_detects_dropped_bytes(monkeypatch):
@@ -96,12 +111,18 @@ def test_verification_detects_dropped_bytes(monkeypatch):
     import repro.gpu.kernels as kernels_mod
     from repro.net.topology import Cluster as RealCluster
 
-    def assert_corruption_caught(spec):
+    def assert_corruption_caught(workload):
+        cfg = NAS_MG.with_overrides(
+            {
+                "workload.name": workload,
+                "workload.dim": 16,
+                "workload.nbuffers": 2,
+                "harness.iterations": 1,
+                "harness.warmup": 0,
+            }
+        )
         with pytest.raises(AssertionError, match="corruption"):
-            run_bulk_exchange(
-                LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec,
-                nbuffers=2, iterations=1, warmup=0,
-            )
+            run_bulk_exchange(cfg)
 
     class SabotagedCluster(RealCluster):
         def __init__(self, sim, system, nodes=2, ranks_per_node=1, functional=True):
@@ -111,7 +132,7 @@ def test_verification_detects_dropped_bytes(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(runner_mod, "Cluster", SabotagedCluster)
-        assert_corruption_caught(WORKLOADS["NAS_MG"](16))
+        assert_corruption_caught("NAS_MG")
 
     real_pack = kernels_mod.pack_bytes
 
@@ -123,8 +144,8 @@ def test_verification_detects_dropped_bytes(monkeypatch):
     monkeypatch.setattr(kernels_mod, "pack_bytes", off_by_one_pack)
     # Both start past byte 0, so the shifted read stays in bounds: WRF
     # takes the strided path, specfem3D_cm the gather path.
-    assert_corruption_caught(WORKLOADS["WRF"](16))
-    assert_corruption_caught(WORKLOADS["specfem3D_cm"](16))
+    assert_corruption_caught("WRF")
+    assert_corruption_caught("specfem3D_cm")
 
 
 # -- report formatting -------------------------------------------------------------
@@ -168,3 +189,13 @@ def test_speedup_matrix_and_table():
     assert m["ref"][32] == pytest.approx(1.0)
     text = format_speedup_table(grid, "ref", title="sp")
     assert "4.00x" in text
+
+
+def test_quick_compare_smoke():
+    from repro import quick_compare
+
+    text = quick_compare(dim=64, nbuffers=2)
+    assert text.splitlines()[0] == "specfem3D_cm (dim=64, 2 buffers) on Lassen"
+    for name in SCHEME_REGISTRY:
+        assert name in text
+    assert "Proposed        speedup over GPU-Sync" in text

@@ -43,7 +43,6 @@ def test_artifact_schema_and_sections():
     assert artifact["schema"] == SCHEMA
     assert artifact["experiment"] == wallclock.EXPERIMENT
     assert set(artifact["data"]) == {"engine", "figures", "allocations"}
-    assert artifact["meta"]["fastpath"] in (True, False)
 
 
 def test_compare_identical_artifacts_pass():

@@ -167,14 +167,6 @@ def test_resolve_rejects_unknown_registry_names():
         WorkloadCfg(name="LINPACK").resolve()
 
 
-def test_protocol_from_kwargs_maps_legacy_names():
-    cfg = ProtocolCfg.from_kwargs(rendezvous_protocol="rget", eager_threshold=0)
-    assert cfg.rendezvous == "rget"
-    assert cfg.eager_threshold == 0
-    with pytest.raises(TypeError, match="unknown protocol keyword"):
-        ProtocolCfg.from_kwargs(rendezvous="rget")
-
-
 # -- scheme overrides block ---------------------------------------------------
 
 
@@ -259,10 +251,13 @@ def test_diff_reports_dotted_paths():
 
 
 def test_cache_key_tracks_config_hash():
-    spec = ExperimentSpec("fig09", "Proposed/1000", dim=1000)
-    same = ExperimentSpec("fig09", "Proposed/1000", dim=1000)
-    other_cfg = ExperimentSpec("fig09", "Proposed/1000", dim=2000)
-    other_id = ExperimentSpec("fig09", "Proposed/2000", dim=1000)
+    cfg = ExperimentConfig.default()
+    spec = ExperimentSpec("fig09", "Proposed/1000", cfg)
+    same = ExperimentSpec("fig09", "Proposed/1000", ExperimentConfig.default())
+    other_cfg = ExperimentSpec(
+        "fig09", "Proposed/1000", cfg.with_overrides({"workload.dim": 2000})
+    )
+    other_id = ExperimentSpec("fig09", "Proposed/2000", cfg)
     assert spec.cache_key("s") == same.cache_key("s")
     assert spec.cache_key("s") != other_cfg.cache_key("s")
     assert spec.cache_key("s") != other_id.cache_key("s")

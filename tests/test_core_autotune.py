@@ -2,12 +2,25 @@
 
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.core import autotune_threshold, recommend_threshold
 from repro.gpu import TESLA_V100, TESLA_V100_PCIE
 from repro.net import LASSEN
 from repro.workloads import WORKLOADS
 
 KiB = 1024
+
+
+def _base(workload, dim):
+    return ExperimentConfig().with_overrides(
+        {
+            "workload.name": workload,
+            "workload.dim": dim,
+            "harness.iterations": 2,
+            "harness.warmup": 1,
+            "harness.data_plane": False,
+        }
+    )
 
 
 def test_recommend_threshold_reasonable_band():
@@ -51,9 +64,8 @@ def test_recommend_threshold_rejects_empty_layout():
 
 
 def test_autotune_finds_interior_optimum():
-    spec = WORKLOADS["specfem3D_cm"](1000)
     result = autotune_threshold(
-        LASSEN, spec, candidates=(16 * KiB, 128 * KiB, 4096 * KiB), nbuffers=16
+        _base("specfem3D_cm", 1000), candidates=(16 * KiB, 128 * KiB, 4096 * KiB)
     )
     assert result.best_threshold == 128 * KiB
     assert result.best_latency == min(result.curve.values())
@@ -63,7 +75,7 @@ def test_autotune_finds_interior_optimum():
 
 def test_autotune_validation():
     with pytest.raises(ValueError):
-        autotune_threshold(LASSEN, WORKLOADS["MILC"](8), candidates=())
+        autotune_threshold(_base("MILC", 8), candidates=())
 
 
 def test_model_recommendation_close_to_empirical():
@@ -71,7 +83,7 @@ def test_model_recommendation_close_to_empirical():
     spec = WORKLOADS["specfem3D_cm"](2000)
     rec = recommend_threshold(LASSEN.gpu_arch, spec.datatype.flatten())
     result = autotune_threshold(
-        LASSEN, spec,
+        _base("specfem3D_cm", 2000),
         candidates=(64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1024 * KiB),
     )
     # Within one sweep step (4x) of the empirical optimum.

@@ -6,18 +6,18 @@ exchange.  The invariant throughout: faults cost time, never
 correctness.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.bench import run_bulk_exchange
+from repro.config import ExperimentConfig
 from repro.core import FusionPolicy, FusionScheduler
 from repro.datatypes import DataLayout
 from repro.net import Cluster, LASSEN, Link, LinkSpec
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import FAULT_PRESETS, FaultPlan, FaultSpec, Simulator, Trace
-from repro.workloads import WORKLOADS
-
-SPEC = WORKLOADS["specfem3D_cm"]
 
 
 class ForcedFaults(FaultPlan):
@@ -147,13 +147,26 @@ def test_fault_free_transmit_unchanged():
 # -- control-plane watchdogs -------------------------------------------------------
 
 
-def _exchange(faults, *, protocol="rput", nbuffers=2, scheme="Proposed"):
-    return run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY[scheme], SPEC(200),
-        nbuffers=nbuffers, iterations=2, warmup=1,
-        eager_threshold=0, rendezvous_protocol=protocol,
-        faults=faults,
+#: a small specfem3D_cm exchange; tests override the axes they vary
+EXCHANGE = ExperimentConfig().with_overrides(
+    {
+        "workload.name": "specfem3D_cm",
+        "workload.dim": 200,
+        "workload.nbuffers": 2,
+        "harness.iterations": 2,
+    }
+)
+
+
+def _exchange(faults, *, protocol="rput", nbuffers=2):
+    cfg = EXCHANGE.with_overrides(
+        {
+            "workload.nbuffers": nbuffers,
+            "protocol.eager_threshold": 0,
+            "protocol.rendezvous": protocol,
+        }
     )
+    return run_bulk_exchange(cfg, faults=faults)
 
 
 @pytest.mark.parametrize("protocol", ["rput", "rget"])
@@ -426,8 +439,14 @@ def test_recovery_report_aggregates_all_layers():
 
 def test_no_recovery_report_without_faults():
     result = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["Proposed"], SPEC(100),
-        nbuffers=2, iterations=1, warmup=0, data_plane=False,
+        EXCHANGE.with_overrides(
+            {
+                "workload.dim": 100,
+                "harness.iterations": 1,
+                "harness.warmup": 0,
+                "harness.data_plane": False,
+            }
+        )
     )
     assert result.recovery is None
 
@@ -435,13 +454,12 @@ def test_no_recovery_report_without_faults():
 def test_inactive_plan_leaves_timeline_unchanged():
     """Attaching an all-zero plan arms the machinery but injects
     nothing — latencies must match the plan-free run exactly."""
-    kwargs = dict(nbuffers=3, iterations=2, warmup=1, data_plane=False)
-    clean = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["Proposed"], SPEC(100), **kwargs
+    cfg = EXCHANGE.with_overrides(
+        {"workload.dim": 100, "workload.nbuffers": 3, "harness.data_plane": False}
     )
+    clean = run_bulk_exchange(cfg)
     armed = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["Proposed"], SPEC(100),
-        faults=FaultPlan(seed=1), **kwargs
+        cfg.with_overrides({"faults.spec": asdict(FaultSpec()), "faults.seed": 1})
     )
     assert armed.latencies == clean.latencies
     assert armed.recovery.total_recoveries == 0

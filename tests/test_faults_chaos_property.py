@@ -5,9 +5,11 @@ Hypothesis generates arbitrary fault plans — any mix of latency spikes,
 link flaps, transfer failures, control drops, launch failures,
 stragglers, and ring pressure at any valid probability — and the bulk
 exchange must still deliver byte-identical receive buffers under every
-scheme and rendezvous protocol (``run_bulk_exchange(verify=True)``
-raises on the first corrupted byte).
+scheme and rendezvous protocol (``harness.verify`` makes ``run_bulk_exchange``
+raise on the first corrupted byte).
 """
+
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,17 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import run_bulk_exchange
-from repro.net import LASSEN
-from repro.schemes import SCHEME_REGISTRY
-from repro.sim.faults import (
-    FAULT_PRESETS,
-    MAX_RETRIED_PROBABILITY,
-    FaultPlan,
-    FaultSpec,
-)
-from repro.workloads import WORKLOADS
+from repro.config import ExperimentConfig, FaultsCfg
+from repro.sim.faults import MAX_RETRIED_PROBABILITY, FaultSpec
 
-SPEC = WORKLOADS["specfem3D_cm"]
+EXCHANGE = ExperimentConfig().with_overrides(
+    {
+        "workload.name": "specfem3D_cm",
+        "workload.dim": 120,
+        "workload.nbuffers": 3,
+        "harness.iterations": 2,
+        "protocol.eager_threshold": 0,
+    }
+)
 
 retried = st.floats(0.0, MAX_RETRIED_PROBABILITY)
 delayed = st.floats(0.0, 1.0)
@@ -45,21 +48,19 @@ fault_specs = st.builds(
 )
 
 
-def _run(scheme, *, faults=None, protocol="rput", seed=42):
-    return run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY[scheme], SPEC(120),
-        nbuffers=3, iterations=2, warmup=1,
-        eager_threshold=0, rendezvous_protocol=protocol,
-        faults=faults, seed=seed,
+def _run(scheme, faults=FaultsCfg(), *, protocol="rput"):
+    cfg = EXCHANGE.with_overrides(
+        {"scheme.name": scheme, "protocol.rendezvous": protocol}
     )
+    return run_bulk_exchange(replace(cfg, faults=faults))
 
 
 @settings(max_examples=25, deadline=None)
 @given(spec=fault_specs, seed=st.integers(0, 2**31 - 1))
 def test_arbitrary_faults_never_corrupt_proposed(spec, seed):
-    # verify=True inside run_bulk_exchange raises AssertionError on the
+    # harness.verify makes run_bulk_exchange raise AssertionError on the
     # first byte that differs from the sent payload.
-    result = _run("Proposed", faults=FaultPlan(seed=seed, spec=spec))
+    result = _run("Proposed", FaultsCfg(spec=asdict(spec), seed=seed))
     assert result.recovery is not None
     assert np.isfinite(result.mean_latency)
 
@@ -68,24 +69,21 @@ def test_arbitrary_faults_never_corrupt_proposed(spec, seed):
 @given(seed=st.integers(0, 2**31 - 1))
 @pytest.mark.parametrize("scheme", ["GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid"])
 def test_heavy_faults_never_corrupt_other_schemes(scheme, seed):
-    _run(scheme, faults=FaultPlan(seed=seed, spec=FAULT_PRESETS["heavy"]))
+    _run(scheme, FaultsCfg(preset="heavy", seed=seed))
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 @pytest.mark.parametrize("protocol", ["rput", "rget"])
 def test_heavy_faults_never_corrupt_either_rendezvous(protocol, seed):
-    _run("Proposed", faults=FaultPlan(seed=seed, spec=FAULT_PRESETS["heavy"]),
-         protocol=protocol)
+    _run("Proposed", FaultsCfg(preset="heavy", seed=seed), protocol=protocol)
 
 
 def test_faults_cost_time_and_recoveries_are_nonzero():
     """Acceptance criterion: under a nontrivial plan the exchange is
     slower than fault-free and the retry/fallback counters move."""
     clean = _run("Proposed")
-    faulty = _run(
-        "Proposed", faults=FaultPlan(seed=5, spec=FAULT_PRESETS["heavy"])
-    )
+    faulty = _run("Proposed", FaultsCfg(preset="heavy", seed=5))
     assert faulty.mean_latency > clean.mean_latency
     rec = faulty.recovery
     assert rec.total_injected > 0
@@ -96,12 +94,12 @@ def test_identical_seeds_identical_timelines():
     """Acceptance criterion: two fresh Simulators under the same fault
     seed produce identical latency timelines and identical fault/
     recovery counts."""
-    a = _run("Proposed", faults=FaultPlan(seed=9, spec=FAULT_PRESETS["moderate"]))
-    b = _run("Proposed", faults=FaultPlan(seed=9, spec=FAULT_PRESETS["moderate"]))
+    a = _run("Proposed", FaultsCfg(preset="moderate", seed=9))
+    b = _run("Proposed", FaultsCfg(preset="moderate", seed=9))
     assert a.latencies == b.latencies
     assert a.recovery.injected == b.recovery.injected
     assert a.recovery.total_recoveries == b.recovery.total_recoveries
 
-    c = _run("Proposed", faults=FaultPlan(seed=10, spec=FAULT_PRESETS["moderate"]))
+    c = _run("Proposed", FaultsCfg(preset="moderate", seed=10))
     assert (c.latencies != a.latencies
             or c.recovery.injected != a.recovery.injected)

@@ -40,6 +40,32 @@ def test_stream_apply_runs_at_completion():
     assert log == [pytest.approx(us(4))]
 
 
+def test_stream_completion_timeline():
+    """The completion timeout is the completion event: one calendar
+    entry per op, carrying the op's value, at the stream tail."""
+    sim = Simulator()
+    device = GPUDevice(sim)
+    completions = []
+
+    def proc():
+        for duration in (1e-5, 2e-5, 0.0):
+            value = yield device.default_stream.enqueue_callable(
+                duration, value=duration
+            )
+            completions.append((sim.now, value))
+
+    sim.process(proc())
+    sim.run()
+    assert completions == [
+        (1e-05, 1e-05),
+        (3.0000000000000004e-05, 2e-05),
+        (3.0000000000000004e-05, 0.0),
+    ]
+    assert device.default_stream.busy_time == 3.0000000000000004e-05
+    # process start + three completion timeouts + process end
+    assert sim.events_processed == 5
+
+
 def test_stream_busy_accounting():
     sim = Simulator()
     s = _noop_stream(sim)

@@ -2,18 +2,27 @@
 
 import pytest
 
+from repro.bench import run_bulk_exchange
+from repro.config import ExperimentConfig, ProtocolCfg
 from repro.datatypes import DOUBLE, Indexed, Vector
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Category, Simulator
-from repro.workloads import WORKLOADS
 
 
-def _runtime(**kwargs):
+def _runtime(**protocol):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=2)
-    return sim, Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"], **kwargs)
+    return sim, Runtime(
+        sim, cluster, SCHEME_REGISTRY["GPU-Sync"], protocol=ProtocolCfg(**protocol)
+    )
+
+
+#: a timing-only GPU-Sync exchange; tests set the workload axes
+DRY_SYNC = ExperimentConfig().with_overrides(
+    {"scheme.name": "GPU-Sync", "harness.iterations": 2, "harness.data_plane": False}
+)
 
 
 def _drive(sim, gen):
@@ -98,17 +107,11 @@ def test_flatten_cost_scales_with_blocks():
 def test_end_to_end_cache_effect_on_sparse_exchange():
     """Disabling the cache slows a sparse bulk exchange measurably and
     shows up in the SCHED bucket (flatten charges)."""
-    from repro.bench import run_bulk_exchange
-
-    spec = WORKLOADS["specfem3D_cm"](2000)
-    on = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=8,
-        iterations=2, warmup=1, data_plane=False,
+    cfg = DRY_SYNC.with_overrides(
+        {"workload.name": "specfem3D_cm", "workload.dim": 2000, "workload.nbuffers": 8}
     )
-    off = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=8,
-        iterations=2, warmup=1, data_plane=False, layout_cache_enabled=False,
-    )
+    on = run_bulk_exchange(cfg)
+    off = run_bulk_exchange(cfg.with_overrides({"protocol.layout_cache_enabled": False}))
     assert off.mean_latency > on.mean_latency * 1.05
     assert off.breakdown[Category.SCHED] > on.breakdown[Category.SCHED]
 
@@ -116,11 +119,14 @@ def test_end_to_end_cache_effect_on_sparse_exchange():
 def test_warmup_absorbs_the_one_time_flatten():
     """With the cache on, steady-state iterations pay nothing: the
     post-warm-up latencies are iteration-identical."""
-    from repro.bench import run_bulk_exchange
-
-    spec = WORKLOADS["MILC"](16)
     r = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=4,
-        iterations=3, warmup=1, data_plane=False,
+        DRY_SYNC.with_overrides(
+            {
+                "workload.name": "MILC",
+                "workload.dim": 16,
+                "workload.nbuffers": 4,
+                "harness.iterations": 3,
+            }
+        )
     )
     assert max(r.latencies) - min(r.latencies) < 1e-9

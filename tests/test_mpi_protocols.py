@@ -1,6 +1,7 @@
 """Protocol-level unit tests: eager / RPUT / RGET timing semantics."""
 
 
+from repro.config import ProtocolCfg
 from repro.datatypes import DOUBLE, Vector
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
@@ -11,10 +12,8 @@ from repro.sim import Simulator, us
 def _setup(scheme="GPU-Sync", rendezvous="rput", eager_threshold=None):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=2)
-    rt = Runtime(
-        sim, cluster, SCHEME_REGISTRY[scheme],
-        rendezvous_protocol=rendezvous, eager_threshold=eager_threshold,
-    )
+    protocol = ProtocolCfg(rendezvous=rendezvous, eager_threshold=eager_threshold)
+    rt = Runtime(sim, cluster, SCHEME_REGISTRY[scheme], protocol=protocol)
     return sim, rt
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ProtocolCfg
 from repro.datatypes import DOUBLE, DataLayout, Vector
 from repro.mpi import Runtime, create_windows
 from repro.net import Cluster, LASSEN
@@ -10,10 +11,10 @@ from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
 
 
-def _setup(scheme="Proposed", nodes=2, ranks_per_node=1, win_bytes=4096, **kw):
+def _setup(scheme="Proposed", nodes=2, ranks_per_node=1, win_bytes=4096, **protocol):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=nodes, ranks_per_node=ranks_per_node)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY[scheme], **kw)
+    rt = Runtime(sim, cluster, SCHEME_REGISTRY[scheme], protocol=ProtocolCfg(**protocol))
     buffers = {r: rt.rank(r).device.alloc(win_bytes) for r in range(rt.size)}
     wins = create_windows(rt, buffers)
     return sim, rt, buffers, wins

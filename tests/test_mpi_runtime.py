@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ProtocolCfg
 from repro.datatypes import DOUBLE, DataLayout, Vector
 from repro.mpi import DIRECT, EAGER, RGET, RPUT, Runtime
 from repro.net import Cluster, LASSEN
@@ -10,10 +11,10 @@ from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
 
 
-def make_runtime(scheme="GPU-Sync", nodes=2, ranks_per_node=1, **kwargs):
+def make_runtime(scheme="GPU-Sync", nodes=2, ranks_per_node=1, **protocol):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=nodes, ranks_per_node=ranks_per_node)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY[scheme], **kwargs)
+    rt = Runtime(sim, cluster, SCHEME_REGISTRY[scheme], protocol=ProtocolCfg(**protocol))
     return sim, rt
 
 
@@ -23,9 +24,9 @@ def run_pair(sim, rt, prog0, prog1):
     sim.run(sim.all_of([p0, p1]))
 
 
-def exchange(scheme="GPU-Sync", nbuf=4, datatype=None, count=1, **rt_kwargs):
+def exchange(scheme="GPU-Sync", nbuf=4, datatype=None, count=1, **protocol):
     """One-directional exchange rank0 -> rank1, returns (send, recv) buffers."""
-    sim, rt = make_runtime(scheme, **rt_kwargs)
+    sim, rt = make_runtime(scheme, **protocol)
     dt = datatype if datatype is not None else Vector(16, 2, 5, DOUBLE).commit()
     lay = rt.rank(0).resolve_layout(dt, count)
     hi = int(lay.offsets[-1] + lay.lengths[-1]) + 8
@@ -76,13 +77,13 @@ def test_rput_protocol_chosen_for_large():
 
 def test_rget_protocol_runs():
     big = Vector(4096, 1, 3, DOUBLE).commit()
-    _sim, _rt, reqs = exchange(datatype=big, rendezvous_protocol="rget")
+    _sim, _rt, reqs = exchange(datatype=big, rendezvous="rget")
     assert all(r.protocol == RGET for r in reqs["send"])
 
 
 def test_unknown_rendezvous_rejected():
     with pytest.raises(ValueError):
-        make_runtime(rendezvous_protocol="bogus")
+        make_runtime(rendezvous="bogus")
 
 
 def test_eager_threshold_override():
@@ -192,7 +193,10 @@ def test_direct_ipc_intra_node():
     """Same-node transfer with DirectIPC enabled: zero-copy kernel."""
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=1, ranks_per_node=2)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY["Proposed"], enable_direct_ipc=True)
+    rt = Runtime(
+        sim, cluster, SCHEME_REGISTRY["Proposed"],
+        protocol=ProtocolCfg(enable_direct_ipc=True),
+    )
     dt = Vector(16, 2, 4, DOUBLE).commit()
     lay = rt.rank(0).resolve_layout(dt, 1)
     hi = int(lay.offsets[-1] + lay.lengths[-1])

@@ -13,7 +13,7 @@ from repro.net import (
     rdma_write,
     staged_host_copy,
 )
-from repro.sim import Simulator, us
+from repro.sim import FaultPlan, Simulator, us
 
 GB = 1e9
 
@@ -46,6 +46,31 @@ def test_link_serializes_same_direction():
     assert times[1][1] == pytest.approx(2e-3)  # includes queueing
     assert link.bytes_carried == 2_000_000
     assert link.transfer_count == 2
+
+
+def _transmit_trace(faults):
+    sim = Simulator()
+    sim.faults = faults
+    link = Link(sim, LinkSpec("test", bandwidth=10 * GB, latency=us(1)))
+    times = []
+
+    def proc():
+        for nbytes in (1_000, 1_000_000, 64):
+            spent = yield from link.transmit(nbytes)
+            times.append((sim.now, spent))
+
+    sim.process(proc())
+    sim.run()
+    return times, link.bytes_carried, link.transfer_count, sim.events_processed
+
+
+def test_link_closed_form_matches_fault_loop():
+    """With no plan, ``transmit`` takes its closed form; an all-zero
+    plan takes the retry loop.  Both must emit the same timeline."""
+    closed = _transmit_trace(None)
+    looped = _transmit_trace(FaultPlan(seed=0))
+    assert closed == looped
+    assert closed[1:3] == (1_001_064, 3)
 
 
 def test_link_duplex_directions_independent():

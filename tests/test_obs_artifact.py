@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench import run_bulk_exchange
-from repro.net import SYSTEMS
+from repro.config import ExperimentConfig
 from repro.obs import (
     SCHEMA,
     SCHEMA_VERSION,
@@ -16,19 +16,21 @@ from repro.obs import (
     result_entry,
     write_bench_artifact,
 )
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
 
 RUN = {"iterations": 2, "warmup": 1, "data_plane": False}
 
 
 def _result(scheme="GPU-Sync", dim=100, nbuffers=2):
+    overrides = {f"harness.{knob}": value for knob, value in RUN.items()}
     return run_bulk_exchange(
-        SYSTEMS["Lassen"],
-        SCHEME_REGISTRY[scheme],
-        WORKLOADS["specfem3D_cm"](dim),
-        nbuffers=nbuffers,
-        **RUN,
+        ExperimentConfig().with_overrides(
+            {
+                "scheme.name": scheme,
+                "workload.dim": dim,
+                "workload.nbuffers": nbuffers,
+                **overrides,
+            }
+        )
     )
 
 

@@ -1,30 +1,29 @@
 """sim.obs integration — no-op default, timing neutrality, one source of truth."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import run_bulk_exchange
-from repro.net import SYSTEMS
+from repro.config import ExperimentConfig, FaultsCfg
 from repro.obs import NULL_OBSERVER, METRIC_CATALOG, NullObserver, Observer
-from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
-from repro.sim.faults import FAULT_PRESETS, FaultPlan
-from repro.workloads import WORKLOADS
 
-RUN = {"nbuffers": 4, "iterations": 2, "warmup": 1, "data_plane": False}
+RUN = ExperimentConfig().with_overrides(
+    {"workload.dim": 200, "workload.nbuffers": 4, "harness.iterations": 2}
+)
 
 
-def _run(scheme="Proposed", obs=None, faults=None, data_plane=None, **kw):
-    params = dict(RUN, **kw)
-    if data_plane is not None:
-        params["data_plane"] = data_plane
-    return run_bulk_exchange(
-        SYSTEMS["Lassen"],
-        SCHEME_REGISTRY[scheme],
-        WORKLOADS["specfem3D_cm"](200),
-        obs=obs,
-        faults=faults,
-        **params,
+def _run(scheme="Proposed", obs=None, faults=FaultsCfg(), iterations=2):
+    """A dry exchange; fault runs go wet so every byte is verified."""
+    cfg = RUN.with_overrides(
+        {
+            "scheme.name": scheme,
+            "harness.iterations": iterations,
+            "harness.data_plane": faults.enabled,
+        }
     )
+    return run_bulk_exchange(replace(cfg, faults=faults), obs=obs)
 
 
 # -- disabled telemetry is a strict no-op -----------------------------------
@@ -57,10 +56,9 @@ def test_enabling_telemetry_does_not_change_simulated_time(scheme):
 
 
 def test_telemetry_is_timing_neutral_under_faults():
-    def plan():
-        return FaultPlan(seed=7, spec=FAULT_PRESETS["moderate"])
-    default = _run(faults=plan(), data_plane=True)   # internal observer
-    recorded = _run(faults=plan(), data_plane=True, obs=Observer())
+    plan = FaultsCfg(preset="moderate", seed=7)
+    default = _run(faults=plan)   # internal observer
+    recorded = _run(faults=plan, obs=Observer())
     assert recorded.latencies == default.latencies
 
 
@@ -114,8 +112,7 @@ def test_const_labels_tag_every_series():
 
 
 def test_recovery_report_is_built_from_the_metrics_snapshot():
-    plan = FaultPlan(seed=11, spec=FAULT_PRESETS["heavy"])
-    result = _run(faults=plan, data_plane=True, iterations=3)
+    result = _run(faults=FaultsCfg(preset="heavy", seed=11), iterations=3)
     rec, snap = result.recovery, result.metrics
     assert rec is not None and snap is not None
     assert rec.total_recoveries > 0  # heavy preset injects plenty
@@ -133,7 +130,6 @@ def test_recovery_report_is_built_from_the_metrics_snapshot():
 
 
 def test_fault_runs_always_carry_metrics():
-    plan = FaultPlan(seed=3, spec=FAULT_PRESETS["light"])
-    result = _run(faults=plan, data_plane=True)
+    result = _run(faults=FaultsCfg(preset="light", seed=3))
     assert result.metrics is not None
     assert result.recovery is not None

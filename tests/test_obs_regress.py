@@ -1,15 +1,15 @@
 """repro.obs.regress — the perf-regression gate, pass/fail pair + CLI."""
 
 import copy
+import dataclasses
 
 import pytest
 
 from repro.bench import run_bulk_exchange
 from repro.cli import main
-from repro.net import SYSTEMS
+from repro.config import ExperimentConfig, FusionCfg, SchemeCfg
 from repro.obs import experiment_artifact, result_entry, write_bench_artifact
 from repro.obs import regress
-from repro.workloads import WORKLOADS
 
 RUN = {
     "iterations": 2, "warmup": 1, "data_plane": False,
@@ -20,21 +20,24 @@ RUN = {
 @pytest.fixture(scope="module")
 def baseline():
     """A small two-entry artifact measured fresh in this process."""
-    from repro.schemes import SCHEME_REGISTRY
-
+    base = ExperimentConfig().with_overrides(
+        {
+            "workload.dim": 200,
+            "workload.nbuffers": 4,
+            "harness.iterations": RUN["iterations"],
+            "harness.warmup": RUN["warmup"],
+            "harness.data_plane": RUN["data_plane"],
+            "harness.seed": RUN["seed"],
+        }
+    )
     entries = []
-    for scheme, config in (("GPU-Sync", None), ("Proposed", {"threshold_bytes": 512 * 1024})):
-        result = run_bulk_exchange(
-            SYSTEMS["Lassen"],
-            SCHEME_REGISTRY[scheme],
-            WORKLOADS["specfem3D_cm"](200),
-            nbuffers=4,
-            iterations=RUN["iterations"],
-            warmup=RUN["warmup"],
-            data_plane=RUN["data_plane"],
-            seed=RUN["seed"],
-        )
-        entries.append(result_entry(result, key=scheme, config=config, run=RUN))
+    for scheme in (
+        SchemeCfg(name="GPU-Sync"),
+        SchemeCfg(name="Proposed", fusion=FusionCfg(threshold_bytes=512 * 1024)),
+    ):
+        result = run_bulk_exchange(dataclasses.replace(base, scheme=scheme))
+        config = scheme.overrides_dict() or None
+        entries.append(result_entry(result, key=scheme.name, config=config, run=RUN))
     return experiment_artifact("unit_regress", entries, meta={"seed": 42})
 
 

@@ -7,20 +7,21 @@ from repro.bench.report import (
     format_speedup_table,
     speedup_matrix,
 )
-from repro.net import SYSTEMS
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
+from repro.config import ExperimentConfig
 
 
 def _result():
     return run_bulk_exchange(
-        SYSTEMS["Lassen"],
-        SCHEME_REGISTRY["GPU-Sync"],
-        WORKLOADS["specfem3D_cm"](100),
-        nbuffers=2,
-        iterations=1,
-        warmup=0,
-        data_plane=False,
+        ExperimentConfig().with_overrides(
+            {
+                "scheme.name": "GPU-Sync",
+                "workload.dim": 100,
+                "workload.nbuffers": 2,
+                "harness.iterations": 1,
+                "harness.warmup": 0,
+                "harness.data_plane": False,
+            }
+        )
     )
 
 

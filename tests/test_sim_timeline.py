@@ -63,13 +63,20 @@ def test_header_shows_bounds():
     assert "0.0us" in header and "100.0us" in header
 
 
-# -- Chrome trace export -------------------------------------------------------
+# -- Chrome trace export (through the recorder) --------------------------------
+
+
+def _recorder(**traces):
+    from repro.obs import Recorder
+
+    rec = Recorder()
+    for track, trace in traces.items():
+        rec.absorb_trace(track, trace)
+    return rec
 
 
 def test_chrome_trace_events_structure():
-    from repro.sim import chrome_trace_events
-
-    events = chrome_trace_events({"rank0": _trace()})
+    events = _recorder(rank0=_trace()).chrome_trace_events()
     span_events = [e for e in events if e.get("ph") == "X"]
     assert len(span_events) == 3
     launch = next(e for e in span_events if e["cat"] == "launch")
@@ -78,15 +85,16 @@ def test_chrome_trace_events_structure():
     # Metadata rows name the process and the category lanes.
     meta = [e for e in events if e["ph"] == "M"]
     assert any(e["args"]["name"] == "rank0" for e in meta)
+    assert {e["args"]["name"] for e in meta if e["name"] == "thread_name"} == {
+        "launch", "pack", "comm",
+    }
 
 
 def test_export_chrome_trace_file(tmp_path):
     import json
 
-    from repro.sim import export_chrome_trace
-
     path = tmp_path / "t.json"
-    count = export_chrome_trace(_trace(), str(path))
+    count = _recorder(trace=_trace()).export_chrome_trace(str(path))
     assert count == 3
     loaded = json.loads(path.read_text())
     assert "traceEvents" in loaded
@@ -94,9 +102,11 @@ def test_export_chrome_trace_file(tmp_path):
 
 
 def test_export_multiple_ranks(tmp_path):
-    from repro.sim import export_chrome_trace
-
-    count = export_chrome_trace(
-        {"r0": _trace(), "r1": _trace()}, str(tmp_path / "two.json")
-    )
+    rec = _recorder(r0=_trace(), r1=_trace())
+    assert rec.tracks() == ["r0", "r1"]
+    count = rec.export_chrome_trace(str(tmp_path / "two.json"))
     assert count == 6
+    spans = [e for e in rec.chrome_trace_events() if e.get("ph") == "X"]
+    assert sorted(
+        sum(1 for e in spans if e["pid"] == pid) for pid in (0, 1)
+    ) == [3, 3]
