@@ -129,3 +129,11 @@ class KernelFusionScheme(PackingScheme):
                 self.flag_poll_cost * len(self.outstanding),
                 "flag-poll",
             )
+
+    def quiescent(self) -> bool:
+        """No handle to poll and no request to launch.
+
+        A burst the flush is holding back counts as work: whether it
+        launches depends on the clock, not on any event.
+        """
+        return not self.outstanding and not self.scheduler.request_list.pending()

@@ -491,7 +491,9 @@ class Rank:
         until a watched event fires or the poll interval elapses.
         ``pending`` runs once, after the first flush; from then on a
         :class:`~repro.sim.engine.CompletionWatch` counts completions,
-        so no poll re-scans or re-subscribes the whole set.
+        so no poll re-scans or re-subscribes the whole set.  Poll ticks
+        that land while :meth:`_idle` holds are skipped by the watch:
+        such a poll would cost nothing and change nothing.
         """
         watch = None
         while True:
@@ -505,7 +507,12 @@ class Rank:
                 watch = CompletionWatch(self.sim, pending())
             if watch.remaining <= slack:
                 return
-            yield watch.sleep(self.runtime.poll_interval)
+            yield watch.sleep(self.runtime.poll_interval, self._idle)
+
+    def _idle(self) -> bool:
+        """Whether a progress poll now would be a no-op: the CPU is free
+        with nobody queued and the scheme is quiescent."""
+        return self.cpu.idle and self.scheme.quiescent()
 
     def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
         """Block until all requests complete (``MPI_Waitall``).

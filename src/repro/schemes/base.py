@@ -156,6 +156,18 @@ class PackingScheme(ABC):
         return
         yield  # pragma: no cover - generator marker
 
+    def quiescent(self) -> bool:
+        """Whether :meth:`flush` then :meth:`progress_tick`, run now,
+        would charge no simulated time and change no state.
+
+        While it holds (and the rank's CPU is free), the progress loop
+        skips its poll ticks instead of waking for each one
+        (docs/performance.md, "Idle polls").  A scheme whose poll
+        depends on the clock alone must answer ``False``.  Default:
+        ``True``, matching the no-op defaults above.
+        """
+        return True
+
     # -- small helpers for subclasses ------------------------------------------
     def _charge(self, category: Category, duration: float, label: str = "") -> SchemeGen:
         """Advance the clock by ``duration`` and charge it to ``category``."""

@@ -134,6 +134,10 @@ class GPUAsyncScheme(PackingScheme):
         """
         yield from self._sweep()
 
+    def quiescent(self) -> bool:
+        """A tick only sweeps while some event is still undiscovered."""
+        return not self._undiscovered
+
     def wait(self, handles: Sequence[OpHandle]) -> SchemeGen:
         """Busy-poll with ``cudaEventQuery`` until all handles complete."""
         while True:

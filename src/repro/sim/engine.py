@@ -13,7 +13,8 @@ dependency-free engine in the style of SimPy:
   ordinary sequential-looking code for concurrent behaviour.
 * :class:`AllOf` / :class:`AnyOf` compose events.
 * :class:`CompletionWatch` counts down a fixed set of events for
-  polling progress loops (``waitall`` and friends).
+  polling progress loops (``waitall`` and friends), and lets an idle
+  poller skip the poll ticks that would do nothing.
 
 Determinism
 -----------
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 from ..obs.observer import NULL_OBSERVER
@@ -124,9 +126,6 @@ class Event:
     """
 
     __slots__ = ("sim", "_callbacks", "_value", "_ok", "_triggered", "_processed", "name")
-
-    #: kept as a class attribute for backwards compatibility
-    _PENDING = _PENDING
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -339,27 +338,64 @@ class AnyOf(_Condition):
         return self._done_count >= 1 or not self.events
 
 
+class _PollTimer(Event):
+    """The timeout behind one :meth:`CompletionWatch.sleep`.
+
+    Its own type so :meth:`Simulator._idle_bound` can recognise poll
+    timers on the calendar and ask their watch whether firing them
+    would do anything.
+    """
+
+    __slots__ = ("watch",)
+
+    def __init__(self, watch: "CompletionWatch"):
+        # Straight-line slot assignment, as in Timeout: one per poll.
+        self.sim = watch.sim
+        self.name = ""
+        self._callbacks = watch._on_timer
+        self._value = None
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self.watch = watch
+
+
 class CompletionWatch:
     """Countdown over a fixed set of events, with a re-armable poll wake.
 
     The primitive behind ``waitall``-style polling loops.  One callback
     per pending event is registered once; :attr:`remaining` counts
     down as they fire.  Each :meth:`sleep` arms a fresh wake plus one
-    poll timeout, and whichever of a watched event or *that* timeout
+    poll timer, and whichever of a watched event or *that* timer
     fires first succeeds the wake.  An event firing while no sleep is
-    armed only counts down; a timeout from an earlier sleep is ignored.
+    armed only counts down; a timer from an earlier sleep is ignored.
     Calendar order matches rebuilding an ``AnyOf`` over the pending
     events and a fresh timeout on every sleep (docs/performance.md,
     "Progress engine").  Watched events are expected to succeed.
+
+    A sleep given an ``idle`` predicate may skip quiescent polls: when
+    its timer fires while ``idle()`` holds, the wake stays armed and
+    the timer re-arms at the first poll tick at or after the earliest
+    calendar entry that is not itself an idle poll timer (never past a
+    ``run(until=t)`` horizon).  Ticks are generated by the same
+    repeated ``t += poll_interval`` additions the unskipped chain
+    performs, so every later event keeps its time and order
+    (docs/performance.md, "Idle polls").  :attr:`skips` records each
+    skipped span; :meth:`skipped_ticks` lists the polls it elided.
     """
 
-    __slots__ = ("sim", "remaining", "_wake", "_timer")
+    __slots__ = ("sim", "remaining", "skips", "_wake", "_timer", "_interval", "_idle")
 
     def __init__(self, sim: "Simulator", pending: Iterable[Event]):
         self.sim = sim
         self.remaining = 0
+        #: ``(first, resume, interval)`` per skip: the polls at
+        #: ``first, first + interval, ...`` before ``resume`` were elided
+        self.skips: List[Tuple[float, float, float]] = []
         self._wake: Optional[Event] = None
-        self._timer: Optional[Timeout] = None
+        self._timer: Optional[_PollTimer] = None
+        self._interval = 0.0
+        self._idle: Optional[Callable[[], bool]] = None
         on_done = self._on_done
         for ev in pending:
             ev.add_callback(on_done)
@@ -367,23 +403,73 @@ class CompletionWatch:
 
     def _on_done(self, _ev: Event) -> None:
         self.remaining -= 1
-        self._wake_up()
-
-    def _on_timer(self, ev: Event) -> None:
-        if ev is self._timer:
-            self._wake_up()
-
-    def _wake_up(self) -> None:
         wake = self._wake
         if wake is not None and not wake._triggered:
             wake.succeed()
 
-    def sleep(self, poll_interval: float) -> Event:
-        """Arm a wake for the next completion or ``poll_interval``."""
-        self._timer = timer = Timeout(self.sim, poll_interval)
-        timer._callbacks = self._on_timer
+    def _on_timer(self, ev: Event) -> None:
+        wake = self._wake
+        if ev is not self._timer or wake is None or wake._triggered:
+            return
+        idle = self._idle
+        if idle is not None and idle() and self._skip_ahead():
+            return
+        wake.succeed()
+
+    def _skip_ahead(self) -> bool:
+        """Re-arm the timer at the first tick at or after the idle bound
+        or past the run horizon; False if that tick is now."""
+        sim = self.sim
+        now = sim._now
+        bound = sim._idle_bound()
+        horizon = sim._horizon
+        if bound == inf and horizon == inf:
+            return False  # nothing will ever end the idling: keep polling
+        interval = self._interval
+        tick = now
+        while tick < bound and tick <= horizon:
+            tick += interval
+        if tick == now:
+            return False
+        self.skips.append((now, tick, interval))
+        self._timer = timer = _PollTimer(self)
+        sim._schedule_at(tick, timer)
+        return True
+
+    def _inert(self, timer: _PollTimer) -> bool:
+        """Whether firing ``timer`` now would leave every state as is."""
+        wake = self._wake
+        if timer is not self._timer or wake is None or wake._triggered:
+            return True
+        idle = self._idle
+        return idle is not None and idle()
+
+    def sleep(
+        self, poll_interval: float, idle: Optional[Callable[[], bool]] = None
+    ) -> Event:
+        """Arm a wake for the next completion or ``poll_interval``.
+
+        ``idle`` says whether a poll at the current instant would
+        charge no simulated time and change no state; while it holds,
+        timer ticks skip ahead instead of waking the sleeper.
+        """
+        self._interval = poll_interval
+        # a zero interval has no later tick to skip to
+        self._idle = idle if poll_interval > 0 else None
+        self._timer = timer = _PollTimer(self)
+        self.sim._schedule_at(self.sim._now + poll_interval, timer)
         self._wake = wake = Event(self.sim)
         return wake
+
+    def skipped_ticks(self) -> List[float]:
+        """Times of every poll tick a skip elided, in order."""
+        ticks: List[float] = []
+        for first, resume, interval in self.skips:
+            tick = first
+            while tick < resume:
+                ticks.append(tick)
+                tick += interval
+        return ticks
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -494,6 +580,9 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
+        #: latest time an idle-poll skip may re-arm up to; ``-inf``
+        #: outside :meth:`run`, so :meth:`step` never skips
+        self._horizon: float = -inf
         #: calendar events fired so far (the obs ``engine_events_total``
         #: series and the wallclock microbench read this)
         self.events_processed: int = 0
@@ -558,9 +647,44 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heappush(self._heap, (self._now + delay, next(self._seq), event))
 
+    def _schedule_at(self, when: float, event: Event) -> None:
+        """Push ``event`` at the absolute time ``when`` (no ``now + delay``
+        rounding: idle-poll skips place timers on exact tick times)."""
+        if when < self._now:
+            raise SimulationError(f"cannot schedule into the past (at {when} < {self._now})")
+        heappush(self._heap, (when, next(self._seq), event))
+
+    def _idle_bound(self) -> float:
+        """Earliest calendar time holding an entry that is not an inert
+        poll timer (:meth:`CompletionWatch._inert`), or ``inf``.
+
+        Walks the heap from the root and stops descending at the first
+        non-inert entry on each path or at any entry no earlier than
+        the best bound found, so it visits only the inert timers ahead
+        of the bound plus their immediate children.
+        """
+        heap = self._heap
+        size = len(heap)
+        best = inf
+        stack = [0] if size else []
+        while stack:
+            index = stack.pop()
+            when, _, event = heap[index]
+            if when >= best:
+                continue
+            if type(event) is _PollTimer and event.watch._inert(event):
+                child = 2 * index + 1
+                if child < size:
+                    stack.append(child)
+                    if child + 1 < size:
+                        stack.append(child + 1)
+            else:
+                best = when
+        return best
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else inf
 
     def _fire(self, event: Event) -> None:
         """Run one popped event's callbacks (the shared step body)."""
@@ -602,6 +726,7 @@ class Simulator:
         fire = self._fire
         fired = 0
         if until is None:
+            self._horizon = inf
             try:
                 while heap:
                     when, _, event = heappop(heap)
@@ -610,8 +735,10 @@ class Simulator:
                     fire(event)
             finally:
                 self.events_processed += fired
+                self._horizon = -inf
             return None
         if isinstance(until, Event):
+            self._horizon = inf
             try:
                 while not until._processed:
                     if not heap:
@@ -625,12 +752,14 @@ class Simulator:
                     fire(event)
             finally:
                 self.events_processed += fired
+                self._horizon = -inf
             if until._ok:
                 return until._value
             raise until._value
         horizon = float(until)
         if horizon < self._now:
             raise SimulationError(f"cannot run until {horizon} < now ({self._now})")
+        self._horizon = horizon
         try:
             while heap and heap[0][0] <= horizon:
                 when, _, event = heappop(heap)
@@ -639,5 +768,6 @@ class Simulator:
                 fire(event)
         finally:
             self.events_processed += fired
+            self._horizon = -inf
         self._now = horizon
         return None

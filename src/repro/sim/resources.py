@@ -59,6 +59,11 @@ class Resource:
         """Number of processes waiting for a slot."""
         return len(self._waiters)
 
+    @property
+    def idle(self) -> bool:
+        """True when no slot is held and nobody is queued."""
+        return not self._in_use and not self._waiters
+
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
         # No per-event name: one of these is built per transfer, and the

@@ -1,6 +1,7 @@
 """The wall-clock microbench suite and its regression comparator."""
 
 import copy
+import json
 
 import pytest
 
@@ -76,7 +77,9 @@ def test_compare_detects_figure_wall_regression():
 def test_compare_skips_sections_missing_from_candidate():
     baseline = _tiny_artifact()
     baseline["data"]["figures"] = {"fig13": {"wall_seconds": 5.0, "shards": 40.0}}
-    candidate = _tiny_artifact()  # no figure timings at all
+    # The baseline's own engine timings, so only the skip is under test.
+    candidate = copy.deepcopy(baseline)
+    candidate["data"]["figures"] = {}  # no figure timings at all
     assert wallclock.compare_wallclock(baseline, candidate) == []
 
 
@@ -90,7 +93,12 @@ def test_cli_wallclock_writes_and_checks(tmp_path, capsys):
     ]) == 0
     artifact = load_bench_artifact(str(out))
     assert artifact["experiment"] == "wallclock"
-    # Self-check against the artifact just written must pass.
+    # Deflate the baseline to a throughput any host clears: the pass
+    # path is under test here, the 30% threshold in
+    # test_compare_detects_throughput_regression.
+    for m in artifact["data"]["engine"].values():
+        m["events_per_second"] /= 1e6
+    out.write_text(json.dumps(artifact))
     assert main([
         "wallclock", "--scale", "0.01", "--no-figures",
         "--baseline", str(out), "--check",
@@ -108,8 +116,6 @@ def test_cli_wallclock_check_fails_on_regression(tmp_path, capsys):
     artifact = load_bench_artifact(str(out))
     for m in artifact["data"]["engine"].values():
         m["events_per_second"] *= 1e6
-    import json
-
     out.write_text(json.dumps(artifact))
     assert main([
         "wallclock", "--scale", "0.01", "--no-figures",

@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from repro.datatypes import DOUBLE, Vector
-from repro.mpi import Runtime
+from repro.mpi import Runtime, communicator
 from repro.mpi.request import Request
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim import Event, Simulator
+from repro.sim import CompletionWatch, Event, Simulator
 
 
 def _setup(scheme="Proposed"):
@@ -149,10 +149,19 @@ def test_waitany_requires_requests():
 # -- the progress loop ---------------------------------------------------------
 
 
-def _bulk_exchange(scheme, nbuf=16):
+def _bulk_exchange(monkeypatch, scheme, nbuf=16):
     """Rank 0 isends ``nbuf`` rendezvous-sized vectors to rank 1; both
     waitall.  Returns the requests per rank and, per rank, the simulated
-    time (µs) at which each waitall iteration began its flush."""
+    time (µs) at which each waitall iteration began its flush, and the
+    poll ticks the progress loop's completion watches skipped as idle."""
+    watches = []
+
+    def recording_watch(sim, pending):
+        watch = CompletionWatch(sim, pending)
+        watches.append((sim.active_process, watch))
+        return watch
+
+    monkeypatch.setattr(communicator, "CompletionWatch", recording_watch)
     sim = Simulator()
     rt = Runtime(sim, Cluster(sim, LASSEN, nodes=2), SCHEME_REGISTRY[scheme])
     dt = Vector(64, 32, 64, DOUBLE).commit()  # 16 KiB: above the eager limit
@@ -180,8 +189,12 @@ def _bulk_exchange(scheme, nbuf=16):
         )
         yield from r1.waitall(reqs[1])
 
-    sim.run(sim.all_of([sim.process(sender()), sim.process(receiver())]))
-    return reqs, wakes
+    procs = {sim.process(sender()): 0, sim.process(receiver()): 1}
+    sim.run(sim.all_of(procs))
+    skipped = {0: [], 1: []}
+    for proc, watch in watches:
+        skipped[procs[proc]] += [round(t * 1e6, 6) for t in watch.skipped_ticks()]
+    return reqs, wakes, skipped
 
 
 def test_waitall_subscribes_and_reads_each_request_once(monkeypatch):
@@ -203,10 +216,11 @@ def test_waitall_subscribes_and_reads_each_request_once(monkeypatch):
     monkeypatch.setattr(Request, "done", property(counting_done))
     monkeypatch.setattr(Event, "add_callback", counting_add_callback)
     nbuf = 16
-    reqs, wakes = _bulk_exchange("GPU-Async", nbuf)
+    reqs, wakes, skipped = _bulk_exchange(monkeypatch, "GPU-Async", nbuf)
     for rank in (0, 1):
         assert all(r.done for r in reqs[rank])
-    assert len(wakes[1]) > 2 * nbuf  # many more poll wakes than requests
+    # Many more poll ticks than requests, woken or skipped as idle.
+    assert len(wakes[1]) + len(skipped[1]) > 2 * nbuf
     all_reqs = reqs[0] + reqs[1]
     # One read by waitall each, plus the one in the assertion above.
     assert [reads[r.req_id] for r in all_reqs] == [2] * len(all_reqs)
@@ -216,10 +230,13 @@ def test_waitall_subscribes_and_reads_each_request_once(monkeypatch):
     assert max(subscribed[r.completion.name] for r in reqs[0]) == 1
 
 
-def test_gpu_async_exchange_wake_times_are_unchanged():
+def test_gpu_async_exchange_wake_times_are_unchanged(monkeypatch):
     """Per-iteration wake times of both waitalls, as recorded with the
-    per-poll ``AnyOf`` progress loop the completion watch replaced."""
-    _, wakes = _bulk_exchange("GPU-Async")
+    per-poll ``AnyOf`` progress loop the completion watch replaced.
+    Polls skipped as idle count at the tick they would have woken on."""
+    _, polls, skipped = _bulk_exchange(monkeypatch, "GPU-Async")
+    assert skipped[1]  # the receiver idles until the first message arrives
+    wakes = {rank: sorted(polls[rank] + skipped[rank]) for rank in (0, 1)}
     assert wakes[0] == [266.356, 267.356, 268.356, 269.356, 270.356, 271.356, 271.61136]
     assert wakes[1] == [
         0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0,
@@ -241,6 +258,9 @@ class _TimedTick:
     def flush(self):
         return
         yield
+
+    def quiescent(self):
+        return False  # every tick costs time
 
     def progress_tick(self):
         self.ticks.append(round(self.sim.now * 1e6, 6))

@@ -5,7 +5,8 @@ import pytest
 
 from repro.config import FusionCfg, SchemeCfg
 from repro.core import FusionPolicy, KernelFusionScheme
-from repro.datatypes import DataLayout
+from repro.datatypes import DOUBLE, DataLayout, Vector
+from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
 from repro.schemes import (
     CPUGPUHybridScheme,
@@ -398,3 +399,60 @@ def test_capabilities_table1_rows():
     assert GPUSyncScheme.capabilities.driver_overhead == "high"
     assert GPUAsyncScheme.capabilities.overlap == "high"
     assert CPUGPUHybridScheme.capabilities.requires_gdrcopy
+
+
+def _poll_state(scheme):
+    """Everything a progress poll may touch on ``scheme``."""
+    scheduler = getattr(scheme, "scheduler", None)
+    return (
+        list(scheme.outstanding),
+        list(getattr(scheme, "_undiscovered", ())),
+        scheduler.request_list.pending() if scheduler is not None else None,
+        scheme.trace.breakdown(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_REGISTRY))
+def test_quiescent_poll_charges_nothing_and_changes_nothing(name):
+    """Whenever ``quiescent()`` holds, a real ``flush()`` then
+    ``progress_tick()`` yields no event (so advances no time) and
+    leaves the scheme's polled state as it was: the contract the
+    progress loop relies on to skip idle polls."""
+    sim = Simulator()
+    rt = Runtime(sim, Cluster(sim, LASSEN, nodes=2), SCHEME_REGISTRY[name])
+    ranks = [rt.rank(0), rt.rank(1)]
+    dt = Vector(64, 32, 64, DOUBLE).commit()  # 16 KiB: rendezvous
+    lay = ranks[0].resolve_layout(dt, 1)
+    hi = int(lay.offsets[-1] + lay.lengths[-1])
+
+    def exchange(rank, peer, nbuf=4):
+        reqs = [
+            rank.irecv(rank.device.alloc(hi), dt, 1, source=peer, tag=i)
+            for i in range(nbuf)
+        ]
+        for i in range(nbuf):
+            req = yield from rank.isend(rank.device.alloc(hi), dt, 1, dest=peer, tag=i)
+            reqs.append(req)
+        yield from rank.waitall(reqs)
+
+    procs = [sim.process(exchange(r, 1 - r.rank_id)) for r in ranks]
+    seen = {True: 0, False: 0}
+
+    def probe():
+        while not all(p.triggered for p in procs):
+            for rank in ranks:
+                scheme = rank.scheme
+                quiet = scheme.quiescent()
+                seen[quiet] += 1
+                if quiet:
+                    before = _poll_state(scheme)
+                    assert next(scheme.flush(), None) is None
+                    assert next(scheme.progress_tick(), None) is None
+                    assert _poll_state(scheme) == before
+            yield sim.timeout(us(0.25))
+
+    sim.process(probe())
+    sim.run(sim.all_of(procs))
+    assert seen[True] > 0
+    if name in ("GPU-Async", "Proposed"):
+        assert seen[False] > 0  # the probe also saw the scheme busy
