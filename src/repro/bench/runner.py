@@ -25,6 +25,10 @@ keeps the byte-exactness check on, and aggregates every recovery action
 (link retransmits, control watchdog fires, scheduler ladder steps) into
 a :class:`RecoveryReport` — the chaos-sweep evidence that faults cost
 time, never correctness.
+
+Every model counter lives on the object that owns it; :func:`_read_counters`
+reads them once, after the run, into the report and, when telemetry
+was requested, into the metrics registry.
 """
 
 from __future__ import annotations
@@ -78,35 +82,6 @@ class RecoveryReport:
     deadline_relaunches: int = 0
     #: enqueues pushed onto the negative-UID fallback path
     ring_fallbacks: int = 0
-
-    @classmethod
-    def from_metrics(
-        cls, snapshot: MetricsSnapshot, injected: Dict[str, int]
-    ) -> "RecoveryReport":
-        """Build the report from a telemetry snapshot.
-
-        Every recovery counter is incremented at exactly one code site,
-        which updates the legacy per-object counter *and* the metrics
-        registry together — so reading the registry here is the same
-        numbers as the old scatter-gather over links, runtime, and
-        schemes, from one source of truth (:mod:`repro.obs`).
-        ``snapshot.total`` sums across label sets (per-link, per-scheme).
-        """
-        return cls(
-            injected=dict(injected),
-            link_retransmits=int(snapshot.total("link_retransmits_total")),
-            link_fault_delay=snapshot.total("link_fault_delay_seconds_total"),
-            rts_retransmits=int(snapshot.total("rts_retransmits_total")),
-            cts_resends=int(snapshot.total("cts_resends_total")),
-            relaunches=int(snapshot.total("sched_relaunches_total")),
-            batch_splits=int(snapshot.total("sched_batch_splits_total")),
-            sync_fallbacks=int(snapshot.total("sched_sync_fallbacks_total")),
-            launch_retries=int(snapshot.total("scheme_launch_retries_total")),
-            deadline_relaunches=int(
-                snapshot.total("sched_deadline_relaunches_total")
-            ),
-            ring_fallbacks=int(snapshot.total("sched_ring_fallbacks_total")),
-        )
 
     @property
     def total_injected(self) -> int:
@@ -221,9 +196,9 @@ def run_bulk_exchange(
     the observer's recorder is enabled, the per-rank cost-bucket traces
     are absorbed onto its event stream (one track per rank).
     Observation never consumes simulated time, so latencies are
-    identical with or without it.  Fault runs build their
-    :class:`RecoveryReport` from these metrics; an internal observer is
-    created when none is passed.
+    identical with or without it.  Fault runs read their
+    :class:`RecoveryReport` off the same object counters the snapshot
+    is published from, observer or not.
 
     Two overrides exist for what the config cannot name:
     ``scheme_factory`` builds each rank's scheme instead of
@@ -260,13 +235,6 @@ def run_bulk_exchange(
             f"{total_ranks} (system.nodes * system.ranks_per_node)"
         )
 
-    if obs is None and faults is not None:
-        # The recovery report is metrics-backed; fault runs always
-        # carry an observer even when the caller did not ask for one.
-        # Counters only — no event stream the caller never asked for.
-        from ..obs.recorder import NullRecorder
-
-        obs = Observer(recorder=NullRecorder())
     sim = Simulator()
     sim.noise = noise
     sim.faults = faults
@@ -349,16 +317,8 @@ def run_bulk_exchange(
     ]
     run_started = time.perf_counter()
     sim.run(sim.all_of(procs))
-    if obs is not None and obs.enabled:
-        # Host-side engine telemetry (wall clock, not simulated time —
-        # the virtual timeline is untouched by observation, DESIGN §6).
-        run_wall = time.perf_counter() - run_started
-        obs.count("engine_events_total", sim.events_processed)
-        obs.count("engine_wall_seconds_total", run_wall)
-        obs.gauge_set(
-            "engine_events_per_second",
-            sim.events_processed / run_wall if run_wall > 0 else 0.0,
-        )
+    run_wall = time.perf_counter() - run_started
+    result.recovery = _read_counters(sim, runtime, faults, obs, run_wall)
 
     if verify:
         for me, peer in ((0, 1), (1, 0)):
@@ -393,8 +353,94 @@ def run_bulk_exchange(
                     f"{result.scheme}/rank{r.rank_id}", r.trace
                 )
         result.metrics = obs.snapshot()
-        if faults is not None:
-            result.recovery = RecoveryReport.from_metrics(
-                result.metrics, faults.stats.as_dict()
-            )
     return result
+
+
+def _read_counters(
+    sim: Simulator,
+    runtime: Runtime,
+    faults: Optional[FaultPlan],
+    obs: Optional[Observer],
+    run_wall: float,
+) -> Optional[RecoveryReport]:
+    """Read every model counter off the object that keeps it, once.
+
+    The one place that maps metric series to object fields.  Returns
+    the :class:`RecoveryReport` of a fault run (``None`` otherwise) and,
+    when telemetry was requested, publishes the counters into ``obs``.
+    A series is published only when its counter moved, as a live
+    increment would have created it.  Scheme series are labelled with
+    the rank's scheme, which owns the launches of its nested fallback.
+    """
+    links = list(runtime.cluster.links())
+    control = runtime.recovery
+    schedulers = [
+        r.scheme.scheduler for r in runtime.ranks if hasattr(r.scheme, "scheduler")
+    ]
+    owned = [
+        (r.scheme.name, [s for s in (r.scheme, r.scheme.fallback) if s is not None])
+        for r in runtime.ranks
+    ]
+
+    def stat(field_name: str) -> int:
+        return sum(getattr(s.stats, field_name) for s in schedulers)
+
+    if obs is not None and obs.enabled:
+
+        def publish(series: str, value: float, **labels: str) -> None:
+            if value:
+                obs.count(series, value, **labels)
+
+        for link in links:
+            if link.transfer_count:  # a zero-byte transfer still makes its bytes series
+                obs.count("link_transfers_total", link.transfer_count, link=link.name)
+                obs.count("link_bytes_total", link.bytes_carried, link=link.name)
+            publish("link_retransmits_total", link.retransmits, link=link.name)
+            publish("link_fault_delay_seconds_total", link.fault_delay, link=link.name)
+        for owner, schemes in owned:
+            launches = sum(s.kernel_launches for s in schemes)
+            publish("kernel_launches_total", launches, scheme=owner)
+            retries = sum(s.launch_retries for s in schemes)
+            publish("scheme_launch_retries_total", retries, scheme=owner)
+        publish("fusion_launches_total", stat("threshold_launches"), reason="threshold")
+        publish("fusion_launches_total", stat("flush_launches"), reason="flush")
+        publish("proto_rts_sent_total", control.rts_sent)
+        publish("rts_retransmits_total", control.rts_retransmits)
+        publish("cts_resends_total", control.cts_resends)
+        publish("fusion_enqueued_total", stat("enqueued"))
+        publish("fusion_fused_requests_total", stat("fused_requests"))
+        publish(
+            "fusion_ring_rejections_total",
+            sum(s.request_list.rejections for s in schedulers),
+        )
+        publish("sched_launch_failures_total", stat("launch_failures"))
+        publish("sched_relaunches_total", stat("relaunches"))
+        publish("sched_batch_splits_total", stat("batch_splits"))
+        publish("sched_sync_fallbacks_total", stat("sync_fallbacks"))
+        publish("sched_deadline_hits_total", stat("deadline_hits"))
+        publish("sched_deadline_relaunches_total", stat("deadline_relaunches"))
+        publish("sched_ring_fallbacks_total", stat("fallbacks"))
+        # Host-side engine telemetry (wall clock, not simulated time —
+        # the virtual timeline is untouched by observation, DESIGN §6).
+        obs.count("engine_events_total", sim.events_processed)
+        obs.count("engine_wall_seconds_total", run_wall)
+        obs.gauge_set(
+            "engine_events_per_second",
+            sim.events_processed / run_wall if run_wall > 0 else 0.0,
+        )
+
+    if faults is None:
+        return None
+    return RecoveryReport(
+        injected=faults.stats.as_dict(),
+        link_retransmits=sum(link.retransmits for link in links),
+        link_fault_delay=sum(link.fault_delay for link in links),
+        rts_retransmits=control.rts_retransmits,
+        cts_resends=control.cts_resends,
+        relaunches=stat("relaunches"),
+        batch_splits=stat("batch_splits"),
+        sync_fallbacks=stat("sync_fallbacks"),
+        launch_retries=sum(s.launch_retries for _, schemes in owned for s in schemes),
+        deadline_relaunches=stat("deadline_relaunches"),
+        ring_fallbacks=stat("fallbacks"),
+    )

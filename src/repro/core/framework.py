@@ -13,8 +13,8 @@ unchanged MPI runtime can run it against every baseline:
 * completion is observed by comparing request/response statuses — a
   host memory read per poll, no ``cudaStreamSynchronize`` ever;
 * when the circular request list is full, the negative-UID fallback
-  routes the operation through a configurable alternate scheme
-  (GPU-Sync by default), exactly as §IV-A2 prescribes.
+  routes the operation through a nested GPU-Sync scheme, exactly as
+  §IV-A2 prescribes.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class KernelFusionScheme(PackingScheme):
         flag_poll_cost: float = us(0.05),
         poll_interval: float = us(1.0),
         idle_linger: float = us(6.0),
-        fallback: Optional[PackingScheme] = None,
         name: Optional[str] = None,
     ):
         super().__init__(site, trace)
@@ -65,7 +64,7 @@ class KernelFusionScheme(PackingScheme):
         #: sync-point flush launches a below-threshold batch (§IV-C
         #: scenario 1: "no more operations to request")
         self.idle_linger = idle_linger
-        self.fallback = fallback if fallback is not None else GPUSyncScheme(site, self.trace)
+        self.fallback = GPUSyncScheme(site, self.trace)
         self.fallback_count = 0
         if name is not None:
             self.name = name

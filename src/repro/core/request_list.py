@@ -161,7 +161,6 @@ class CircularRequestList:
         """Insert at Tail; returns ``None`` when the ring is full."""
         if self._slots[self._tail] is not None:
             self.rejections += 1
-            self.sim.obs.count("fusion_ring_rejections_total")
             return None
         request = FusionRequest(
             uid=next(self._uids),

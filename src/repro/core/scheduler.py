@@ -161,21 +161,18 @@ class FusionScheduler:
         self.prev_enqueue_at = self.last_enqueue_at
         self.last_enqueue_at = self.sim.now
         faults = self.sim.faults
-        obs = self.sim.obs
         if faults is not None and faults.ring_rejects():
             # Forced request-list pressure: behave exactly as if the
             # ring were full, driving the §IV-A2 negative-UID fallback.
             self.stats.fallbacks += 1
-            obs.count("sched_ring_fallbacks_total")
             return None
         request = self.request_list.enqueue(op)
         if request is None:
             self.stats.fallbacks += 1
-            obs.count("sched_ring_fallbacks_total")
             return None
         self.stats.enqueued += 1
+        obs = self.sim.obs
         if obs.enabled:
-            obs.count("fusion_enqueued_total")
             obs.instant(
                 "fusion", "enqueue", self.sim.now,
                 uid=request.uid, nbytes=op.nbytes, label=label,
@@ -185,7 +182,6 @@ class FusionScheduler:
         pending = self.request_list.pending()
         if self.policy.should_launch([r.op for r in pending]):
             self.stats.threshold_launches += 1
-            obs.count("fusion_launches_total", reason="threshold")
             yield from self._launch(pending, label)
         return request
 
@@ -214,7 +210,6 @@ class FusionScheduler:
             if burst and fresh:
                 return
         self.stats.flush_launches += 1
-        self.sim.obs.count("fusion_launches_total", reason="flush")
         yield from self._launch(pending, "flush")
 
     def _launch(self, pending: List[FusionRequest], label: str):
@@ -235,19 +230,16 @@ class FusionScheduler:
             self.trace.charge(Category.LAUNCH, start, self.sim.now, label=label)
             if faults is not None and faults.launch_fails():
                 self.stats.launch_failures += 1
-                self.sim.obs.count("sched_launch_failures_total")
                 if not relaunched:
                     # Rung ①: try the exact same batch once more.
                     relaunched = True
                     self.stats.relaunches += 1
-                    self.sim.obs.count("sched_relaunches_total")
                     label = "relaunch"
                     continue
                 if len(batch) > 1:
                     # Rung ②: halve the batch; each half re-enters the
                     # ladder with its relaunch credit restored.
                     self.stats.batch_splits += 1
-                    self.sim.obs.count("sched_batch_splits_total")
                     mid = len(batch) // 2
                     yield from self._launch_batch(batch[:mid], "split")
                     yield from self._launch_batch(batch[mid:], "split")
@@ -271,7 +263,6 @@ class FusionScheduler:
         obs = self.sim.obs
         if obs.enabled:
             now = self.sim.now
-            obs.count("fusion_fused_requests_total", len(batch))
             obs.observe("fusion_batch_size", len(batch))
             for request in batch:
                 obs.observe(
@@ -294,7 +285,6 @@ class FusionScheduler:
         arch = self.site.device.arch
         faults = self.sim.faults
         self.stats.sync_fallbacks += 1
-        self.sim.obs.count("sched_sync_fallbacks_total")
         backoff = arch.kernel_launch_overhead
         attempts = 0
         while True:
@@ -304,7 +294,6 @@ class FusionScheduler:
             if faults is None or not faults.launch_fails():
                 break
             self.stats.launch_failures += 1
-            self.sim.obs.count("sched_launch_failures_total")
             attempts += 1
             if attempts >= MAX_LAUNCH_ATTEMPTS:
                 raise FaultError(
@@ -355,7 +344,6 @@ class FusionScheduler:
                 if not late:
                     return
                 self.stats.deadline_hits += len(late)
-                self.sim.obs.count("sched_deadline_hits_total", len(late))
                 rounds += 1
                 if rounds > MAX_DEADLINE_ROUNDS:
                     # Escalation exhausted — the relaunched copies are
@@ -363,7 +351,6 @@ class FusionScheduler:
                     yield self.sim.all_of([r.done_event for r in late])
                     return
                 self.stats.deadline_relaunches += len(late)
-                self.sim.obs.count("sched_deadline_relaunches_total", len(late))
                 start = self.sim.now
                 yield self.sim.timeout(arch.kernel_launch_overhead)
                 self.trace.charge(

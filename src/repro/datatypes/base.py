@@ -2,16 +2,17 @@
 
 A :class:`Datatype` mirrors an MPI datatype handle: it has a *size*
 (payload bytes per instance), an *extent* (stride between consecutive
-instances), a structural *signature* (used as the layout-cache key, per
-the caching scheme of Chu et al. [24]), and can be *flattened* into a
-:class:`~repro.datatypes.layout.DataLayout`.
+instances), a structural *signature* (its equality and hash, and so the
+layout-cache key, per the caching scheme of Chu et al. [24]), and can be
+*flattened* into a :class:`~repro.datatypes.layout.DataLayout`.
 
 Like MPI, a type must be committed before use in communication; in this
-reproduction :meth:`Datatype.commit` is where flattening happens and
-where the result enters the process-wide layout cache, so that per-
-message datatype handling is a cache lookup rather than a tree walk —
-the exact property the paper's framework assumes ("retrieves the cached
-data layout", Section IV-B1).
+reproduction :meth:`Datatype.commit` is where the single-instance
+flattening happens.  Each rank then keeps the layouts it communicates
+with in its own :class:`~repro.datatypes.cache.LayoutCache`, so that
+per-message datatype handling is a cache lookup rather than a tree walk
+— the exact property the paper's framework assumes ("retrieves the
+cached data layout", Section IV-B1).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Datatype(ABC):
 
     @abstractmethod
     def signature(self) -> Tuple[Hashable, ...]:
-        """Hashable structural identity (the layout-cache key)."""
+        """Hashable structural identity (a type's equality and hash)."""
 
     @abstractmethod
     def _flatten(self) -> DataLayout:
@@ -69,8 +70,8 @@ class Datatype(ABC):
         """Whether :meth:`commit` has been called."""
         return self._committed
 
-    def commit(self, cache: Optional["LayoutCache"] = None) -> "Datatype":
-        """Flatten the type and (optionally) insert it into ``cache``.
+    def commit(self) -> "Datatype":
+        """Flatten the type.
 
         Idempotent, returns ``self`` for chaining — mirrors
         ``MPI_Type_commit``.
@@ -78,8 +79,6 @@ class Datatype(ABC):
         if self._flat is None:
             self._flat = self._flatten()
         self._committed = True
-        if cache is not None:
-            cache.insert(self.signature(), self._flat)
         return self
 
     def flatten(self) -> DataLayout:
@@ -116,5 +115,3 @@ class Datatype(ABC):
             f"{' committed' if self._committed else ''}>"
         )
 
-
-# Imported late to avoid a cycle: cache stores layouts keyed by signatures.

@@ -1,104 +1,86 @@
-"""Datatype layout cache (the "Layout Cache" column of Table I).
+"""Per-rank datatype layout store (the "Layout Cache" column of Table I).
 
 Chu et al. [24] showed that extracting an MPI derived datatype's layout
 on every message is a significant cost and introduced a cache keyed by
 the committed type; the kernel-fusion framework of this paper *assumes*
 that cache ("the sender process first retrieves the cached data
-layout", Section IV-B1).  This module provides that substrate: a small
-LRU mapping from datatype signatures to flattened
-:class:`~repro.datatypes.layout.DataLayout` objects, with hit/miss
-statistics the benchmarks and ablations report.
+layout", Section IV-B1).  :class:`LayoutCache` is that cache and each
+rank's only layout store.  Entries are keyed by ``(datatype, count)``
+and hold the flattened layout of ``count`` instances together with
+whether its flatten cost has been charged, so the hit/miss statistics
+are exactly the cost model's: a hit is a timed resolution that paid
+nothing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
 from .layout import DataLayout
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .base import Datatype
 
 __all__ = ["LayoutCache", "CacheStats"]
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one :class:`LayoutCache`."""
+    """Hit/miss counters for one :class:`LayoutCache`."""
 
     hits: int = 0
     misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups performed."""
-        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
 
 class LayoutCache:
-    """LRU cache of flattened datatype layouts.
+    """Layouts of one rank, keyed by ``(datatype, count)``.
 
-    Keys are datatype signatures (hashable structural tuples); values
-    are :class:`DataLayout` objects.  A ``capacity`` of ``None`` means
-    unbounded — the common configuration, since applications commit a
-    handful of types; the bounded mode exists for the cache ablation.
+    Keys hash by the type itself: a type memoises the hash of its
+    signature and equal-signature types compare equal, so structurally
+    identical handles share one entry.  Each entry is ``(layout,
+    charged)``; only :meth:`insert` marks it charged.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, DataLayout]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: Dict[Hashable, Tuple[DataLayout, bool]] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+    def layout(self, datatype: "Datatype", count: int = 1) -> DataLayout:
+        """Layout of ``count`` instances, flattened on first use.
 
-    def lookup(self, key: Hashable) -> Optional[DataLayout]:
-        """Return the cached layout for ``key`` or ``None`` (counts stats)."""
+        Free and uncounted: the host-side store behind both the timed
+        and the untimed resolution paths.
+        """
+        key = (datatype, count)
         entry = self._entries.get(key)
         if entry is None:
+            entry = self._entries[key] = (datatype.flatten().replicate(count), False)
+        return entry[0]
+
+    def lookup(self, key: Hashable) -> Optional[DataLayout]:
+        """The layout for ``key`` if its flatten cost has been charged,
+        else ``None``; counts a hit or a miss."""
+        entry = self._entries.get(key)
+        if entry is None or not entry[1]:
             self.stats.misses += 1
             return None
-        self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry
+        return entry[0]
 
     def insert(self, key: Hashable, layout: DataLayout) -> None:
-        """Insert/refresh ``key``; evicts the LRU entry when full."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = layout
-            return
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[key] = layout
-        self.stats.insertions += 1
-
-    def get_or_flatten(self, datatype: "Datatype") -> DataLayout:
-        """Cache-through lookup: flatten (and insert) on a miss."""
-        key = datatype.signature()
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached
-        layout = datatype.flatten()
-        self.insert(key, layout)
-        return layout
+        """Keep ``layout`` for ``key`` as charged: later lookups hit."""
+        self._entries[key] = (layout, True)
 
     def clear(self) -> None:
         """Drop all entries (statistics are preserved)."""
         self._entries.clear()
-
-    def keys(self) -> Tuple[Hashable, ...]:
-        """Cached keys in LRU→MRU order."""
-        return tuple(self._entries.keys())

@@ -26,7 +26,7 @@ kernel fusion.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Generator, Iterable, List, Optional, Sequence, Union
 
 from ..config import ProtocolCfg
 from ..datatypes.base import Datatype
@@ -95,8 +95,9 @@ class Runtime:
         #: MVAPICH large-message path for PCIe-limited systems)
         self.host_staging_threshold = protocol.host_staging_threshold
         self.pipeline_chunk_bytes = protocol.pipeline_chunk_bytes
-        #: control-plane recovery counters (RTS retransmits, CTS
-        #: re-offers) — only ever nonzero under fault injection
+        #: control-plane counters: first RTS sends, plus the recovery
+        #: actions (RTS retransmits, CTS re-offers) that only fault
+        #: injection makes nonzero
         self.recovery = WatchdogStats()
         self._seq = itertools.count()
         self.ranks: List[Rank] = [
@@ -144,7 +145,6 @@ class Runtime:
                 # Duplicate RTS from a watchdog retransmit.
                 if self._send_cts(record):
                     self.recovery.cts_resends += 1
-                    self.sim.obs.count("cts_resends_total")
                 return
             record.envelope_delivered = True
             result = dest.matching.deliver_envelope(record)
@@ -294,18 +294,13 @@ class Rank:
         self.matching = MatchingEngine(self.rank_id)
         #: serializes all CPU work of this rank (single-threaded progress)
         self.cpu = Resource(self.sim, capacity=1, name=f"r{self.rank_id}:cpu")
+        #: this rank's only layout store, keyed by ``(datatype, count)``
         self.layout_cache = LayoutCache()
         #: registered staging-buffer pool (real runtimes never
         #: cudaMalloc per message; see docs/cost_model.md)
         self.staging_pool = BufferPool(
             self.device.memory, functional=self.device.functional
         )
-        #: ``(datatype, count)`` → layout.  Keyed by the type itself: its
-        #: hash is memoised, and equal-signature types compare equal, so
-        #: structurally identical handles still share one entry.
-        self._layout_memo: Dict[tuple, DataLayout] = {}
-        #: ``(datatype, count)`` keys whose flatten cost has been charged
-        self._layout_paid: set = set()
 
     # -- argument validation ----------------------------------------------------
     def _validate_endpoint(self, peer: int, what: str) -> None:
@@ -340,12 +335,7 @@ class Rank:
         """
         if isinstance(datatype, DataLayout):
             return datatype.replicate(count) if count != 1 else datatype
-        key = (datatype, count)
-        memo = self._layout_memo.get(key)
-        if memo is None:
-            memo = self.layout_cache.get_or_flatten(datatype).replicate(count)
-            self._layout_memo[key] = memo
-        return memo
+        return self.layout_cache.layout(datatype, count)
 
     def resolve_layout_timed(
         self, datatype: TypeArg, count: int = 1
@@ -362,21 +352,21 @@ class Rank:
         if isinstance(datatype, DataLayout):
             return datatype.replicate(count) if count != 1 else datatype
         key = (datatype, count)
-        memo = self._layout_memo.get(key)
-        hit = key in self._layout_paid and self.runtime.layout_cache_enabled
-        if memo is None:
-            memo = self.layout_cache.get_or_flatten(datatype).replicate(count)
-            self._layout_memo[key] = memo
-        if not hit:
-            self._layout_paid.add(key)
-            cost = (
-                self.runtime.flatten_base_cost
-                + memo.num_blocks * self.runtime.flatten_block_cost
-            )
-            start = self.sim.now
-            yield self.sim.timeout(cost)
-            self.trace.charge(Category.SCHED, start, self.sim.now, label="flatten")
-        return memo
+        cache = self.layout_cache
+        layout = cache.lookup(key)
+        if layout is not None:
+            return layout
+        layout = cache.layout(datatype, count)
+        if self.runtime.layout_cache_enabled:
+            cache.insert(key, layout)
+        cost = (
+            self.runtime.flatten_base_cost
+            + layout.num_blocks * self.runtime.flatten_block_cost
+        )
+        start = self.sim.now
+        yield self.sim.timeout(cost)
+        self.trace.charge(Category.SCHED, start, self.sim.now, label="flatten")
+        return layout
 
     # -- nonblocking API ------------------------------------------------------------
     def isend(

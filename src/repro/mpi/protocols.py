@@ -75,17 +75,14 @@ WATCHDOG_BACKOFF_CAP = 16.0
 
 @dataclass
 class WatchdogStats:
-    """Control-plane recovery counters of one :class:`Runtime`."""
+    """Control-plane counters of one :class:`Runtime`."""
 
+    #: rendezvous RTS packets sent (first transmissions only)
+    rts_sent: int = 0
     #: RTS packets re-sent by sender watchdogs
     rts_retransmits: int = 0
     #: CTS offers repeated after a duplicate RTS found the CTS lost
     cts_resends: int = 0
-
-    @property
-    def total(self) -> int:
-        """Total control-plane recovery actions."""
-        return self.rts_retransmits + self.cts_resends
 
 
 def arm_control_watchdog(
@@ -121,7 +118,6 @@ def arm_control_watchdog(
                     f"{retransmits} RTS retransmissions"
                 )
             runtime.recovery.rts_retransmits += 1
-            sim.obs.count("rts_retransmits_total")
             if sim.obs.enabled:
                 sim.obs.instant(
                     "proto", "rts-retransmit", sim.now, msg=record.seq,
@@ -139,9 +135,9 @@ PIPELINE = "pipeline"
 
 
 def _note_rts(rank: "Rank", record: MessageRecord) -> None:
-    """Telemetry for a first (non-retransmitted) rendezvous RTS."""
+    """Count a first (non-retransmitted) rendezvous RTS."""
+    rank.runtime.recovery.rts_sent += 1
     obs = rank.sim.obs
-    obs.count("proto_rts_sent_total")
     if obs.enabled:
         obs.instant(
             "proto", "rts", rank.sim.now,

@@ -137,8 +137,6 @@ class Link:
             self.transfer_count += 1
             obs = sim.obs
             if obs.enabled:
-                obs.count("link_transfers_total", link=self.name)
-                obs.count("link_bytes_total", nbytes, link=self.name)
                 obs.span(
                     "link", "transfer", start, sim.now,
                     track=self.name, nbytes=nbytes,
@@ -170,7 +168,6 @@ class Link:
                 break
             # The attempt's wire time is lost; back off and retransmit.
             self.retransmits += 1
-            self.sim.obs.count("link_retransmits_total", link=self.name)
             attempts += 1
             if attempts >= MAX_TRANSMIT_ATTEMPTS:
                 raise FaultError(
@@ -181,15 +178,10 @@ class Link:
             backoff = min(backoff * 2.0, BACKOFF_CAP_FACTOR * self.spec.latency)
             lost = self.sim.now - attempt_start
             self.fault_delay += lost
-            self.sim.obs.count(
-                "link_fault_delay_seconds_total", lost, link=self.name
-            )
         self.bytes_carried += nbytes
         self.transfer_count += 1
         obs = self.sim.obs
         if obs.enabled:
-            obs.count("link_transfers_total", link=self.name)
-            obs.count("link_bytes_total", nbytes, link=self.name)
             obs.span(
                 "link", "transfer", start, self.sim.now,
                 track=self.name, nbytes=nbytes,

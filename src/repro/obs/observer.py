@@ -1,15 +1,20 @@
-"""The telemetry facade the hot paths talk to.
+"""The telemetry facade.
 
-Every instrumented component (scheduler, request list, links, wire
-protocols, schemes) reaches observability through one object:
-``sim.obs``.  By default that is :data:`NULL_OBSERVER`, whose every
-method is a constant-time no-op — disabled telemetry is a strict no-op
-on the simulated timeline (DESIGN.md §6).  Attaching a real
-:class:`Observer` (``run_bulk_exchange(..., obs=Observer())`` or the
-CLI ``--metrics`` / ``--trace-out`` flags) turns the same call sites
-into live metric updates and recorded events, still without consuming
-a single simulated nanosecond: observation never touches the event
-calendar.
+Instrumented components (scheduler, request list, links, wire
+protocols) record histograms, the ring gauge, spans and instants
+through one object: ``sim.obs``.  By default that is
+:data:`NULL_OBSERVER`, whose every method is a constant-time no-op —
+disabled telemetry is a strict no-op on the simulated timeline
+(DESIGN.md §6).  Attaching a real :class:`Observer`
+(``run_bulk_exchange(..., obs=Observer())`` or the CLI ``--metrics`` /
+``--trace-out`` flags) turns those call sites into live updates and
+recorded events, still without consuming a single simulated
+nanosecond: observation never touches the event calendar.
+
+Counters are not updated live: each model counter is a plain field on
+the object that owns it (a link, the runtime's control plane, a
+scheduler, a scheme), and ``run_bulk_exchange`` publishes them into the
+registry once, at the end of the run.
 
 The metric catalog (names, kinds, help strings, buckets) is declared
 here in :data:`METRIC_CATALOG` so that every Observer exposes the same
@@ -114,7 +119,8 @@ class Observer:
 
     ``const_labels`` are appended to every metric update — the CLI uses
     this to tag each scheme's run, which keeps merged Prometheus output
-    from colliding.
+    from colliding.  A label a family already declares is not appended
+    twice; the update's own value for it wins.
     """
 
     enabled = True
@@ -130,7 +136,9 @@ class Observer:
         self.recorder = recorder if recorder is not None else Recorder()
         self.const_labels = dict(const_labels or {})
         for name, (kind, help_, labelnames, buckets) in METRIC_CATALOG.items():
-            names = tuple(labelnames) + tuple(self.const_labels)
+            names = tuple(labelnames) + tuple(
+                k for k in self.const_labels if k not in labelnames
+            )
             if kind == "counter":
                 self.metrics.counter(name, help_, names)
             elif kind == "gauge":
@@ -139,30 +147,23 @@ class Observer:
                 self.metrics.histogram(name, help_, names, buckets)
 
     # -- metric updates ----------------------------------------------------
-    def _family(self, name: str, kind: str, labels: Mapping[str, object]):
+    def _series(self, name: str, labels: Mapping[str, object]):
         family = self.metrics.get(name)
         if family is None:
-            # Undeclared metric: register on first use so ad-hoc
-            # instrumentation (tests, extensions) just works.
-            names = tuple(labels) + tuple(
-                k for k in self.const_labels if k not in labels
-            )
-            family = self.metrics._declare(name, kind, "", names)
-        merged = dict(self.const_labels)
-        merged.update(labels)
-        return family.labels(**merged)
+            raise KeyError(f"metric {name!r} is not in METRIC_CATALOG")
+        return family.labels(**{**self.const_labels, **labels})
 
     def count(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Increment a counter series."""
-        self._family(name, "counter", labels).inc(amount)
+        self._series(name, labels).inc(amount)
 
     def gauge_set(self, name: str, value: float, **labels: object) -> None:
         """Set a gauge series."""
-        self._family(name, "gauge", labels).set(value)
+        self._series(name, labels).set(value)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Observe a histogram sample."""
-        self._family(name, "histogram", labels).observe(value)
+        self._series(name, labels).observe(value)
 
     # -- event recording ---------------------------------------------------
     def span(

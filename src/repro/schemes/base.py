@@ -98,6 +98,9 @@ class PackingScheme(ABC):
     name: str = "abstract"
     #: Table I row
     capabilities: SchemeCapabilities
+    #: the GPU-Sync scheme this one routes some operations through
+    #: (fusion's full-ring path, the hybrid's GPU path), if any
+    fallback: Optional["PackingScheme"] = None
 
     def __init__(self, site: RankSite, trace: Optional[Trace] = None):
         self.site = site
@@ -105,6 +108,8 @@ class PackingScheme(ABC):
         self.trace = trace if trace is not None else Trace()
         #: handles submitted and not yet retired (for diagnostics)
         self.outstanding: List[OpHandle] = []
+        #: per-operation kernel-launch driver calls
+        self.kernel_launches = 0
         #: kernel launches retried after an injected driver failure
         self.launch_retries = 0
 
@@ -188,7 +193,7 @@ class PackingScheme(ABC):
         """
         arch = self.site.device.arch
         faults = self.sim.faults
-        self.sim.obs.count("kernel_launches_total", scheme=self.name)
+        self.kernel_launches += 1
         yield from self._charge(Category.LAUNCH, arch.kernel_launch_overhead, label)
         if faults is None:
             return
@@ -196,7 +201,6 @@ class PackingScheme(ABC):
         attempts = 0
         while faults.launch_fails():
             self.launch_retries += 1
-            self.sim.obs.count("scheme_launch_retries_total", scheme=self.name)
             attempts += 1
             if attempts >= MAX_LAUNCH_ATTEMPTS:
                 raise FaultError(

@@ -59,7 +59,7 @@ class CPUGPUHybridScheme(PackingScheme):
         #: per-operation adaptive-decision + cache bookkeeping; the
         #: MVAPICH2-GDR model raises this to full production-stack cost
         self.software_overhead = software_overhead
-        self._gpu_fallback = GPUSyncScheme(site, self.trace)
+        self.fallback = GPUSyncScheme(site, self.trace)
         #: decision counters reported by the ablation benchmarks
         self.cpu_path_count = 0
         self.gpu_path_count = 0
@@ -95,7 +95,7 @@ class CPUGPUHybridScheme(PackingScheme):
             yield done
             return self._handle(op, done, label=label)
         self.gpu_path_count += 1
-        handle = yield from self._gpu_fallback.submit(op, label=label)
+        handle = yield from self.fallback.submit(op, label=label)
         return handle
 
     def wait(self, handles) -> SchemeGen:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = ["Category", "Span", "Trace"]
 
@@ -74,7 +74,6 @@ class Trace:
     """
 
     spans: List[Span] = field(default_factory=list)
-    enabled: bool = True
 
     def charge(
         self,
@@ -84,15 +83,7 @@ class Trace:
         label: str = "",
     ) -> None:
         """Record a charged interval ``[start, end]`` in ``category``."""
-        if not self.enabled:
-            return
         self.spans.append(Span(category, start, end, label))
-
-    def charge_duration(
-        self, category: Category, now: float, duration: float, label: str = ""
-    ) -> None:
-        """Record ``duration`` seconds ending at simulation time ``now``."""
-        self.charge(category, now - duration, now, label)
 
     def total(self, category: Optional[Category] = None) -> float:
         """Sum of charged durations, optionally restricted to a category."""
@@ -107,29 +98,10 @@ class Trace:
             out[span.category] += span.duration
         return out
 
-    def count(self, category: Optional[Category] = None) -> int:
-        """Number of charged spans, optionally per category."""
-        if category is None:
-            return len(self.spans)
-        return sum(1 for s in self.spans if s.category is category)
-
     def iter_category(self, category: Category) -> Iterator[Span]:
         """Iterate spans of one category in charge order."""
         return (s for s in self.spans if s.category is category)
 
-    def merge(self, others: Iterable["Trace"]) -> "Trace":
-        """Fold other traces' spans into this one (returns self)."""
-        for other in others:
-            self.spans.extend(other.spans)
-        return self
-
     def clear(self) -> None:
         """Drop all recorded spans."""
         self.spans.clear()
-
-    def scaled(self, factor: float) -> Dict[Category, float]:
-        """Breakdown with every total multiplied by ``factor``.
-
-        Used to convert per-run totals into per-iteration averages.
-        """
-        return {cat: tot * factor for cat, tot in self.breakdown().items()}

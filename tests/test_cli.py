@@ -238,3 +238,17 @@ def test_config_show_from_file(capsys, tmp_path):
         "config", "hash", "--file", str(path), "--set", "harness.seed=8",
     ]) == 0
     assert capsys.readouterr().out.strip() != cfg.content_hash()
+
+
+def test_faults_reports_are_per_run_with_shared_metrics(capsys, tmp_path):
+    """Presets that share one --metrics registry still each report
+    only their own run's recoveries."""
+    args = [
+        "faults", "--workload", "NAS_MG", "--dim", "32", "--nbuffers", "4",
+        "--iterations", "2", "--presets", "moderate", "heavy", "--verbose",
+    ]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--metrics", str(tmp_path / "faults.prom")]) == 0
+    shared = capsys.readouterr().out
+    assert shared.split("\nmetrics written to ")[0] == plain

@@ -1,4 +1,4 @@
-"""Unit tests for the datatype layout cache."""
+"""Unit tests for the per-rank datatype layout store."""
 
 import pytest
 
@@ -8,41 +8,31 @@ from repro.datatypes import DOUBLE, LayoutCache, Vector
 def test_miss_then_hit():
     cache = LayoutCache()
     t = Vector(4, 2, 5, DOUBLE)
-    lay1 = cache.get_or_flatten(t)
-    lay2 = cache.get_or_flatten(Vector(4, 2, 5, DOUBLE))
-    assert lay1 is lay2
+    lay = cache.layout(t)  # stored for free: counts no lookup
+    assert cache.lookup((t, 1)) is None  # its flatten is not charged yet
+    cache.insert((t, 1), lay)
+    assert cache.lookup((Vector(4, 2, 5, DOUBLE), 1)) is lay  # structural twin
     assert cache.stats.misses == 1 and cache.stats.hits == 1
     assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
 def test_different_types_different_entries():
     cache = LayoutCache()
-    cache.get_or_flatten(Vector(4, 2, 5, DOUBLE))
-    cache.get_or_flatten(Vector(4, 2, 6, DOUBLE))
-    assert len(cache) == 2
-
-
-def test_lru_eviction():
-    cache = LayoutCache(capacity=2)
-    a, b, c = (Vector(i, 1, 2, DOUBLE) for i in (1, 2, 3))
-    cache.get_or_flatten(a)
-    cache.get_or_flatten(b)
-    cache.get_or_flatten(a)  # refresh a: b becomes LRU
-    cache.get_or_flatten(c)  # evicts b
-    assert a.signature() in cache
-    assert b.signature() not in cache
-    assert c.signature() in cache
-    assert cache.stats.evictions == 1
+    t = Vector(4, 2, 6, DOUBLE)
+    cache.layout(Vector(4, 2, 5, DOUBLE))
+    cache.layout(t)
+    assert cache.layout(t, 2).size == 2 * t.size
+    assert len(cache) == 3
 
 
 def test_insert_refresh_existing():
-    cache = LayoutCache(capacity=2)
+    cache = LayoutCache()
     t = Vector(2, 1, 2, DOUBLE)
-    lay = t.flatten()
-    cache.insert(t.signature(), lay)
-    cache.insert(t.signature(), lay)
+    first, second = t.flatten(), t.layout(2)
+    cache.insert((t, 1), first)
+    cache.insert((t, 1), second)
     assert len(cache) == 1
-    assert cache.stats.insertions == 1
+    assert cache.lookup((t, 1)) is second
 
 
 def test_lookup_miss_returns_none():
@@ -53,31 +43,12 @@ def test_lookup_miss_returns_none():
 
 def test_clear_keeps_stats():
     cache = LayoutCache()
-    cache.get_or_flatten(Vector(2, 1, 2, DOUBLE))
+    t = Vector(2, 1, 2, DOUBLE)
+    cache.lookup((t, 1))
+    cache.insert((t, 1), cache.layout(t))
     cache.clear()
     assert len(cache) == 0
-    assert cache.stats.insertions == 1
-
-
-def test_commit_populates_cache():
-    cache = LayoutCache()
-    t = Vector(4, 2, 5, DOUBLE)
-    t.commit(cache)
-    assert t.signature() in cache
-
-
-def test_keys_in_lru_order():
-    cache = LayoutCache()
-    a, b = Vector(1, 1, 2, DOUBLE), Vector(2, 1, 2, DOUBLE)
-    cache.get_or_flatten(a)
-    cache.get_or_flatten(b)
-    cache.get_or_flatten(a)  # a now MRU
-    assert cache.keys() == (b.signature(), a.signature())
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        LayoutCache(capacity=0)
+    assert cache.stats.misses == 1
 
 
 def test_unused_cache_hit_rate_zero():

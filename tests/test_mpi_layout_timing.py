@@ -4,11 +4,11 @@ import pytest
 
 from repro.bench import run_bulk_exchange
 from repro.config import ExperimentConfig, ProtocolCfg
-from repro.datatypes import DOUBLE, Indexed, Vector
-from repro.mpi import Runtime
+from repro.datatypes import DOUBLE, DataLayout, Indexed, LayoutCache, Vector
+from repro.mpi import Runtime, communicator
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim import Category, Simulator
+from repro.sim import Category, Simulator, Trace
 
 
 def _runtime(**protocol):
@@ -58,8 +58,8 @@ def test_cache_hit_is_free():
 
 
 def test_equal_distinct_types_share_one_memo_entry():
-    """The per-rank memo keys on the type itself; structurally equal
-    handles still resolve to one entry and pay one flatten."""
+    """The rank's layout store keys on the type itself; structurally
+    equal handles still resolve to one entry and pay one flatten."""
     sim, rt = _runtime()
     rank = rt.rank(0)
     a = Indexed([4, 1, 3], [0, 10, 20], DOUBLE).commit()
@@ -68,7 +68,7 @@ def test_equal_distinct_types_share_one_memo_entry():
     lay_a = _drive(sim, rank.resolve_layout_timed(a, 2))
     lay_b = _drive(sim, rank.resolve_layout_timed(b, 2))
     assert lay_a is lay_b is rank.resolve_layout(b, 2)
-    assert len(rank._layout_memo) == 1
+    assert len(rank.layout_cache) == 1
     assert len([s for s in rank.trace.spans if s.label == "flatten"]) == 1
 
 
@@ -130,3 +130,38 @@ def test_warmup_absorbs_the_one_time_flatten():
         )
     )
     assert max(r.latencies) - min(r.latencies) < 1e-9
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cache_hits_are_the_uncharged_timed_resolutions(monkeypatch, enabled):
+    """In a default bulk exchange the store's statistics are the cost
+    model's: every hit is a timed resolution that paid no flatten, and
+    a disabled cache never hits."""
+    caches, counts = [], {"timed": 0, "flatten": 0}
+
+    class Store(LayoutCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    resolve, charge = communicator.Rank.resolve_layout_timed, Trace.charge
+
+    def resolve_layout_timed(rank, datatype, count=1):
+        counts["timed"] += not isinstance(datatype, DataLayout)
+        return resolve(rank, datatype, count)
+
+    def record_charge(trace, category, start, end, label=""):
+        counts["flatten"] += label == "flatten"
+        charge(trace, category, start, end, label)
+
+    monkeypatch.setattr(communicator, "LayoutCache", Store)
+    monkeypatch.setattr(communicator.Rank, "resolve_layout_timed", resolve_layout_timed)
+    monkeypatch.setattr(Trace, "charge", record_charge)
+    run_bulk_exchange(
+        ExperimentConfig().with_overrides({"protocol.layout_cache_enabled": enabled})
+    )
+    hits = sum(c.stats.hits for c in caches)
+    assert len(caches) == 2
+    assert sum(c.stats.misses for c in caches) == counts["flatten"] > 0
+    assert hits == counts["timed"] - counts["flatten"]
+    assert (hits > 0) is enabled

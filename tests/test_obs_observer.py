@@ -1,10 +1,11 @@
 """sim.obs integration — no-op default, timing neutrality, one source of truth."""
 
+import re
 from dataclasses import replace
 
 import pytest
 
-from repro.bench import run_bulk_exchange
+from repro.bench import run_bulk_exchange, runner
 from repro.config import ExperimentConfig, FaultsCfg
 from repro.obs import NULL_OBSERVER, METRIC_CATALOG, NullObserver, Observer
 from repro.sim import Simulator
@@ -24,6 +25,19 @@ def _run(scheme="Proposed", obs=None, faults=FaultsCfg(), iterations=2):
         }
     )
     return run_bulk_exchange(replace(cfg, faults=faults), obs=obs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The simulator and runtime each run hands its end-of-run counter read."""
+    seen, read = {}, runner._read_counters
+
+    def spy(sim, runtime, *args):
+        seen.update(sim=sim, runtime=runtime)
+        return read(sim, runtime, *args)
+
+    monkeypatch.setattr(runner, "_read_counters", spy)
+    return seen
 
 
 # -- disabled telemetry is a strict no-op -----------------------------------
@@ -57,7 +71,7 @@ def test_enabling_telemetry_does_not_change_simulated_time(scheme):
 
 def test_telemetry_is_timing_neutral_under_faults():
     plan = FaultsCfg(preset="moderate", seed=7)
-    default = _run(faults=plan)   # internal observer
+    default = _run(faults=plan)   # no observer at all
     recorded = _run(faults=plan, obs=Observer())
     assert recorded.latencies == default.latencies
 
@@ -65,16 +79,27 @@ def test_telemetry_is_timing_neutral_under_faults():
 # -- live observation -------------------------------------------------------
 
 
-def test_observer_populates_the_catalog_metrics():
+def test_observer_populates_the_catalog_metrics(counted):
+    """Every counter series is read off the object that keeps it."""
     obs = Observer()
-    result = _run(obs=obs)
-    snap = result.metrics
+    cfg = RUN.with_overrides(
+        {"protocol.eager_threshold": 0, "scheme.fusion.capacity": 2,
+         "harness.data_plane": False}
+    )
+    result = run_bulk_exchange(cfg, obs=obs)
+    snap, runtime = result.metrics, counted["runtime"]
     assert snap is not None
     # both ranks run identical symmetric programs
     assert snap.total("fusion_enqueued_total") == 2 * result.scheduler_stats.enqueued
     assert snap.total("fusion_launches_total") == 2 * result.scheduler_stats.launches
-    assert snap.total("link_transfers_total") > 0
     assert snap.total("fusion_queue_latency_seconds") > 0
+    assert snap.total("proto_rts_sent_total") == runtime.recovery.rts_sent > 0
+    assert snap.total("fusion_ring_rejections_total") == sum(
+        r.scheme.scheduler.request_list.rejections for r in runtime.ranks
+    ) > 0
+    assert snap.total("link_bytes_total") == sum(
+        link.bytes_carried for link in runtime.cluster.links()
+    ) > 0
     # every update hit a pre-declared family (catalog covers hot paths)
     for name in snap.names():
         assert name in METRIC_CATALOG, name
@@ -101,18 +126,30 @@ def test_recorder_captures_request_lifecycle_and_rank_traces():
 
 
 def test_const_labels_tag_every_series():
-    obs = Observer(const_labels={"scheme": "Proposed"})
-    _run(obs=obs)
-    snap = obs.snapshot()
-    fam = snap.family("fusion_enqueued_total")
-    assert all(dict(key)["scheme"] == "Proposed" for key in fam["series"])
+    """Each label appears once per series, and ``scheme`` names the
+    scheme that ran: a nested GPU-Sync fallback's launches count for
+    the rank's own scheme."""
+    for scheme in ("Proposed", "CPU-GPU-Hybrid"):
+        obs = Observer(const_labels={"scheme": scheme})
+        _run(scheme, obs=obs)
+        snap = obs.snapshot()
+        for line in snap.to_prometheus_text().splitlines():
+            names = re.findall(r'(\w+)="', line)
+            assert len(names) == len(set(names)), line
+        for name in snap.names():
+            assert all(dict(key)["scheme"] == scheme for key in snap.family(name)["series"])
+    assert snap.total("kernel_launches_total") > 0  # the hybrid's GPU path ran
 
 
 # -- one source of truth for recovery reporting -----------------------------
 
 
 def test_recovery_report_is_built_from_the_metrics_snapshot():
-    result = _run(faults=FaultsCfg(preset="heavy", seed=11), iterations=3)
+    """The report (read off the objects) and the published snapshot
+    are two views of the same counters: they must agree."""
+    result = _run(
+        faults=FaultsCfg(preset="heavy", seed=11), iterations=3, obs=Observer()
+    )
     rec, snap = result.recovery, result.metrics
     assert rec is not None and snap is not None
     assert rec.total_recoveries > 0  # heavy preset injects plenty
@@ -129,7 +166,10 @@ def test_recovery_report_is_built_from_the_metrics_snapshot():
     assert rec.ring_fallbacks == int(snap.total("sched_ring_fallbacks_total"))
 
 
-def test_fault_runs_always_carry_metrics():
+def test_fault_runs_always_carry_metrics(counted):
+    """With no telemetry requested a fault run builds no observer, yet
+    still carries its recovery report."""
     result = _run(faults=FaultsCfg(preset="light", seed=3))
-    assert result.metrics is not None
+    assert result.metrics is None
+    assert counted["sim"].obs is NULL_OBSERVER
     assert result.recovery is not None

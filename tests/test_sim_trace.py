@@ -23,13 +23,6 @@ def test_charge_and_totals():
     assert t.total(Category.SYNC) == 0.0
 
 
-def test_charge_duration_anchors_at_now():
-    t = Trace()
-    t.charge_duration(Category.LAUNCH, now=10.0, duration=2.0)
-    assert t.spans[0].start == pytest.approx(8.0)
-    assert t.spans[0].end == pytest.approx(10.0)
-
-
 def test_breakdown_includes_all_categories():
     t = Trace()
     t.charge(Category.SCHED, 0.0, 1.0)
@@ -44,28 +37,15 @@ def test_count_and_iter():
     t.charge(Category.SYNC, 0.0, 1.0, label="a")
     t.charge(Category.SYNC, 1.0, 2.0, label="b")
     t.charge(Category.PACK, 2.0, 3.0)
-    assert t.count() == 3
-    assert t.count(Category.SYNC) == 2
+    assert len(t.spans) == 3
     assert [s.label for s in t.iter_category(Category.SYNC)] == ["a", "b"]
-
-
-def test_disabled_trace_ignores_charges():
-    t = Trace(enabled=False)
-    t.charge(Category.PACK, 0.0, 1.0)
-    assert t.count() == 0
 
 
 def test_merge_and_clear():
     a, b = Trace(), Trace()
     a.charge(Category.PACK, 0.0, 1.0)
     b.charge(Category.COMM, 0.0, 2.0)
-    a.merge([b])
+    a.spans.extend(b.spans)
     assert a.total() == pytest.approx(3.0)
     a.clear()
-    assert a.count() == 0
-
-
-def test_scaled():
-    t = Trace()
-    t.charge(Category.PACK, 0.0, 4.0)
-    assert t.scaled(0.25)[Category.PACK] == pytest.approx(1.0)
+    assert a.spans == [] and a.total() == 0.0
