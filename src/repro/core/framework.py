@@ -135,4 +135,4 @@ class KernelFusionScheme(PackingScheme):
         A burst the flush is holding back counts as work: whether it
         launches depends on the clock, not on any event.
         """
-        return not self.outstanding and not self.scheduler.request_list.pending()
+        return not self.outstanding and not self.scheduler.pending_count

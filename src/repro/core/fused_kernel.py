@@ -54,7 +54,7 @@ def launch_fused_kernel(
     start = stream.next_start()
     # Occupy the stream for the full fused duration (no per-request
     # apply here — per-request timing is handled below).
-    stream.enqueue_callable(plan.total_duration, None, value=plan)
+    stream.occupy(plan.total_duration)
 
     faults = sim.faults
     for request, part in zip(requests, plan.requests):

@@ -92,7 +92,7 @@ class CircularRequestList:
 
     __slots__ = (
         "sim", "capacity", "_slots", "_head", "_tail", "_count",
-        "_uids", "peak_occupancy", "rejections",
+        "_uids", "_pending", "peak_occupancy", "rejections",
     )
 
     def __init__(self, sim: Simulator, capacity: int = 256):
@@ -105,6 +105,9 @@ class CircularRequestList:
         self._tail = 0
         self._count = 0
         self._uids = itertools.count()
+        #: PENDING entries in FIFO order: appended by ``enqueue``,
+        #: dropped by ``mark_busy``
+        self._pending: List[FusionRequest] = []
         #: occupancy high-water mark (diagnostics)
         self.peak_occupancy = 0
         #: number of enqueues rejected because the ring was full
@@ -132,25 +135,15 @@ class CircularRequestList:
         return self._slots[self._tail] is not None
 
     def pending(self) -> List[FusionRequest]:
-        """Occupied PENDING entries in FIFO (head→tail) order.
+        """Occupied PENDING entries in FIFO (head→tail) order, as a new
+        list.  The list is maintained, not scanned: the scheduler asks
+        on every enqueue and flush decision."""
+        return list(self._pending)
 
-        Occupied slots are contiguous from Head (``reap`` only frees
-        from the head), so the scan visits exactly ``occupancy`` slots —
-        the scheduler calls this on every flush decision, and scanning
-        the full 256-slot ring dominated its profile.
-        """
-        out: List[FusionRequest] = []
-        slots = self._slots
-        capacity = self.capacity
-        i = self._head
-        for _ in range(self._count):
-            slot = slots[i]
-            if slot is not None and slot.request_status is RequestStatus.PENDING:
-                out.append(slot)
-            i += 1
-            if i == capacity:
-                i = 0
-        return out
+    @property
+    def pending_count(self) -> int:
+        """Number of PENDING entries."""
+        return len(self._pending)
 
     def pending_bytes(self) -> int:
         """Total payload bytes across PENDING entries."""
@@ -170,6 +163,7 @@ class CircularRequestList:
             enqueued_at=self.sim.now,
         )
         self._slots[self._tail] = request
+        self._pending.append(request)
         self._tail = (self._tail + 1) % self.capacity
         self._count += 1
         if self._count > self.peak_occupancy:
@@ -183,7 +177,11 @@ class CircularRequestList:
         for request in requests:
             if request.request_status is not RequestStatus.PENDING:
                 raise ValueError(f"uid {request.uid} is {request.request_status}, not pending")
+        for request in requests:
             request.request_status = RequestStatus.BUSY
+        self._pending = [
+            r for r in self._pending if r.request_status is RequestStatus.PENDING
+        ]
 
     def reap(self) -> int:
         """Recycle completed entries at the head; returns count reaped.

@@ -381,7 +381,7 @@ class FusionScheduler:
     @property
     def pending_count(self) -> int:
         """Requests enqueued and not yet launched."""
-        return len(self.request_list.pending())
+        return self.request_list.pending_count
 
     def _charge_sched(self, duration: float, label: str):
         if duration > 0:

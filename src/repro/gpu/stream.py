@@ -92,6 +92,25 @@ class Stream:
         """
         return self.enqueue_callable(op.duration, op.apply, value=op)
 
+    def occupy(self, duration: float) -> float:
+        """Reserve the stream for one operation nobody awaits.
+
+        Books the stream and device time (with the noise draw of
+        :meth:`enqueue_callable`) but puts no completion event on the
+        calendar; returns the operation's end time.
+        """
+        if duration < 0:
+            raise ValueError(f"negative duration: {duration}")
+        sim = self.sim
+        if sim.noise is not None:
+            duration *= sim.noise.factor("gpu")
+        start = self.engine.reserve(max(sim.now, self._tail), duration)
+        end = start + duration
+        self._tail = end
+        self.busy_time += duration
+        self.op_count += 1
+        return end
+
     def enqueue_callable(
         self,
         duration: float,
@@ -99,16 +118,8 @@ class Stream:
         value: object = None,
     ) -> Event:
         """Queue an arbitrary timed operation (copies, fused kernels)."""
-        if duration < 0:
-            raise ValueError(f"negative duration: {duration}")
-        if self.sim.noise is not None:
-            duration *= self.sim.noise.factor("gpu")
+        end = self.occupy(duration)
         sim = self.sim
-        start = self.engine.reserve(max(sim.now, self._tail), duration)
-        end = start + duration
-        self._tail = end
-        self.busy_time += duration
-        self.op_count += 1
         # The completion timeout *is* the completion event: no relay
         # event, so each GPU op costs one calendar entry.
         trigger = sim.timeout(end - sim.now, value)

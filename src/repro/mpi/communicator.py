@@ -135,9 +135,7 @@ class Runtime:
             and faults.drop_control("rts")
         )
 
-        def deliver() -> Generator[Event, None, None]:
-            if delay > 0:
-                yield self.sim.timeout(delay)
+        def deliver(_ev: Event) -> None:
             if dropped:
                 return  # lost on the fabric; the sender watchdog re-sends
             dest = self.ranks[record.dest]
@@ -151,7 +149,12 @@ class Runtime:
             if result is not None:
                 self._on_match(dest, result)
 
-        self.sim.process(deliver(), name=f"envelope:msg{record.seq}")
+        if delay > 0:
+            carrier: Event = self.sim.timeout(delay)
+        else:
+            carrier = Event(self.sim)
+            carrier.succeed()
+        carrier.add_callback(deliver)
 
     def _send_cts(self, record: MessageRecord) -> bool:
         """Offer the CTS for a matched RPUT/PIPELINE message.
@@ -182,18 +185,27 @@ class Runtime:
             # CTS travels back to the sender (may be lost under faults;
             # the sender's watchdog then provokes a re-offer).
             self._send_cts(record)
-            self.sim.process(self._receiver_unpack(rank, rreq), name=f"unpack:msg{record.seq}")
+            self._start_unpack(rank, rreq, record)
         elif record.protocol == RGET:
             self.sim.process(
                 receiver_pull_rget(self, rank, rreq, record), name=f"rget:msg{record.seq}"
             )
-            self.sim.process(self._receiver_unpack(rank, rreq), name=f"unpack:msg{record.seq}")
+            self._start_unpack(rank, rreq, record)
         elif record.protocol == EAGER:
-            self.sim.process(self._receiver_unpack(rank, rreq), name=f"unpack:msg{record.seq}")
+            self._start_unpack(rank, rreq, record)
         elif record.protocol == DIRECT:
             self.sim.process(self._receiver_direct(rank, rreq), name=f"ipc:msg{record.seq}")
         else:  # pragma: no cover - protocol set is closed
             raise AssertionError(f"unknown protocol {record.protocol!r}")
+
+    def _start_unpack(self, rank: "Rank", rreq: RecvRequest, record: MessageRecord) -> None:
+        """Spawn the unpack process, started by the payload's arrival
+        unless that is already under way (then it bootstraps)."""
+        self.sim.process(
+            self._receiver_unpack(rank, rreq),
+            name=f"unpack:msg{record.seq}",
+            start=record.payload_ready,
+        )
 
     def _receiver_unpack(self, rank: "Rank", rreq: RecvRequest) -> Generator:
         """Deliver payload into the user buffer (the §IV-B2 callback)."""
@@ -208,7 +220,6 @@ class Runtime:
             if functional:
                 start = rreq.user_offset
                 rreq.user_buffer.data[start : start + nbytes] = payload
-            rreq.data_ready.succeed()
             rreq._complete()
             return
         origin = getattr(rreq, "origin_datatype", None)
@@ -218,7 +229,6 @@ class Runtime:
         if functional:
             staging.data[:nbytes] = payload
         rreq.staging = staging
-        rreq.data_ready.succeed()
         op = rank.device.unpack_op(
             staging,
             rreq.layout,
@@ -260,7 +270,6 @@ class Runtime:
         record.fin_event.succeed(
             delay=self.cluster.control_latency(rreq.rank, record.source)
         )
-        rreq.data_ready.succeed()
         rreq._complete()
 
     def _release_send_staging(self, sreq: SendRequest) -> None:
@@ -441,9 +450,16 @@ class Rank:
             protocol=protocol,
             sim=self.sim,
         )
+        # The eager sender's first wait is the pack: start it there.
+        start = (
+            sreq.op_handle.done_event
+            if protocol == EAGER and sreq.op_handle is not None
+            else None
+        )
         self.sim.process(
             _SENDER_PROCS[protocol](self.runtime, self, sreq, record),
             name=f"send:msg{record.seq}",
+            start=start,
         )
         return sreq
 

@@ -1,7 +1,11 @@
 """Point-to-point wire protocols: eager, rendezvous RGET/RPUT, DirectIPC.
 
-These are the sender- and receiver-side state machines of §IV-B,
-implemented as simulation processes spawned per message:
+These are the sender- and receiver-side state machines of §IV-B.
+Each sender below runs as one simulation process per message (the
+eager one starts on its pack's completion rather than on a
+bootstrap); envelope delivery and completion discovery are calendar
+callbacks, not processes (docs/performance.md, "Per-message
+continuations"):
 
 * **eager** — small messages: once packed, envelope and payload travel
   together; the receiver matches on arrival.
@@ -181,7 +185,6 @@ def sender_eager(
     record.payload = snapshot
     record.payload_ready.succeed()
     runtime._deliver_envelope(record, delay=0.0)
-    sreq.wire_done.succeed()
     runtime._release_send_staging(sreq)
     sreq._complete()
 
@@ -200,7 +203,6 @@ def sender_rput(
     record.payload = snapshot
     # The receiver learns of completion via the FIN packet.
     record.payload_ready.succeed(delay=runtime.cluster.control_latency(sreq.rank, sreq.peer))
-    sreq.wire_done.succeed()
     runtime._release_send_staging(sreq)
     sreq._complete()
 
@@ -216,7 +218,6 @@ def sender_rget(
     # The pull starting (payload landing) proves the RTS arrived.
     arm_control_watchdog(runtime, rank, record, record.payload_ready)
     yield record.fin_event
-    sreq.wire_done.succeed()
     runtime._release_send_staging(sreq)
     sreq._complete()
 
@@ -228,7 +229,6 @@ def sender_direct(
     record.sender_context = sreq
     runtime._deliver_envelope(record)
     yield record.fin_event
-    sreq.wire_done.succeed()
     sreq._complete()
 
 
@@ -276,7 +276,6 @@ def sender_pipeline(
 
     record.payload = snapshot
     record.payload_ready.succeed()
-    sreq.wire_done.succeed()
     runtime._release_send_staging(sreq)
     sreq._complete()
 

@@ -107,9 +107,8 @@ class SendRequest(Request):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: fires when the payload has fully left this rank
-        self.wire_done: Event = Event(self.sim, name=f"req{self.req_id}:wire")
-        #: protocol chosen by the runtime ("eager" | "rget" | "rput" | "direct")
+        #: protocol chosen by the runtime
+        #: ("eager" | "rget" | "rput" | "direct" | "pipeline")
         self.protocol: str = ""
 
 
@@ -120,7 +119,5 @@ class RecvRequest(Request):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: fires when payload bytes are available in the staging buffer
-        self.data_ready: Event = Event(self.sim, name=f"req{self.req_id}:data")
         #: the matched incoming message, once matching succeeds
         self.record = None  # type: Optional["MessageRecord"]

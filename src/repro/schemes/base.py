@@ -230,14 +230,15 @@ class PackingScheme(ABC):
             return done
         visible = Event(self.sim, name="discovery")
 
-        def proc():
-            yield done
+        def discover(_ev: Event) -> None:
             delay = extra_delay()
             if delay > 0:
-                yield self.sim.timeout(delay)
-            visible.succeed()
+                self.sim.timeout(delay).add_callback(lambda _t: visible.succeed())
+            else:
+                visible.succeed()
 
-        self.sim.process(proc(), name="discovery")
+        # A callback, not a process: no bootstrap and no termination.
+        done.add_callback(discover)
         return visible
 
     def _handle(self, op: KernelOp, done: Event, uid: int = -1, label: str = "") -> OpHandle:

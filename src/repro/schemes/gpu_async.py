@@ -89,12 +89,12 @@ class GPUAsyncScheme(PackingScheme):
         done = None
         for chunk in range(chunks):
             yield from self._launch_overhead(f"{label}#{chunk}")
-            is_last = chunk == chunks - 1
-            done = stream.enqueue_callable(
-                arch.kernel_fixed_cost + chunk_compute,
-                op.apply if is_last else None,
-                value=op,
-            )
+            duration = arch.kernel_fixed_cost + chunk_compute
+            if chunk == chunks - 1:
+                done = stream.enqueue_callable(duration, op.apply, value=op)
+            else:
+                # Only the last chunk's completion is ever awaited.
+                stream.occupy(duration)
             event = CudaEvent(self.sim, name=f"evt:{label}#{chunk}")
             event.record(stream)
             yield from self._charge(

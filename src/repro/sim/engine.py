@@ -10,7 +10,10 @@ dependency-free engine in the style of SimPy:
 * :class:`Event` is a one-shot occurrence that callbacks can attach to.
 * :class:`Process` wraps a Python generator; the generator *yields*
   events (or other processes) and is resumed when they fire, which gives
-  ordinary sequential-looking code for concurrent behaviour.
+  ordinary sequential-looking code for concurrent behaviour.  A process
+  nobody joins leaves no termination on the calendar, and one given a
+  ``start`` event takes its first step when that event fires instead
+  of on a bootstrap.
 * :class:`AllOf` / :class:`AnyOf` compose events.
 * :class:`CompletionWatch` counts down a fixed set of events for
   polling progress loops (``waitall`` and friends), and lets an idle
@@ -39,7 +42,9 @@ allocation-lean:
   :class:`Timeout` and one heap entry, nothing else: the process's
   resume callback is a cached bound method, event names are built
   lazily by ``__repr__``, and :meth:`Simulator.run` drains the calendar
-  with the step body inlined.
+  with the step body inlined;
+* no calendar entry is spent on bookkeeping no one observes
+  (docs/performance.md, "Per-message continuations").
 
 Clients take closed-form shortcuts where the general path would emit
 the same calendar events (e.g. :meth:`repro.net.link.Link.transmit`
@@ -483,11 +488,29 @@ class Process(Event):
     has the failure exception thrown into it).  A process is itself an
     event that fires with the generator's return value, so processes can
     wait on each other.
+
+    A process nobody has joined when its generator returns settles in
+    place: it is processed and valued at once, with no termination on
+    the calendar.  A joined or failing process schedules its
+    termination as any event does.
+
+    A process normally takes its first step on a zero-delay bootstrap.
+    Given a ``start`` event that has not been triggered yet, it takes
+    that step when ``start`` fires instead, and its generator must first
+    yield ``start``; the bootstrap would have fired earlier, so the
+    resume keeps its tie position.  A ``start`` already triggered falls
+    back to the bootstrap.
     """
 
     __slots__ = ("generator", "_target", "_resume_cb")
 
-    def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = ""):
+    def __init__(
+        self,
+        sim: "Simulator",
+        generator: ProcessGenerator,
+        name: str = "",
+        start: Optional[Event] = None,
+    ):
         if not hasattr(generator, "send"):
             raise TypeError(
                 "Process requires a generator; did you forget to call the "
@@ -498,9 +521,15 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: bound once — appending a method per yield would allocate
         self._resume_cb: Callback = self._resume
-        bootstrap = Event(sim)
-        bootstrap._callbacks = self._resume_cb
-        bootstrap.succeed()
+        if start is not None and not start._triggered:
+            # Whenever ``start`` fires, it fires after the bootstrap
+            # would have, so the first resume keeps its tie position.
+            start.add_callback(self._kickoff)
+            self._target = start
+        else:
+            bootstrap = Event(sim)
+            bootstrap._callbacks = self._resume_cb
+            bootstrap.succeed()
 
     @property
     def is_alive(self) -> bool:
@@ -520,6 +549,21 @@ class Process(Event):
         carrier.fail(Interrupt(cause))
 
     # internal -------------------------------------------------------------
+    def _kickoff(self, trigger: Event) -> None:
+        """First step of a process started on ``trigger``: run up to
+        its first yield, which must be ``trigger``, and resume on it."""
+        if self._target is not trigger:
+            return  # interrupted before its start event fired
+        try:
+            first = next(self.generator)
+        except StopIteration:
+            first = None
+        if first is not trigger:
+            raise SimulationError(
+                f"process {self.name!r} must first wait on its start event"
+            )
+        self._resume(trigger)
+
     def _resume(self, trigger: Event) -> None:
         # Detach from a previous target if we were interrupted while
         # waiting (trigger is then the interrupt carrier, not the
@@ -539,7 +583,13 @@ class Process(Event):
                 target = self.generator.throw(trigger._value)
         except StopIteration as stop:
             sim._active_process = None
-            self.succeed(stop.value)
+            if self._callbacks is None:
+                # Nobody joined: settle in place, with no termination
+                # entry.  A later ``yield self`` resumes via a carrier.
+                self._triggered = self._processed = True
+                self._value = stop.value
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:
             sim._active_process = None
@@ -629,9 +679,12 @@ class Simulator:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Start a new :class:`Process` running ``generator``."""
-        return Process(self, generator, name=name)
+    def process(
+        self, generator: ProcessGenerator, name: str = "", start: Optional[Event] = None
+    ) -> Process:
+        """Start a new :class:`Process` running ``generator``, on
+        ``start`` when given (see :class:`Process`)."""
+        return Process(self, generator, name=name, start=start)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all of ``events`` fire."""

@@ -47,6 +47,21 @@ def test_pending_fifo_order(env):
     assert rl.pending_bytes() == sum(r.op.nbytes for r in reqs)
 
 
+def test_pending_list_is_maintained_across_partial_launches(env):
+    sim, dev = env
+    rl = CircularRequestList(sim, capacity=8)
+    a, b, c = (rl.enqueue(_op(dev, n)) for n in (100, 200, 300))
+    rl.mark_busy([b])
+    assert rl.pending() == [a, c]
+    assert rl.pending_count == 2
+    assert rl.pending_bytes() == 400
+    rl.pending().clear()  # a copy: the ring's own list is untouched
+    d = rl.enqueue(_op(dev, 400))
+    assert rl.pending() == [a, c, d]
+    rl.mark_busy([a, c, d])
+    assert rl.pending() == [] and rl.pending_count == 0
+
+
 def test_status_lifecycle(env):
     sim, dev = env
     rl = CircularRequestList(sim, capacity=4)

@@ -145,13 +145,52 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("scheme, seed", list(GOLDEN), ids=lambda v: str(v))
-def test_heavy_fault_exchange_matches_golden(scheme, seed):
-    result = run_bulk_exchange(
-        BASE.with_overrides({"scheme.name": scheme, "harness.seed": seed})
-    )
+#: Longer runs, keyed like GOLDEN.  At 8 iterations seed 21 tells apart
+#: two same-instant orders of the RPUT sender's RTS and watchdog
+#: prelude (its CTS resends move); at 2 iterations it cannot.
+GOLDEN_LONG = {
+    ("Proposed", 21): {
+        "latencies": [
+            0.001775608823529408, 0.0013299482352941185, 0.0019587121568627455,
+            0.00171282666666666, 0.0011695815686274414, 0.0021391115686274394,
+            0.0008261545098039134, 0.0012452935294117538,
+        ],
+        "injected": {
+            "latency_spikes": 68, "link_flaps": 33, "transfer_failures": 53,
+            "control_drops": 148, "launch_failures": 35, "stragglers": 106,
+            "ring_rejections": 85,
+        },
+        "recovery": {
+            "link_retransmits": 53, "link_fault_delay": 0.022751746646274468,
+            "rts_retransmits": 148, "cts_resends": 52, "relaunches": 24,
+            "batch_splits": 0, "sync_fallbacks": 1, "launch_retries": 10,
+            "deadline_relaunches": 68, "ring_fallbacks": 85,
+        },
+    },
+}
+
+
+def _assert_golden(cfg, golden):
+    result = run_bulk_exchange(cfg)
     recovery = asdict(result.recovery)
-    golden = GOLDEN[scheme, seed]
     assert result.latencies == golden["latencies"]
     assert recovery.pop("injected") == golden["injected"]
     assert recovery == golden["recovery"]
+
+
+@pytest.mark.parametrize("scheme, seed", list(GOLDEN), ids=lambda v: str(v))
+def test_heavy_fault_exchange_matches_golden(scheme, seed):
+    _assert_golden(
+        BASE.with_overrides({"scheme.name": scheme, "harness.seed": seed}),
+        GOLDEN[scheme, seed],
+    )
+
+
+@pytest.mark.parametrize("scheme, seed", list(GOLDEN_LONG), ids=lambda v: str(v))
+def test_long_heavy_fault_exchange_matches_golden(scheme, seed):
+    _assert_golden(
+        BASE.with_overrides(
+            {"scheme.name": scheme, "harness.seed": seed, "harness.iterations": 8}
+        ),
+        GOLDEN_LONG[scheme, seed],
+    )

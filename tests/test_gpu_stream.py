@@ -62,8 +62,9 @@ def test_stream_completion_timeline():
         (3.0000000000000004e-05, 0.0),
     ]
     assert device.default_stream.busy_time == 3.0000000000000004e-05
-    # process start + three completion timeouts + process end
-    assert sim.events_processed == 5
+    # process start + three completion timeouts; the unjoined process
+    # ends in place, with no termination on the calendar
+    assert sim.events_processed == 4
 
 
 def test_stream_busy_accounting():
@@ -74,6 +75,19 @@ def test_stream_busy_accounting():
     sim.run()
     assert s.busy_time == pytest.approx(us(10))
     assert s.op_count == 2
+
+
+def test_stream_occupy_books_time_without_a_calendar_entry():
+    sim = Simulator()
+    s = _noop_stream(sim)
+    assert s.occupy(us(5)) == us(5)
+    assert sim.peek() == float("inf")  # nothing scheduled
+    assert s.tail == us(5) and s.busy_time == us(5) and s.op_count == 1
+    done = s.enqueue_callable(us(2))
+    sim.run(done)
+    assert sim.now == pytest.approx(us(7))  # queued behind the occupancy
+    with pytest.raises(ValueError):
+        s.occupy(-1.0)
 
 
 def test_stream_negative_duration_rejected():

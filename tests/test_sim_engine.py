@@ -339,3 +339,175 @@ def test_determinism_two_identical_runs():
     world(Simulator(), log1)
     world(Simulator(), log2)
     assert log1 == log2
+
+
+# -- unjoined termination -------------------------------------------------------
+
+
+def test_unjoined_success_leaves_no_termination_entry():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        return "v"
+
+    p = sim.process(proc())
+    assert p.is_alive and not p.processed
+    sim.run()
+    # bootstrap + timeout: the return settles in place
+    assert sim.events_processed == 2
+    assert p.processed and p.triggered and p.ok
+    assert p.value == "v"
+    assert not p.is_alive
+
+
+def test_later_join_of_settled_process_resumes_through_carrier():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+        return "child"
+
+    c = sim.process(child())
+    got = []
+
+    def late():
+        yield sim.timeout(2.0)
+        got.append((yield c))
+        got.append(sim.now)
+
+    sim.process(late())
+    sim.run()
+    assert got == ["child", 2.0]
+    # two bootstraps + two timeouts + the carrier resuming `late`
+    assert sim.events_processed == 5
+
+
+def test_joined_termination_keeps_its_tie_position():
+    """A joined process still ends through the calendar: an event
+    scheduled for the same instant before the end fires first."""
+    sim = Simulator()
+    log = []
+
+    def child():
+        yield sim.timeout(1.0)
+
+    c = sim.process(child())
+
+    def joiner():
+        yield c
+        log.append("joiner")
+
+    def bystander():
+        yield sim.timeout(1.0)
+        log.append("bystander")
+
+    sim.process(joiner())
+    sim.process(bystander())
+    sim.run()
+    assert log == ["bystander", "joiner"]
+    # three bootstraps + two timeouts + the child's termination
+    assert sim.events_processed == 6
+
+
+def test_unjoined_failure_still_raises_from_run():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        raise KeyError("unjoined")
+
+    sim.process(proc())
+    with pytest.raises(KeyError, match="unjoined"):
+        sim.run()
+
+
+# -- start events ----------------------------------------------------------------
+
+
+def _start_world(use_start):
+    """Two processes await one event; the first may start on it."""
+    sim = Simulator()
+    ev = sim.event()
+    log = []
+
+    def first():
+        value = yield ev
+        log.append(("first", sim.now, value))
+        yield sim.timeout(1.0)
+        log.append(("first", sim.now))
+
+    def second():
+        yield ev
+        log.append(("second", sim.now))
+
+    def trigger():
+        yield sim.timeout(2.0)
+        ev.succeed("go")
+
+    sim.process(first(), start=ev if use_start else None)
+    sim.process(second())
+    sim.process(trigger())
+    sim.run()
+    return log, sim.events_processed
+
+
+def test_start_event_process_resumes_at_the_events_tie_position():
+    started, started_events = _start_world(use_start=True)
+    booted, booted_events = _start_world(use_start=False)
+    assert started == booted == [
+        ("first", 2.0, "go"), ("second", 2.0), ("first", 3.0),
+    ]
+    assert started_events == booted_events - 1  # no bootstrap
+
+
+def test_start_event_already_triggered_falls_back_to_bootstrap():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed("early", delay=1.0)
+    log = []
+
+    def proc():
+        log.append((yield ev))
+
+    sim.process(proc(), start=ev)
+    sim.run()
+    assert log == ["early"]
+    # the bootstrap + the event
+    assert sim.events_processed == 2
+
+    sim.process(proc(), start=ev)
+    sim.run()
+    assert log == ["early", "early"]
+    # + a bootstrap and the carrier for the processed event
+    assert sim.events_processed == 4
+
+
+def test_start_event_must_be_the_first_wait():
+    sim = Simulator()
+    ev = sim.event()
+
+    def proc():
+        yield sim.timeout(1.0)
+
+    sim.process(proc(), start=ev)
+    ev.succeed()
+    with pytest.raises(SimulationError, match="start event"):
+        sim.run()
+
+
+def test_interrupt_before_start_event_reaches_the_generator():
+    sim = Simulator()
+    ev = sim.event()
+    body = []
+
+    def proc():
+        body.append((yield ev))
+
+    p = sim.process(proc(), start=ev)
+    p.interrupt("early")
+    ev.succeed(delay=1.0)
+    with pytest.raises(Interrupt):
+        sim.run()
+    sim.run()  # the start event later finds the process gone
+    assert body == [] and not p.ok

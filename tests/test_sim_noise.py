@@ -75,3 +75,30 @@ def test_noisy_exchange_varies_but_averages_close():
 
     assert max(noisy.latencies) - min(noisy.latencies) > 1e-9  # varies
     assert noisy.mean_latency == pytest.approx(clean.mean_latency, rel=0.15)
+
+
+#: Latencies of seeded noisy exchanges: every GPU-noise draw, including
+#: those of stream occupancy with no completion event (the fused
+#: kernel's whole batch, GPU-Async's non-final chunks), must happen in
+#: the same order, or these move.
+NOISY_GOLDEN = {
+    "Proposed": [0.00032414023264704925, 0.00040014376223326115],
+    "GPU-Async": [0.0005691006307506889, 0.0005546000000000021],
+}
+
+
+@pytest.mark.parametrize("scheme", list(NOISY_GOLDEN))
+def test_noisy_exchange_matches_golden(scheme):
+    cfg = ExperimentConfig().with_overrides(
+        {
+            "scheme.name": scheme,
+            "workload.name": "specfem3D_cm",
+            "workload.dim": 4000,
+            "workload.nbuffers": 16,
+            "harness.iterations": 2,
+            "harness.data_plane": False,
+            "noise.cv": 0.3,
+            "noise.seed": 5,
+        }
+    )
+    assert run_bulk_exchange(cfg).latencies == NOISY_GOLDEN[scheme]
