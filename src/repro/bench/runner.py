@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,6 +145,9 @@ class ExperimentResult:
     metrics: Optional[MetricsSnapshot] = None
     #: message payload bytes (one buffer)
     message_bytes: int = 0
+    #: exact work counts of the whole run, warm-up included: calendar
+    #: events, kernel launches, link transfers and link bytes
+    work: Dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_latency(self) -> float:
@@ -318,7 +321,7 @@ def run_bulk_exchange(
     run_started = time.perf_counter()
     sim.run(sim.all_of(procs))
     run_wall = time.perf_counter() - run_started
-    result.recovery = _read_counters(sim, runtime, faults, obs, run_wall)
+    result.work, result.recovery = _read_counters(sim, runtime, faults, obs, run_wall)
 
     if verify:
         for me, peer in ((0, 1), (1, 0)):
@@ -362,12 +365,13 @@ def _read_counters(
     faults: Optional[FaultPlan],
     obs: Optional[Observer],
     run_wall: float,
-) -> Optional[RecoveryReport]:
+) -> Tuple[Dict[str, int], Optional[RecoveryReport]]:
     """Read every model counter off the object that keeps it, once.
 
     The one place that maps metric series to object fields.  Returns
-    the :class:`RecoveryReport` of a fault run (``None`` otherwise) and,
-    when telemetry was requested, publishes the counters into ``obs``.
+    the run's work counts and the :class:`RecoveryReport` of a fault
+    run (``None`` otherwise) and, when telemetry was requested,
+    publishes the counters into ``obs``.
     A series is published only when its counter moved, as a live
     increment would have created it.  Scheme series are labelled with
     the rank's scheme, which owns the launches of its nested fallback.
@@ -384,6 +388,14 @@ def _read_counters(
 
     def stat(field_name: str) -> int:
         return sum(getattr(s.stats, field_name) for s in schedulers)
+
+    work = {
+        "events": sim.events_processed,
+        "kernel_launches": stat("launches")
+        + sum(s.kernel_launches for _, schemes in owned for s in schemes),
+        "link_transfers": sum(link.transfer_count for link in links),
+        "link_bytes": sum(link.bytes_carried for link in links),
+    }
 
     if obs is not None and obs.enabled:
 
@@ -430,8 +442,8 @@ def _read_counters(
         )
 
     if faults is None:
-        return None
-    return RecoveryReport(
+        return work, None
+    return work, RecoveryReport(
         injected=faults.stats.as_dict(),
         link_retransmits=sum(link.retransmits for link in links),
         link_fault_delay=sum(link.fault_delay for link in links),

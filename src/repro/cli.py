@@ -13,12 +13,8 @@ without writing a script:
 * ``faults``    — chaos sweep: re-run one scheme under the fault
   presets and report latency inflation + recovery actions,
 * ``regress``   — perf-regression gate: compare a fresh run (or a
-  second artifact) against a stored ``BENCH_*.json`` baseline,
-* ``wallclock`` — engine wall-clock microbench suite: events/sec,
-  per-figure sweep wall time, allocation counts; emits and gates the
-  versioned ``BENCH_wallclock.json`` artifact,
-* ``profile``   — ``cProfile`` a figure sweep (``--figure figN``) or a
-  single scheme run and print the top-N hot functions,
+  second artifact) against a stored ``BENCH_*.json`` baseline —
+  latencies within a tolerance, the ``work`` counts exactly,
 * ``workloads`` — list the available workload generators,
 * ``describe``  — render a workload datatype's construction tree,
 * ``timeline``  — ASCII Gantt chart of one scheme's cost trace,
@@ -377,81 +373,6 @@ def cmd_regress(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_wallclock(args) -> int:
-    """Wall-clock microbench suite; emits/gates ``BENCH_wallclock.json``."""
-    import os
-
-    from .bench.wallclock import (
-        DEFAULT_FIGURES,
-        compare_wallclock,
-        wallclock_artifact,
-    )
-    from .obs.artifact import load_bench_artifact, write_bench_artifact
-
-    figures = list(args.wc_figure) if args.wc_figure else list(DEFAULT_FIGURES)
-    if args.no_figures:
-        figures = []
-    artifact = wallclock_artifact(scale=args.scale, figures=figures)
-    engine = artifact["data"]["engine"]
-    for name, m in engine.items():
-        print(f"{name:>16}: {m['events_per_second']:>12,.0f} events/s "
-              f"({m['events']:,.0f} events, {m['wall_seconds']:.3f}s)")
-    for name, m in artifact["data"].get("figures", {}).items():
-        print(f"{name:>16}: {m['wall_seconds']:>10.2f}s wall "
-              f"({m['shards']:.0f} shards, serial, uncached)")
-    alloc = artifact["data"]["allocations"]
-    print(f"{'allocations':>16}: {alloc['peak_bytes_per_event']:.1f} peak B/event "
-          f"on the timeout chain")
-
-    if args.baseline and args.check:
-        baseline = load_bench_artifact(args.baseline)
-        problems = compare_wallclock(
-            baseline, artifact, tolerance=args.tolerance
-        )
-        if problems:
-            print(f"\nFAIL: wall-clock regression vs {args.baseline}")
-            for p in problems:
-                print("  " + p)
-            return 1
-        print(f"\nOK: within {args.tolerance:.0%} of {args.baseline}")
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        write_bench_artifact(args.out, artifact)
-        print(f"\nartifact written to {args.out}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """cProfile a figure sweep (or one scheme run) and print hot functions."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    if args.figure:
-        from .bench.figures import run_figure
-
-        print(f"profiling serial uncached sweep of {args.figure} ...\n")
-        profiler.enable()
-        run_figure(args.figure, jobs=1, cache=None)
-        profiler.disable()
-    else:
-        print(
-            f"profiling {args.scheme} on {args.workload} dim={args.dim} "
-            f"({args.iterations} iterations) ...\n"
-        )
-        profiler.enable()
-        _run(args, args.scheme)
-        profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats(args.sort)
-    stats.print_stats(args.top)
-    if args.profile_out:
-        stats.dump_stats(args.profile_out)
-        print(f"profile data written to {args.profile_out} "
-              f"(snakeviz/pstats readable)")
-    return 0
-
-
 def cmd_workloads(_args) -> int:
     for name in sorted(WORKLOADS):
         spec = WORKLOADS[name](32 if name in ("MILC", "NAS_MG", "WRF", "NAS_LU_x", "NAS_LU_y") else 1000)
@@ -675,76 +596,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tolerance", type=_nonnegative_float, default=0.10,
-        help="allowed fractional slowdown per metric (default 0.10)",
+        help="allowed fractional slowdown per metric (default 0.10; the "
+        "work.* counts are always compared exactly)",
     )
     p.add_argument(
         "--metric", action="append", default=None, metavar="NAME",
-        help="artifact metric to watch (repeatable; default mean_latency; "
-        "breakdown.<bucket> paths allowed)",
+        help="artifact metric to watch (repeatable; default mean_latency "
+        "and the four work.* counts; block.name paths such as "
+        "breakdown.pack allowed)",
     )
     p.set_defaults(fn=cmd_regress)
-
-    p = sub.add_parser(
-        "wallclock",
-        help="engine wall-clock microbench suite (BENCH_wallclock.json)",
-    )
-    p.add_argument(
-        "--scale", type=_nonnegative_float, default=1.0,
-        help="event-count scale factor for the engine microbenchmarks",
-    )
-    p.add_argument(
-        "--figure", action="append", default=None, metavar="FIG", dest="wc_figure",
-        choices=sorted(_FIGURES),
-        help="figure sweeps to time end-to-end (repeatable; default "
-        "fig09 fig12 fig13)",
-    )
-    p.add_argument(
-        "--no-figures", action="store_true",
-        help="skip the end-to-end figure timings (engine microbench only)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the BENCH_wallclock.json artifact here",
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="stored BENCH_wallclock.json to gate against (with --check)",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="exit 1 on regression beyond --tolerance vs --baseline",
-    )
-    p.add_argument(
-        "--tolerance", type=_nonnegative_float, default=0.30,
-        help="allowed fractional wall-clock regression (default 0.30 — "
-        "CI runners are noisy)",
-    )
-    p.set_defaults(fn=cmd_wallclock)
-
-    p = sub.add_parser(
-        "profile", help="cProfile a figure sweep or one scheme run"
-    )
-    _add_common(p)
-    p.add_argument(
-        "--figure", default=None, metavar="FIG", choices=sorted(_FIGURES),
-        help="profile this figure's serial uncached sweep instead of a "
-        "single scheme run",
-    )
-    p.add_argument("--scheme", default="Proposed", choices=sorted(SCHEME_REGISTRY))
-    p.add_argument(
-        "--top", type=int, default=25,
-        help="number of hot functions to print (default 25)",
-    )
-    p.add_argument(
-        "--sort", default="tottime",
-        choices=["tottime", "cumtime", "ncalls"],
-        help="pstats sort key (default tottime)",
-    )
-    p.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="dump raw cProfile stats for snakeviz/pstats",
-    )
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("workloads", help="list workload generators")
     p.set_defaults(fn=cmd_workloads)

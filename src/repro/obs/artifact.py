@@ -22,6 +22,8 @@ Schema (``repro.obs/bench-artifact`` version 1)::
           "latencies": [...],              # seconds, post-warm-up
           "breakdown": {"pack": ..., "launch": ..., ...},
           "scheduler": {"launches": ..., "mean_batch": ...},  # fusion runs
+          "work": {"events": 321, "kernel_launches": 12,       # exact
+                   "link_transfers": 12, "link_bytes": 216048},  # counts
           "metrics": {...},                # MetricsSnapshot.as_dict()
           "config": {"threshold_bytes": 524288},  # scheme overrides
           "run": {"iterations": 2, "warmup": 1, "data_plane": false,
@@ -34,6 +36,11 @@ Schema (``repro.obs/bench-artifact`` version 1)::
 ``entries`` carry everything needed to *re-run* the measurement
 (:func:`repro.obs.regress.rerun_entry`); ``data`` covers figures like
 Fig. 1 that tabulate cost-model constants rather than exchanges.
+``work`` records what the whole run (warm-up included) cost the
+simulator — calendar events fired, kernel launches (per-op and fused),
+link transfers and link bytes — and stays out of ``run``, which is read
+back as the re-run's inputs.  The counts are deterministic, so the
+regression gate compares them exactly.
 
 This module is deliberately import-light (stdlib + duck-typed results)
 so ``repro.obs`` can load before the simulator packages.
@@ -98,6 +105,9 @@ def result_entry(
             "fallbacks": stats.fallbacks,
             "mean_batch": stats.mean_batch,
         }
+    work = getattr(result, "work", None)
+    if work:
+        entry["work"] = dict(work)
     metrics = getattr(result, "metrics", None)
     if metrics is not None:
         entry["metrics"] = metrics.as_dict() if hasattr(metrics, "as_dict") else metrics

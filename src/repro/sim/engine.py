@@ -634,7 +634,7 @@ class Simulator:
         #: outside :meth:`run`, so :meth:`step` never skips
         self._horizon: float = -inf
         #: calendar events fired so far (the obs ``engine_events_total``
-        #: series and the wallclock microbench read this)
+        #: series and the artifacts' ``work.events`` count read this)
         self.events_processed: int = 0
         #: optional multiplicative jitter applied by streams and links
         #: (see :mod:`repro.sim.noise`); None = exact determinism

@@ -71,6 +71,15 @@ def test_scheduler_stats_captured(results):
     assert stats.enqueued > 0
 
 
+def test_work_counts_per_op_and_fused_launches(results):
+    sync, fused = results["GPU-Sync"].work, results["Proposed"].work
+    assert set(sync) == {"events", "kernel_launches", "link_transfers", "link_bytes"}
+    # Proposed launches only through its scheduler, GPU-Sync only per op.
+    assert 0 < fused["kernel_launches"] < sync["kernel_launches"]
+    assert fused["link_bytes"] == sync["link_bytes"] > 0
+    assert fused["events"] > 0 and fused["link_transfers"] > 0
+
+
 def test_data_plane_off_matches_timing():
     wet_cfg = NAS_MG.with_overrides({"workload.nbuffers": 2, "harness.iterations": 2})
     wet = run_bulk_exchange(wet_cfg)

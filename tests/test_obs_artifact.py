@@ -43,6 +43,7 @@ def test_result_entry_captures_the_measurement():
     assert len(entry["latencies"]) == RUN["iterations"]
     assert {"pack", "launch", "sched", "sync", "comm"} <= set(entry["breakdown"])
     assert entry["run"] == RUN
+    assert entry["work"] == result.work and entry["work"]["events"] > 0
     assert "scheduler" not in entry  # non-fusion run
 
 

@@ -2,14 +2,23 @@
 
 import copy
 import dataclasses
+import os
 
 import pytest
 
 from repro.bench import run_bulk_exchange
 from repro.cli import main
 from repro.config import ExperimentConfig, FusionCfg, SchemeCfg
-from repro.obs import experiment_artifact, result_entry, write_bench_artifact
+from repro.mpi.communicator import Runtime
+from repro.obs import (
+    experiment_artifact,
+    load_bench_artifact,
+    result_entry,
+    write_bench_artifact,
+)
 from repro.obs import regress
+
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "results")
 
 RUN = {
     "iterations": 2, "warmup": 1, "data_plane": False,
@@ -106,6 +115,105 @@ def test_per_metric_tolerances_and_breakdown_paths(baseline):
     assert not any(c.regressed for c in by_metric["min_latency"])
     # breakdown paths resolve (candidate breakdown unchanged -> ok)
     assert "breakdown.pack" in by_metric
+
+
+def test_work_counts_are_exact_whatever_the_tolerance(baseline):
+    candidate = copy.deepcopy(baseline)
+    candidate["entries"][0]["work"]["link_bytes"] += 1
+    report = regress.compare_artifacts(baseline, candidate, tolerance=10.0)
+    assert not report.ok
+    assert [(c.key, c.metric) for c in report.regressions] == [
+        (baseline["entries"][0]["key"], "work.link_bytes")
+    ]
+
+
+def test_table_cells_are_checked(baseline):
+    table = experiment_artifact("unit_table", data={"K80": {"launch": 1e-5}})
+    assert regress.compare_artifacts(table, table).ok
+    slow = experiment_artifact("unit_table", data={"K80": {"launch": 2e-5}})
+    report = regress.compare_artifacts(table, slow)
+    assert [(c.key, c.metric) for c in report.regressions] == [("data/K80", "launch")]
+
+
+# -- failing closed ---------------------------------------------------------
+
+
+def test_metric_in_no_baseline_entry_fails(baseline):
+    report = regress.compare_artifacts(baseline, baseline, metrics=("mean_latncy",))
+    assert not report.ok
+    assert report.unwatched == ["mean_latncy"]
+    assert "mean_latncy is in no baseline entry" in report.describe()
+
+
+@pytest.mark.parametrize("damage", ["drop", "nan"])
+def test_metric_missing_or_nan_in_candidate_fails(baseline, damage):
+    candidate = copy.deepcopy(baseline)
+    for entry in candidate["entries"]:
+        if damage == "drop":
+            del entry["mean_latency"]
+        else:
+            entry["mean_latency"] = float("nan")
+    report = regress.compare_artifacts(baseline, candidate, metrics=("mean_latency",))
+    assert not report.ok
+    assert report.unreadable == [(e["key"], "mean_latency") for e in baseline["entries"]]
+    assert report.describe().endswith("verdict: FAIL")
+
+
+def test_zero_checks_fails():
+    empty = experiment_artifact("unit_empty")
+    report = regress.compare_artifacts(empty, empty)
+    assert not report.checks and not report.ok
+    assert "nothing was checked" in report.describe()
+
+
+def test_describe_prints_counts_as_integers_and_latencies_in_us(baseline):
+    entry = baseline["entries"][0]
+    lines = regress.compare_artifacts(baseline, baseline).describe().splitlines()
+
+    def values(metric):
+        line = next(ln for ln in lines if ln.split()[:2] == [entry["key"], metric])
+        return line.split(metric, 1)[1].split("(tol")[0].split()
+
+    events = str(entry["work"]["events"])
+    assert values("work.events") == [events, "->", events, "1.000x"]
+    latency = f"{entry['mean_latency'] * 1e6:.2f}us"
+    assert values("mean_latency") == [latency, "->", latency, "1.000x"]
+
+
+# -- the work gate on a committed figure ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fig09_entry():
+    doc = load_bench_artifact(os.path.join(RESULTS, "BENCH_fig09_bulk_sparse.json"))
+    return dict(doc, entries=[doc["entries"][-1]])
+
+
+def test_rerun_reproduces_committed_work(fig09_entry):
+    candidate = regress.rerun_artifact(fig09_entry)
+    assert candidate["entries"][0]["work"] == fig09_entry["entries"][0]["work"]
+    assert regress.compare_artifacts(fig09_entry, candidate).ok
+
+
+def test_one_extra_event_per_message_fails_only_the_work_gate(
+    fig09_entry, monkeypatch
+):
+    deliver = Runtime._deliver_envelope
+
+    def with_extra_event(self, record, delay=None):
+        deliver(self, record, delay)
+        self.sim.event().succeed()
+
+    monkeypatch.setattr(Runtime, "_deliver_envelope", with_extra_event)
+    candidate = regress.rerun_artifact(fig09_entry)
+    report = regress.compare_artifacts(fig09_entry, candidate)
+    assert not report.ok
+    assert [c.metric for c in report.regressions] == ["work.events"]
+    latency = regress.compare_artifacts(
+        fig09_entry, candidate, metrics=("mean_latency",)
+    )
+    assert latency.ok
+    assert latency.checks[0].candidate == latency.checks[0].baseline
 
 
 # -- re-running -------------------------------------------------------------
