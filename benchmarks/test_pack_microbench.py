@@ -31,7 +31,7 @@ def _throughput(scheme_cls, spec):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=1, functional=False)
     site = cluster.site(0)
-    scheme = scheme_cls(site, Trace())
+    scheme = scheme_cls(site, Trace(sim))
     lay = spec.datatype.flatten()
     dev = site.device
     src = dev.alloc(spec.buffer_bytes() + 8)

@@ -196,8 +196,9 @@ def run_bulk_exchange(
 
     ``obs`` attaches a live :class:`~repro.obs.Observer`: the result
     then carries a frozen :class:`~repro.obs.MetricsSnapshot` and, when
-    the observer's recorder is enabled, the per-rank cost-bucket traces
-    are absorbed onto its event stream (one track per rank).
+    the observer's recorder is enabled, its event stream holds every
+    cost-bucket charge, warm-up included, on the charging rank's track
+    (``<scheme>/rank<n>``).
     Observation never consumes simulated time, so latencies are
     identical with or without it.  Fault runs read their
     :class:`RecoveryReport` off the same object counters the snapshot
@@ -350,11 +351,6 @@ def run_bulk_exchange(
         result.scheduler_stats = scheme0.scheduler.stats
 
     if obs is not None:
-        if obs.recorder.enabled:
-            for r in ranks:
-                obs.recorder.absorb_trace(
-                    f"{result.scheme}/rank{r.rank_id}", r.trace
-                )
         result.metrics = obs.snapshot()
     return result
 

@@ -17,7 +17,7 @@ without writing a script:
   latencies within a tolerance, the ``work`` counts exactly,
 * ``workloads`` — list the available workload generators,
 * ``describe``  — render a workload datatype's construction tree,
-* ``timeline``  — ASCII Gantt chart of one scheme's cost trace,
+* ``timeline``  — ASCII Gantt chart of one run's rank-0 cost spans,
 * ``config``    — ``show``/``hash``/``diff`` the canonical
   :class:`repro.config.ExperimentConfig` (dotted ``--set`` overrides,
   JSON round-trip, content hash).
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .bench import format_breakdown_table, format_latency_table, run_bulk_exchange
@@ -55,6 +56,7 @@ from .config import (
 )
 from .core.autotune import autotune_threshold, recommend_threshold
 from .net import SYSTEMS
+from .obs import Observer, Recorder
 from .schemes import SCHEME_REGISTRY
 from .sim.faults import FAULT_PRESETS
 from .sim.timeline import render_timeline
@@ -166,30 +168,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    recorder = None
-    if args.trace_out:
-        from .obs import Observer, Recorder
-
-        recorder = Recorder()
+    recorder = Recorder()
     rows = []
     for name in ("GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed"):
+        first = len(recorder.events)
         obs = None
-        if recorder is not None:
-            # Shared recorder; the runner prefixes per-rank trace tracks
-            # with the scheme name, and _rename below scopes the rest.
-            scheme_rec = Recorder()
-            obs = Observer(recorder=scheme_rec, const_labels={"scheme": name})
+        if args.trace_out:
+            obs = Observer(recorder=recorder, const_labels={"scheme": name})
         rows.append(_run(args, name, obs=obs))
-        if recorder is not None:
-            import dataclasses
-
-            for event in scheme_rec.events:
-                track = event.track
-                if not track:
-                    track = name
-                elif not track.startswith(f"{name}/"):
-                    track = f"{name}/{track}"
-                recorder.events.append(dataclasses.replace(event, track=track))
+        # Rank events already sit on "<scheme>/rank<n>"; scope the link
+        # rows the same way so the four runs stay apart.
+        events = recorder.events
+        for i in range(first, len(events)):
+            if not events[i].track.startswith(f"{name}/"):
+                events[i] = replace(events[i], track=f"{name}/{events[i].track}")
     print(
         format_breakdown_table(
             rows,
@@ -199,7 +191,7 @@ def cmd_breakdown(args) -> int:
             ),
         )
     )
-    if recorder is not None:
+    if args.trace_out:
         count = recorder.export_chrome_trace(args.trace_out)
         print(f"\n{count} trace events written to {args.trace_out}")
     return 0
@@ -391,35 +383,16 @@ def cmd_describe(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    result = _run(args, args.scheme)
+    obs = Observer(recorder=Recorder())
+    result = _run(args, args.scheme, obs=obs)
     print(
         f"{args.scheme} on {args.workload} dim={args.dim} "
-        f"({result.mean_latency * 1e6:.1f} us/iteration)\n"
+        f"({result.mean_latency * 1e6:.1f} us/iteration); rank 0's cost "
+        f"spans, warm-up included\n"
     )
-    # Re-run one iteration with a kept trace for rendering.
-    from .mpi import Runtime
-    from .net import Cluster
-    from .sim import Simulator
-
-    sim = Simulator()
-    cluster = Cluster(sim, SYSTEMS[args.system], nodes=2, functional=False)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY[args.scheme])
-    spec = WORKLOADS[args.workload](args.dim)
-    layout = spec.datatype.flatten()
-    r0, r1 = rt.rank(0), rt.rank(1)
-    bufs = {r.rank_id: r.device.alloc(spec.buffer_bytes()) for r in (r0, r1)}
-
-    def program(rank, peer):
-        reqs = [rank.irecv(bufs[rank.rank_id], layout, 1, peer, tag=i)
-                for i in range(args.nbuffers)]
-        for i in range(args.nbuffers):
-            sreq = yield from rank.isend(bufs[rank.rank_id], layout, 1, peer, tag=i)
-            reqs.append(sreq)
-        yield from rank.waitall(reqs)
-
-    procs = [sim.process(program(r0, 1)), sim.process(program(r1, 0))]
-    sim.run(sim.all_of(procs))
-    print(render_timeline(r0.trace, width=args.width))
+    track = f"{result.scheme}/rank0"
+    rank0 = [e for e in obs.recorder.events if e.track == track]
+    print(render_timeline(rank0, width=args.width))
     return 0
 
 

@@ -57,6 +57,8 @@ class FusionRequest:
     response_status: RequestStatus = RequestStatus.IDLE
     enqueued_at: float = 0.0
     completed_at: Optional[float] = None
+    #: event-stream track of the owning rank (lifecycle span)
+    track: str = ""
     done_event: Event = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -81,7 +83,8 @@ class FusionRequest:
             # as one span on the unified event stream.
             self.sim.obs.span(
                 "request", f"uid{self.uid}", self.enqueued_at,
-                self.completed_at, uid=self.uid, nbytes=self.op.nbytes,
+                self.completed_at, track=self.track, uid=self.uid,
+                nbytes=self.op.nbytes,
             )
         if not self.done_event.triggered:
             self.done_event.succeed(self)
@@ -150,8 +153,8 @@ class CircularRequestList:
         return sum(r.op.nbytes for r in self.pending())
 
     # -- mutation -----------------------------------------------------------------
-    def enqueue(self, op: KernelOp) -> Optional[FusionRequest]:
-        """Insert at Tail; returns ``None`` when the ring is full."""
+    def enqueue(self, op: KernelOp, track: str = "") -> Optional[FusionRequest]:
+        """Insert at Tail for the rank on ``track``; ``None`` when full."""
         if self._slots[self._tail] is not None:
             self.rejections += 1
             return None
@@ -161,6 +164,7 @@ class CircularRequestList:
             slot=self._tail,
             sim=self.sim,
             enqueued_at=self.sim.now,
+            track=track,
         )
         self._slots[self._tail] = request
         self._pending.append(request)

@@ -166,7 +166,7 @@ class FusionScheduler:
             # ring were full, driving the §IV-A2 negative-UID fallback.
             self.stats.fallbacks += 1
             return None
-        request = self.request_list.enqueue(op)
+        request = self.request_list.enqueue(op, self.trace.track)
         if request is None:
             self.stats.fallbacks += 1
             return None
@@ -174,7 +174,7 @@ class FusionScheduler:
         obs = self.sim.obs
         if obs.enabled:
             obs.instant(
-                "fusion", "enqueue", self.sim.now,
+                "fusion", "enqueue", self.sim.now, track=self.trace.track,
                 uid=request.uid, nbytes=op.nbytes, label=label,
             )
         # Scenario 2 of §IV-C: enough pooled work to out-run the launch
@@ -270,7 +270,7 @@ class FusionScheduler:
                 )
                 obs.span(
                     "fusion", "queued", request.enqueued_at, now,
-                    uid=request.uid,
+                    track=self.trace.track, uid=request.uid,
                 )
         self._arm_deadline(batch, plan)
 

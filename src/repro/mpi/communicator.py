@@ -298,8 +298,11 @@ class Rank:
         self.sim: Simulator = runtime.sim
         self.rank_id = site.rank
         self.device = site.device
-        self.trace = Trace()
+        self.trace = Trace(self.sim)
         self.scheme: PackingScheme = scheme_factory(site, self.trace)
+        #: the rank's row on the event stream: cost spans, fusion and
+        #: request lifecycle events, RTS instants
+        self.trace.track = f"{self.scheme.name}/rank{self.rank_id}"
         self.matching = MatchingEngine(self.rank_id)
         #: serializes all CPU work of this rank (single-threaded progress)
         self.cpu = Resource(self.sim, capacity=1, name=f"r{self.rank_id}:cpu")

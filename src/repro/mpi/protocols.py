@@ -124,7 +124,8 @@ def arm_control_watchdog(
             runtime.recovery.rts_retransmits += 1
             if sim.obs.enabled:
                 sim.obs.instant(
-                    "proto", "rts-retransmit", sim.now, msg=record.seq,
+                    "proto", "rts-retransmit", sim.now,
+                    track=rank.trace.track, msg=record.seq,
                 )
             runtime._deliver_envelope(record)
             rto = min(rto * 2.0, WATCHDOG_BACKOFF_CAP * base_rto)
@@ -145,7 +146,7 @@ def _note_rts(rank: "Rank", record: MessageRecord) -> None:
     if obs.enabled:
         obs.instant(
             "proto", "rts", rank.sim.now,
-            track=f"rank{record.source}",
+            track=rank.trace.track,
             msg=record.seq, dest=record.dest, protocol=record.protocol,
         )
 

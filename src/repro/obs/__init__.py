@@ -4,9 +4,9 @@ One observability layer for the whole reproduction:
 
 * :mod:`repro.obs.metrics`  — counters / gauges / fixed-bucket
   histograms with labeled children, snapshot/diff, Prometheus text;
-* :mod:`repro.obs.recorder` — unified span/event stream (cost buckets,
-  request lifecycles, handshakes, recovery actions) exportable as
-  Chrome ``trace.json`` and JSONL;
+* :mod:`repro.obs.recorder` — the one span/event stream (cost buckets,
+  request lifecycles, RTS handshakes and retransmissions, link
+  transfers) exportable as Chrome ``trace.json`` and JSONL;
 * :mod:`repro.obs.observer` — the ``sim.obs`` facade; a
   :class:`NullObserver` keeps disabled telemetry a strict no-op on the
   simulated timeline;

@@ -1,16 +1,16 @@
 """Unified span/event recorder.
 
 One stream for everything that *happens* during a run: the Fig.-11 cost
-buckets charged by schemes (absorbed from
-:class:`~repro.sim.trace.Trace`), per-request fusion lifecycle spans
-(enqueue → fuse → launch → complete), RTS/CTS rendezvous handshakes,
-and fault/recovery actions.  PR 1 left these in three disjoint places
-(``Trace`` spans, chrome-trace re-rendering, ad-hoc recovery
-dataclasses); the recorder is the single stream they all flow into.
+buckets, recorded by :meth:`~repro.sim.trace.Trace.charge` at the
+moment a scheme charges them, per-request fusion lifecycle spans
+(enqueue → fuse → launch → complete), rendezvous RTS instants and
+their watchdog retransmissions, and link transfers.  The recorder is
+the only place individual spans are kept; nothing copies them in
+after the fact.
 
 Events carry a *track* (rendered as a Chrome-trace process row — one
-per rank or per scheme/rank) and a *category* (rendered as a thread
-row).  Exports:
+per rank, ``<scheme>/rank<n>``, or per link) and a *category*
+(rendered as a thread row).  Exports:
 
 * :meth:`Recorder.export_chrome_trace` — ``chrome://tracing`` /
   Perfetto JSON, spans as complete ('X') events, instants as 'i';
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["ObsEvent", "Recorder", "NullRecorder"]
 
@@ -49,7 +49,7 @@ class ObsEvent:
 
     @property
     def end(self) -> float:
-        """Span end time (== ``ts`` for instants)."""
+        """End time of the interval (== ``ts`` for instants)."""
         return self.ts + self.dur
 
 
@@ -100,25 +100,6 @@ class Recorder:
             )
         )
 
-    def absorb_trace(self, track: str, trace) -> int:
-        """Fold a :class:`~repro.sim.trace.Trace`'s spans into the stream.
-
-        Returns the number of spans absorbed.  ``trace`` is duck-typed
-        (anything with ``.spans`` of category/start/end/label) so this
-        module stays import-free of :mod:`repro.sim`.
-        """
-        n = 0
-        for span in trace.spans:
-            self.span(
-                str(span.category),
-                span.label or str(span.category),
-                span.start,
-                span.end,
-                track=track,
-            )
-            n += 1
-        return n
-
     def clear(self) -> None:
         """Drop every recorded event."""
         self.events.clear()
@@ -126,10 +107,6 @@ class Recorder:
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
         return len(self.events)
-
-    def iter_category(self, category: str) -> Iterator[ObsEvent]:
-        """Events of one category in record order."""
-        return (e for e in self.events if e.category == category)
 
     def tracks(self) -> List[str]:
         """Distinct track names in first-appearance order."""
@@ -143,7 +120,7 @@ class Recorder:
         """Chrome ``traceEvents`` list (times in µs, sorted by ``ts``).
 
         Tracks map to process rows, categories to thread rows; metadata
-        events name both.  Span events are emitted in non-decreasing
+        events name both.  'X' and 'i' events are emitted in non-decreasing
         ``ts`` order (asserted by the round-trip tests).
         """
         pids = {track: i for i, track in enumerate(self.tracks())}
@@ -227,6 +204,3 @@ class NullRecorder(Recorder):
 
     def instant(self, category, name, ts, track="", **args) -> None:
         return None
-
-    def absorb_trace(self, track, trace) -> int:
-        return 0

@@ -105,7 +105,7 @@ class PackingScheme(ABC):
     def __init__(self, site: RankSite, trace: Optional[Trace] = None):
         self.site = site
         self.sim: Simulator = site.device.sim
-        self.trace = trace if trace is not None else Trace()
+        self.trace = trace if trace is not None else Trace(self.sim)
         #: handles submitted and not yet retired (for diagnostics)
         self.outstanding: List[OpHandle] = []
         #: per-operation kernel-launch driver calls

@@ -23,7 +23,7 @@ from .resources import Channel, Resource, Store
 from .faults import FAULT_PRESETS, FaultError, FaultPlan, FaultSpec, FaultStats
 from .noise import NoiseModel
 from .timeline import render_timeline
-from .trace import Category, Span, Trace
+from .trace import Category, Trace
 
 __all__ = [
     "Simulator",
@@ -39,7 +39,6 @@ __all__ = [
     "Store",
     "Channel",
     "Category",
-    "Span",
     "Trace",
     "render_timeline",
     "NoiseModel",

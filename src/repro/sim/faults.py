@@ -23,7 +23,8 @@ The headline invariant (see DESIGN.md): **faults may cost time, never
 correctness** — under any valid :class:`FaultSpec`, every scheme still
 delivers byte-identical receive buffers; retries, watchdogs, and the
 scheduler's graceful-degradation ladder absorb the damage and report it
-through stats and the :class:`~repro.sim.trace.Trace`.
+through counters on the objects that recovered and through the time
+they charge to the rank's :class:`~repro.sim.trace.Trace`.
 
 Retried fault kinds (``transfer_failure``, ``control_drop``,
 ``launch_failure``) are capped at :data:`MAX_RETRIED_PROBABILITY` so

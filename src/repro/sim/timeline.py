@@ -1,13 +1,16 @@
-"""ASCII timeline rendering of trace spans (developer tooling).
+"""ASCII timeline rendering of cost spans (developer tooling).
 
-Turns a :class:`~repro.sim.trace.Trace` into a per-category Gantt-style
-text chart, so scheme behaviour is inspectable without a profiler:
+Turns the Fig.-11 cost spans of a recorded event stream (the
+:class:`~repro.obs.recorder.ObsEvent` spans that
+:meth:`~repro.sim.trace.Trace.charge` records) into a per-category
+Gantt-style text chart, so scheme behaviour is inspectable without a
+profiler:
 
     pack   |  ####      ##### |
     launch |##   ###          |
     comm   |      ============|
 
-Used by the examples and handy when calibrating cost models; rendering
+Used by ``repro timeline`` and handy when calibrating cost models; rendering
 is deterministic so it is also asserted in tests.
 """
 
@@ -15,7 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .trace import Category, Trace
+from ..obs.recorder import ObsEvent
+from .trace import Category
 
 __all__ = ["render_timeline"]
 
@@ -30,39 +34,41 @@ _GLYPH = {
 
 
 def render_timeline(
-    trace: Trace,
+    events: Iterable[ObsEvent],
     *,
     width: int = 72,
     start: Optional[float] = None,
     end: Optional[float] = None,
     categories: Optional[Iterable[Category]] = None,
 ) -> str:
-    """Render ``trace`` as one text row per category.
+    """Render the cost spans among ``events`` as one text row per category.
 
-    ``start``/``end`` default to the span extremes; spans shorter than
-    a character cell still paint one glyph (so µs-scale costs remain
-    visible on ms-scale charts).
+    Events outside the Fig.-11 buckets (fusion, protocol, link, ...)
+    and instants are skipped.  ``start``/``end`` default to the span
+    extremes; spans shorter than a character cell still paint one
+    glyph (so µs-scale costs remain visible on ms-scale charts).
     """
     if width < 8:
         raise ValueError(f"width must be >= 8, got {width}")
-    spans = trace.spans
+    # Category is a str enum, so a bucket's name finds its glyph.
+    spans = [e for e in events if e.category in _GLYPH and not e.instant]
     if not spans:
         return "(empty trace)"
-    lo = min(s.start for s in spans) if start is None else start
+    lo = min(s.ts for s in spans) if start is None else start
     hi = max(s.end for s in spans) if end is None else end
     if hi <= lo:
         hi = lo + 1e-9
     scale = width / (hi - lo)
     cats = list(categories) if categories is not None else [
-        c for c in Category if any(s.category is c for s in spans)
+        c for c in Category if any(s.category == c for s in spans)
     ]
     label_w = max(len(c.value) for c in cats) + 1
 
     rows = []
     for cat in cats:
         cells = [" "] * width
-        for span in trace.iter_category(cat):
-            a = max(0, min(width - 1, int((span.start - lo) * scale)))
+        for span in (s for s in spans if s.category == cat):
+            a = max(0, min(width - 1, int((span.ts - lo) * scale)))
             b = max(a, min(width - 1, int((span.end - lo) * scale - 1e-12)))
             for i in range(a, b + 1):
                 cells[i] = _GLYPH[cat]

@@ -14,18 +14,20 @@ transfer into five buckets:
 5. ``COMM``   — *observed* communication time, i.e. wire time that was
    not hidden behind packing/unpacking.
 
-Schemes charge time to buckets explicitly through a :class:`Trace`
-carried by the benchmark harness; the harness prints per-bucket totals
-in the same shape as the paper's stacked bars.
+Schemes charge time to buckets through their rank's :class:`Trace`,
+which keeps the per-bucket totals the harness prints as the paper's
+stacked bars; with telemetry on, each charge is also one span on the
+event stream (``sim.obs``), the only place spans are kept.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict
 
-__all__ = ["Category", "Span", "Trace"]
+from .engine import Simulator
+
+__all__ = ["Category", "Trace"]
 
 
 class Category(str, enum.Enum):
@@ -42,38 +44,21 @@ class Category(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Span:
-    """A single charged interval.
-
-    ``start``/``end`` are simulation times in seconds; ``label`` is a
-    free-form tag (e.g. the workload buffer index) used by tests.
-    """
-
-    category: Category
-    start: float
-    end: float
-    label: str = ""
-
-    @property
-    def duration(self) -> float:
-        """Length of the span in seconds."""
-        return self.end - self.start
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"span ends before it starts: {self}")
-
-
-@dataclass
 class Trace:
-    """Accumulator of charged :class:`Span` intervals.
+    """One rank's Fig.-11 accumulator: per-category charged totals.
 
-    A fresh trace is attached per benchmark iteration; totals are read
-    through :meth:`total` / :meth:`breakdown`.
+    ``track`` names the rank's row on the event stream (e.g.
+    ``"Proposed/rank0"``).  The harness clears the totals when the
+    warm-up ends and reads them through :meth:`total` /
+    :meth:`breakdown`.
     """
 
-    spans: List[Span] = field(default_factory=list)
+    __slots__ = ("sim", "track", "_totals")
+
+    def __init__(self, sim: Simulator, track: str = "") -> None:
+        self.sim = sim
+        self.track = track
+        self._totals: Dict[Category, float] = dict.fromkeys(Category, 0.0)
 
     def charge(
         self,
@@ -82,26 +67,26 @@ class Trace:
         end: float,
         label: str = "",
     ) -> None:
-        """Record a charged interval ``[start, end]`` in ``category``."""
-        self.spans.append(Span(category, start, end, label))
+        """Charge the interval ``[start, end]`` to ``category``."""
+        if end < start:
+            raise ValueError(
+                f"{category} charge {label!r} ends before it starts: {start}..{end}"
+            )
+        self._totals[category] += end - start
+        obs = self.sim.obs
+        if obs.enabled:
+            obs.span(
+                str(category), label or str(category), start, end, track=self.track
+            )
 
-    def total(self, category: Optional[Category] = None) -> float:
-        """Sum of charged durations, optionally restricted to a category."""
-        if category is None:
-            return sum(s.duration for s in self.spans)
-        return sum(s.duration for s in self.spans if s.category is category)
+    def total(self, category: Category) -> float:
+        """Total charged to ``category``."""
+        return self._totals[category]
 
     def breakdown(self) -> Dict[Category, float]:
         """Per-category totals for every category (zeros included)."""
-        out = {cat: 0.0 for cat in Category}
-        for span in self.spans:
-            out[span.category] += span.duration
-        return out
-
-    def iter_category(self, category: Category) -> Iterator[Span]:
-        """Iterate spans of one category in charge order."""
-        return (s for s in self.spans if s.category is category)
+        return dict(self._totals)
 
     def clear(self) -> None:
-        """Drop all recorded spans."""
-        self.spans.clear()
+        """Reset every total to zero."""
+        self._totals = dict.fromkeys(Category, 0.0)

@@ -63,6 +63,40 @@ def test_timeline_command(capsys):
     assert "|" in out  # a rendered chart
 
 
+def _timeline(capsys, *flags):
+    argv = [
+        "timeline", "--scheme", "GPU-Sync", "--workload", "NAS_MG",
+        "--dim", "32", "--nbuffers", "2", "--iterations", "2", *flags,
+    ]
+    assert main(argv) == 0
+    return build_parser().parse_args(argv), capsys.readouterr().out
+
+
+def test_timeline_charts_the_run_it_reports(capsys):
+    """The chart is drawn from the reported run itself: noise moves it,
+    and its window ends where that run's last rank-0 cost span ends."""
+    from repro.bench import run_bulk_exchange
+    from repro.cli import _experiment_config
+    from repro.obs import Observer
+    from repro.sim import Category
+
+    charts = {}
+    for noise in ("0", "0.5"):
+        args, out = _timeline(capsys, "--noise", noise)
+        latency, chart = out.split("\n\n", 1)
+        charts[noise] = chart
+        obs = Observer()
+        run_bulk_exchange(_experiment_config(args, "GPU-Sync"), obs=obs)
+        buckets = {c.value for c in Category}
+        end = max(
+            e.end for e in obs.recorder.events
+            if e.track == "GPU-Sync/rank0" and e.category in buckets
+        )
+        header = chart.splitlines()[0]
+        assert header.rstrip().endswith(f"{end * 1e6:.1f}us"), (header, end)
+    assert charts["0"] != charts["0.5"]
+
+
 def test_autotune_command(capsys):
     rc = main([
         "autotune", "--workload", "NAS_MG", "--dim", "64", "--nbuffers", "4",

@@ -35,7 +35,7 @@ def test_fusion_never_loses_or_duplicates(ops, threshold_kib, capacity):
     site = cluster.site(0)
     scheme = KernelFusionScheme(
         site,
-        Trace(),
+        Trace(sim),
         policy=FusionPolicy(threshold_bytes=threshold_kib * 1024),
         capacity=capacity,
     )

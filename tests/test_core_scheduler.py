@@ -150,7 +150,7 @@ def test_fused_kernel_occupies_stream(env):
 
 def test_scheduler_enqueue_returns_request(env):
     sim, site = env
-    sched = FusionScheduler(site, Trace(), FusionPolicy(threshold_bytes=1 << 30))
+    sched = FusionScheduler(site, Trace(sim), FusionPolicy(threshold_bytes=1 << 30))
     req = _drive(sim, sched.enqueue(_op(site)[0]))
     assert req is not None and req.uid == 0
     assert sched.pending_count == 1
@@ -159,7 +159,7 @@ def test_scheduler_enqueue_returns_request(env):
 
 def test_scheduler_enqueue_charges_sched_bucket(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     sched = FusionScheduler(site, trace, FusionPolicy(threshold_bytes=1 << 30))
     _drive(sim, sched.enqueue(_op(site)[0]))
     assert trace.total(Category.SCHED) == pytest.approx(sched.enqueue_overhead)
@@ -168,7 +168,7 @@ def test_scheduler_enqueue_charges_sched_bucket(env):
 def test_scheduler_threshold_triggers_launch(env):
     sim, site = env
     sched = FusionScheduler(
-        site, Trace(), FusionPolicy(threshold_bytes=12 * 1024, min_batch_requests=2)
+        site, Trace(sim), FusionPolicy(threshold_bytes=12 * 1024, min_batch_requests=2)
     )
     _drive(sim, sched.enqueue(_op(site, nbytes=8 * 1024)[0]))
     assert sched.stats.launches == 0
@@ -181,7 +181,7 @@ def test_scheduler_threshold_triggers_launch(env):
 
 def test_scheduler_flush_launches_pending(env):
     sim, site = env
-    sched = FusionScheduler(site, Trace(), FusionPolicy(threshold_bytes=1 << 30))
+    sched = FusionScheduler(site, Trace(sim), FusionPolicy(threshold_bytes=1 << 30))
     _drive(sim, sched.enqueue(_op(site)[0]))
     _drive(sim, sched.flush())
     assert sched.stats.flush_launches == 1
@@ -190,14 +190,14 @@ def test_scheduler_flush_launches_pending(env):
 
 def test_scheduler_flush_empty_noop(env):
     sim, site = env
-    sched = FusionScheduler(site, Trace(), FusionPolicy())
+    sched = FusionScheduler(site, Trace(sim), FusionPolicy())
     _drive(sim, sched.flush())
     assert sched.stats.launches == 0
 
 
 def test_scheduler_launch_charges_single_launch_overhead(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     sched = FusionScheduler(site, trace, FusionPolicy(threshold_bytes=1 << 30))
     for _ in range(6):
         _drive(sim, sched.enqueue(_op(site)[0]))
@@ -210,7 +210,7 @@ def test_scheduler_launch_charges_single_launch_overhead(env):
 
 def test_scheduler_query_by_uid(env):
     sim, site = env
-    sched = FusionScheduler(site, Trace(), FusionPolicy(threshold_bytes=1 << 30))
+    sched = FusionScheduler(site, Trace(sim), FusionPolicy(threshold_bytes=1 << 30))
     req = _drive(sim, sched.enqueue(_op(site)[0]))
     assert not sched.query(req.uid)
     _drive(sim, sched.flush())
@@ -224,7 +224,7 @@ def test_scheduler_query_by_uid(env):
 def test_scheduler_fallback_when_full(env):
     sim, site = env
     sched = FusionScheduler(
-        site, Trace(), FusionPolicy(threshold_bytes=1 << 30), capacity=2
+        site, Trace(sim), FusionPolicy(threshold_bytes=1 << 30), capacity=2
     )
     assert _drive(sim, sched.enqueue(_op(site)[0])) is not None
     assert _drive(sim, sched.enqueue(_op(site)[0])) is not None

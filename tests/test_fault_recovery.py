@@ -220,7 +220,7 @@ def _op(site, nbytes=8192, blocks=32, seed=0):
 
 def _sched(site, trace=None, **kwargs):
     return FusionScheduler(
-        site, trace if trace is not None else Trace(),
+        site, trace if trace is not None else Trace(site.device.sim),
         FusionPolicy(threshold_bytes=1 << 30), **kwargs
     )
 
@@ -315,7 +315,7 @@ def test_scheme_launch_retry_on_driver_failure(env):
 
     sim, site = env
     sim.faults = ForcedFaults(launch=[True, True, False])
-    scheme = SCHEME_REGISTRY["GPU-Sync"](site, Trace())
+    scheme = SCHEME_REGISTRY["GPU-Sync"](site, Trace(sim))
     op = _op(site)
 
     def proc():
@@ -332,7 +332,7 @@ def test_scheme_launch_clean_path_single_charge(env):
     from repro.sim import Category
 
     sim, site = env
-    scheme = SCHEME_REGISTRY["GPU-Sync"](site, Trace())
+    scheme = SCHEME_REGISTRY["GPU-Sync"](site, Trace(sim))
     op = _op(site)
 
     def proc():
@@ -402,7 +402,7 @@ def test_ring_full_then_flush_and_reap_recovers(env):
     accepts work again."""
     sim, site = env
     sched = FusionScheduler(
-        site, Trace(), FusionPolicy(threshold_bytes=1 << 30), capacity=2
+        site, Trace(sim), FusionPolicy(threshold_bytes=1 << 30), capacity=2
     )
     first = [_drive(sim, sched.enqueue(_op(site, seed=i))) for i in range(2)]
     assert all(r is not None for r in first)

@@ -8,7 +8,10 @@ import pytest
 from repro.bench import run_bulk_exchange, runner
 from repro.config import ExperimentConfig, FaultsCfg
 from repro.obs import NULL_OBSERVER, METRIC_CATALOG, NullObserver, Observer
-from repro.sim import Simulator
+from repro.sim import Category, Simulator, Trace
+
+#: event categories of the Fig.-11 cost spans
+BUCKETS = {c.value for c in Category}
 
 RUN = ExperimentConfig().with_overrides(
     {"workload.dim": 200, "workload.nbuffers": 4, "harness.iterations": 2}
@@ -119,10 +122,79 @@ def test_recorder_captures_request_lifecycle_and_rank_traces():
     assert "request" in cats      # uid lifecycle spans
     assert "fusion" in cats       # enqueue instants / queued spans
     assert "link" in cats         # transfer spans
-    # the runner absorbs each rank's cost-bucket trace onto the stream
+    # each rank's cost charges land on that rank's own track
     tracks = obs.recorder.tracks()
     assert f"{result.scheme}/rank0" in tracks
     assert f"{result.scheme}/rank1" in tracks
+
+
+def _heavy_rendezvous_run(obs):
+    """A wet Proposed run under heavy faults, every message rendezvous."""
+    cfg = RUN.with_overrides(
+        {"protocol.eager_threshold": 0, "harness.iterations": 3,
+         "harness.data_plane": True}
+    )
+    return run_bulk_exchange(
+        replace(cfg, faults=FaultsCfg(preset="heavy", seed=11)), obs=obs
+    )
+
+
+def test_every_rank_event_sits_on_its_rank_track():
+    """Under heavy faults every rank-side event family fires; each one
+    is recorded on its rank's track, never on an empty one."""
+    obs = Observer()
+    result = _heavy_rendezvous_run(obs)
+    events = obs.recorder.events
+    assert result.recovery.rts_retransmits > 0
+    assert {e.name for e in events} >= {"enqueue", "queued", "rts", "rts-retransmit"}
+    assert all(e.track for e in events)
+    ranks = {f"{result.scheme}/rank{n}" for n in (0, 1)}
+    for category in ("fusion", "request", "proto", *BUCKETS - {"comm", "other"}):
+        assert {e.track for e in events if e.category == category} == ranks, category
+
+
+def test_recorder_holds_one_cost_event_per_charge(monkeypatch):
+    """Each ``Trace.charge`` puts exactly one span on the stream, in
+    charge order; nothing else adds or copies cost spans."""
+    charges, charge = [], Trace.charge
+
+    def counted(self, category, start, end, label=""):
+        charges.append((self.track, str(category), start, end - start))
+        charge(self, category, start, end, label)
+
+    monkeypatch.setattr(Trace, "charge", counted)
+    obs = Observer()
+    _heavy_rendezvous_run(obs)
+    recorded = [
+        (e.track, e.category, e.ts, e.dur)
+        for e in obs.recorder.events if e.category in BUCKETS
+    ]
+    assert len(charges) > 0
+    assert recorded == charges
+
+
+@pytest.mark.parametrize(
+    "scheme", ["GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed"]
+)
+def test_breakdown_equals_the_recorded_cost_spans(scheme):
+    """The Fig.-11 breakdown and the recorded cost spans are two views
+    of the same charges: summed in record order per rank, averaged
+    over ranks and iterations, they agree exactly."""
+    obs = Observer()
+    cfg = RUN.with_overrides({"scheme.name": scheme, "harness.warmup": 0})
+    result = run_bulk_exchange(cfg, obs=obs)
+    for cat in Category:
+        if cat is Category.COMM:
+            continue  # the residual of the latency, never charged
+        per_rank = []
+        for n in (0, 1):
+            total = 0.0
+            for e in obs.recorder.events:
+                if e.track == f"{result.scheme}/rank{n}" and e.category == cat.value:
+                    total += e.dur
+            per_rank.append(total)
+        expected = sum(per_rank) / len(per_rank) / cfg.harness.iterations
+        assert expected == result.breakdown[cat], cat
 
 
 def test_const_labels_tag_every_series():

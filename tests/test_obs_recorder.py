@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs import NullRecorder, Recorder
-from repro.sim.trace import Category, Trace
 
 
 def _sample() -> Recorder:
@@ -25,17 +24,6 @@ def test_span_rejects_negative_duration():
 
 def test_tracks_first_appearance_order():
     assert _sample().tracks() == ["rank0", "ib0"]
-
-
-def test_absorb_trace_folds_cost_buckets():
-    trace = Trace()
-    trace.charge(Category.PACK, 0.0, 1e-6, label="pack")
-    trace.charge(Category.LAUNCH, 1e-6, 2e-6)
-    rec = Recorder()
-    assert rec.absorb_trace("Proposed/rank0", trace) == 2
-    cats = {e.category for e in rec.events}
-    assert cats == {str(Category.PACK), str(Category.LAUNCH)}
-    assert all(e.track == "Proposed/rank0" for e in rec.events)
 
 
 def test_chrome_trace_round_trip(tmp_path):
@@ -85,8 +73,5 @@ def test_null_recorder_is_a_no_op():
     rec = NullRecorder()
     rec.span("x", "s", 0.0, 1.0)
     rec.instant("x", "i", 0.5)
-    trace = Trace()
-    trace.charge(Category.PACK, 0.0, 1e-6)
-    assert rec.absorb_trace("t", trace) == 0
     assert len(rec) == 0
     assert rec.enabled is False

@@ -66,7 +66,7 @@ def _submit(sim, scheme, op):
 
 def test_gpu_sync_blocking_and_buckets(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     scheme = GPUSyncScheme(site, trace)
     op, src, dst, lay = _sparse_op(site)
     handle = _submit(sim, scheme, op)
@@ -80,7 +80,7 @@ def test_gpu_sync_blocking_and_buckets(env):
 
 def test_gpu_sync_serializes_submissions(env):
     sim, site = env
-    scheme = GPUSyncScheme(site, Trace())
+    scheme = GPUSyncScheme(site, Trace(sim))
     ops = [_sparse_op(site, seed=i)[0] for i in range(4)]
 
     def proc():
@@ -98,7 +98,7 @@ def test_gpu_sync_serializes_submissions(env):
 
 def test_gpu_async_nonblocking_submit(env):
     sim, site = env
-    scheme = GPUAsyncScheme(site, Trace())
+    scheme = GPUAsyncScheme(site, Trace(sim))
     op, *_ = _sparse_op(site)
     out = {}
 
@@ -122,7 +122,7 @@ def test_gpu_async_nonblocking_submit(env):
 def test_gpu_async_discovery_requires_progress(env):
     """Completion is invisible until a query sweep runs."""
     sim, site = env
-    scheme = GPUAsyncScheme(site, Trace())
+    scheme = GPUAsyncScheme(site, Trace(sim))
     op, *_ = _sparse_op(site)
     out = {}
 
@@ -141,7 +141,7 @@ def test_gpu_async_discovery_requires_progress(env):
 
 def test_gpu_async_query_costs_scale_with_outstanding(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     scheme = GPUAsyncScheme(site, trace)
     ops = [_sparse_op(site, seed=i)[0] for i in range(4)]
 
@@ -165,7 +165,7 @@ def test_gpu_async_pipeline_chunk_validation(env):
 
 def test_gpu_async_moves_bytes(env):
     sim, site = env
-    scheme = GPUAsyncScheme(site, Trace())
+    scheme = GPUAsyncScheme(site, Trace(sim))
     op, src, dst, lay = _sparse_op(site)
     _submit(sim, scheme, op)
     assert np.array_equal(dst.data[: lay.size], src.data[lay.gather_index()])
@@ -176,7 +176,7 @@ def test_gpu_async_moves_bytes(env):
 
 def test_hybrid_cpu_path_for_small_dense(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     scheme = CPUGPUHybridScheme(site, trace)
     op, src, dst, lay = _dense_op(site, nbytes=8192)
     handle = _submit(sim, scheme, op)
@@ -188,7 +188,7 @@ def test_hybrid_cpu_path_for_small_dense(env):
 
 def test_hybrid_gpu_path_for_sparse(env):
     sim, site = env
-    scheme = CPUGPUHybridScheme(site, Trace())
+    scheme = CPUGPUHybridScheme(site, Trace(sim))
     op, *_ = _sparse_op(site, nbytes=16384, blocks=512)  # blocks > limit
     _submit(sim, scheme, op)
     assert scheme.gpu_path_count == 1 and scheme.cpu_path_count == 0
@@ -196,7 +196,7 @@ def test_hybrid_gpu_path_for_sparse(env):
 
 def test_hybrid_without_gdrcopy_always_gpu(env):
     sim, site = env
-    scheme = CPUGPUHybridScheme(site, Trace(), gdrcopy_available=False)
+    scheme = CPUGPUHybridScheme(site, Trace(sim), gdrcopy_available=False)
     op, *_ = _dense_op(site)
     _submit(sim, scheme, op)
     assert scheme.gpu_path_count == 1
@@ -204,7 +204,7 @@ def test_hybrid_without_gdrcopy_always_gpu(env):
 
 def test_hybrid_host_copy_time_formula(env):
     _sim, site = env
-    scheme = CPUGPUHybridScheme(site, Trace())
+    scheme = CPUGPUHybridScheme(site, Trace(site.device.sim))
     op, *_ = _dense_op(site, nbytes=8192)
     arch = site.device.arch
     expected = op.num_blocks * arch.host_block_cost + op.nbytes / arch.host_mapped_bandwidth
@@ -213,7 +213,7 @@ def test_hybrid_host_copy_time_formula(env):
 
 def test_mvapich_has_extra_software_overhead(env):
     sim, site = env
-    t1, t2 = Trace(), Trace()
+    t1, t2 = Trace(sim), Trace(sim)
     plain = CPUGPUHybridScheme(site, t1)
     prod = MVAPICHAdaptiveScheme(site, t2)
     assert prod.software_overhead > plain.software_overhead
@@ -225,7 +225,7 @@ def test_mvapich_has_extra_software_overhead(env):
 
 def test_naive_cost_scales_with_block_count(env):
     _sim, site = env
-    scheme = NaiveCopyScheme(site, Trace())
+    scheme = NaiveCopyScheme(site, Trace(site.device.sim))
     few, *_ = _dense_op(site)
     many, *_ = _sparse_op(site, blocks=512)
     assert scheme.copy_issue_time(many) > 100 * scheme.copy_issue_time(few)
@@ -233,7 +233,7 @@ def test_naive_cost_scales_with_block_count(env):
 
 def test_naive_moves_bytes_and_charges_launch(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     scheme = NaiveCopyScheme(site, trace)
     op, src, dst, lay = _sparse_op(site, blocks=64)
     _submit(sim, scheme, op)
@@ -255,7 +255,7 @@ def test_naive_per_copy_factor(env):
 
 def test_fusion_submit_is_cheap_and_deferred(env):
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     scheme = KernelFusionScheme(site, trace, policy=FusionPolicy(threshold_bytes=1 << 30))
     op, *_ = _sparse_op(site)
     out = {}
@@ -277,7 +277,7 @@ def test_fusion_submit_is_cheap_and_deferred(env):
 def test_fusion_fallback_on_full_list(env):
     sim, site = env
     scheme = KernelFusionScheme(
-        site, Trace(), policy=FusionPolicy(threshold_bytes=1 << 30), capacity=1
+        site, Trace(sim), policy=FusionPolicy(threshold_bytes=1 << 30), capacity=1
     )
     ops = [_sparse_op(site, seed=i)[0] for i in range(2)]
     out = {}
@@ -297,7 +297,7 @@ def test_fusion_fallback_on_full_list(env):
 
 def test_fusion_moves_bytes_for_all_requests(env):
     sim, site = env
-    scheme = KernelFusionScheme(site, Trace())
+    scheme = KernelFusionScheme(site, Trace(sim))
     triples = [_sparse_op(site, seed=i) for i in range(6)]
 
     def proc():
@@ -316,7 +316,7 @@ def test_fusion_moves_bytes_for_all_requests(env):
 def test_fusion_scheduler_overhead_about_2us_per_message(env):
     """§V-B: 'scheduling overhead ... as low as 2 us per message'."""
     sim, site = env
-    trace = Trace()
+    trace = Trace(sim)
     scheme = KernelFusionScheme(site, trace)
     ops = [_sparse_op(site, seed=i)[0] for i in range(8)]
 
@@ -346,7 +346,7 @@ def test_registry_contains_all_schemes():
 def test_make_scheme_factory_with_overrides(env):
     _sim, site = env
     factory = make_scheme_factory(SchemeCfg(name="GPU-Async", options={"num_streams": 2}))
-    scheme = factory(site, Trace())
+    scheme = factory(site, Trace(site.device.sim))
     assert len(scheme.streams) == 2
 
 
@@ -360,7 +360,7 @@ def test_make_scheme_factory_fusion_override_builds_fusion_scheme(env):
     factory = make_scheme_factory(
         SchemeCfg(name="Proposed", fusion=FusionCfg(capacity=4))
     )
-    scheme = factory(site, Trace())
+    scheme = factory(site, Trace(site.device.sim))
     assert isinstance(scheme, KernelFusionScheme)
     assert scheme.scheduler.request_list.capacity == 4
 
@@ -369,7 +369,7 @@ def test_make_scheme_factory_proposed_options_build_fusion_scheme(env):
     """Constructor options on 'Proposed' name a fusion variant too."""
     _sim, site = env
     cfg = SchemeCfg(name="Proposed", options={"idle_linger": 0.0})
-    scheme = make_scheme_factory(cfg)(site, Trace())
+    scheme = make_scheme_factory(cfg)(site, Trace(site.device.sim))
     assert scheme.idle_linger == 0.0
     assert scheme.name == "Proposed"
     assert make_scheme_factory(SchemeCfg()) is SCHEME_REGISTRY["Proposed"]

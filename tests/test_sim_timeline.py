@@ -2,19 +2,41 @@
 
 import pytest
 
-from repro.sim import Category, Trace, render_timeline
+from repro.obs import Observer, Recorder
+from repro.sim import Category, Simulator, Trace, render_timeline
 
 
-def _trace():
-    t = Trace()
-    t.charge(Category.LAUNCH, 0.0, 10e-6)
-    t.charge(Category.PACK, 10e-6, 30e-6)
-    t.charge(Category.COMM, 30e-6, 100e-6)
-    return t
+def _recorder(*tracks, charges=None):
+    """A recorder holding the given charges once per track."""
+    rec = Recorder()
+    sim = Simulator()
+    sim.obs = Observer(recorder=rec)
+    for track in tracks:
+        t = Trace(sim, track)
+        for cat, start, end in charges or [
+            (Category.LAUNCH, 0.0, 10e-6),
+            (Category.PACK, 10e-6, 30e-6),
+            (Category.COMM, 30e-6, 100e-6),
+        ]:
+            t.charge(cat, start, end)
+    return rec
+
+
+def _trace(**kwargs):
+    return _recorder("rank0", **kwargs).events
 
 
 def test_empty_trace():
-    assert render_timeline(Trace()) == "(empty trace)"
+    assert render_timeline([]) == "(empty trace)"
+
+
+def test_non_cost_events_are_skipped():
+    rec = Recorder()
+    rec.span("fusion", "queued", 0.0, 1e-6, track="rank0")
+    rec.instant("proto", "rts", 0.0, track="rank0")
+    assert render_timeline(rec.events) == "(empty trace)"
+    events = rec.events + _trace()
+    assert render_timeline(events) == render_timeline(_trace())
 
 
 def test_rows_per_present_category():
@@ -37,9 +59,7 @@ def test_glyph_placement_proportional():
 
 
 def test_tiny_span_still_visible():
-    t = Trace()
-    t.charge(Category.SYNC, 0.0, 1e-9)
-    t.charge(Category.COMM, 0.0, 1e-3)
+    t = _trace(charges=[(Category.SYNC, 0.0, 1e-9), (Category.COMM, 0.0, 1e-3)])
     text = render_timeline(t, width=40)
     sync_row = next(ln for ln in text.splitlines() if ln.startswith("sync"))
     assert "y" in sync_row
@@ -66,17 +86,8 @@ def test_header_shows_bounds():
 # -- Chrome trace export (through the recorder) --------------------------------
 
 
-def _recorder(**traces):
-    from repro.obs import Recorder
-
-    rec = Recorder()
-    for track, trace in traces.items():
-        rec.absorb_trace(track, trace)
-    return rec
-
-
 def test_chrome_trace_events_structure():
-    events = _recorder(rank0=_trace()).chrome_trace_events()
+    events = _recorder("rank0").chrome_trace_events()
     span_events = [e for e in events if e.get("ph") == "X"]
     assert len(span_events) == 3
     launch = next(e for e in span_events if e["cat"] == "launch")
@@ -94,7 +105,7 @@ def test_export_chrome_trace_file(tmp_path):
     import json
 
     path = tmp_path / "t.json"
-    count = _recorder(trace=_trace()).export_chrome_trace(str(path))
+    count = _recorder("trace").export_chrome_trace(str(path))
     assert count == 3
     loaded = json.loads(path.read_text())
     assert "traceEvents" in loaded
@@ -102,7 +113,7 @@ def test_export_chrome_trace_file(tmp_path):
 
 
 def test_export_multiple_ranks(tmp_path):
-    rec = _recorder(r0=_trace(), r1=_trace())
+    rec = _recorder("r0", "r1")
     assert rec.tracks() == ["r0", "r1"]
     count = rec.export_chrome_trace(str(tmp_path / "two.json"))
     assert count == 6
