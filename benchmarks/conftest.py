@@ -111,22 +111,13 @@ def best_speedup(results, scheme: str, over: str) -> float:
 
 @pytest.fixture()
 def artifact(results_dir):
-    """Write a versioned ``BENCH_<name>.json`` under the results dir.
+    """Write an executed :class:`FigureRun`'s versioned
+    ``BENCH_<experiment>.json`` under the results dir."""
+    from repro.obs import artifact_path, write_bench_artifact
 
-    Accepts either an executed :class:`FigureRun` (the figure drivers)
-    or the legacy ``(name, entries)`` / ``(name, data=...)`` form used
-    by the non-figure benchmarks.
-    """
-    from repro.obs import artifact_path, experiment_artifact, write_bench_artifact
-
-    def emit(run_or_name, entries=(), *, data=None, meta=None) -> str:
-        if isinstance(run_or_name, FigureRun):
-            name = run_or_name.experiment
-            doc = run_or_name.artifact_doc()
-        else:
-            name = run_or_name
-            doc = experiment_artifact(name, entries, data=data, meta=meta)
-        return write_bench_artifact(artifact_path(str(results_dir), name), doc)
+    def emit(run: FigureRun) -> str:
+        path = artifact_path(str(results_dir), run.experiment)
+        return write_bench_artifact(path, run.artifact_doc())
 
     return emit
 

@@ -12,7 +12,7 @@ Pascal/Volta the launch bar dominates.
 """
 
 
-from repro.bench.figures import TABLE_BUILDERS
+from repro.bench.figures import fig01_table
 
 
 def test_fig01_launch_vs_pack(benchmark, report, artifact, sweep_run):
@@ -44,6 +44,4 @@ def test_fig01_launch_vs_pack(benchmark, report, artifact, sweep_run):
     # ...while launch overhead stayed the same order of magnitude.
     assert volta["launch"] > kepler["launch"] / 2
 
-    benchmark.pedantic(
-        TABLE_BUILDERS["fig01_launch_overhead"], rounds=3, iterations=10
-    )
+    benchmark.pedantic(fig01_table, rounds=3, iterations=10)

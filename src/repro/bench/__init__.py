@@ -12,7 +12,6 @@ from .sweep import (
     ExperimentSpec,
     ResultCache,
     SweepError,
-    SweepResult,
     SweepRun,
     SweepStats,
     code_salt,
@@ -28,7 +27,6 @@ __all__ = [
     "RecoveryReport",
     "ResultCache",
     "SweepError",
-    "SweepResult",
     "SweepRun",
     "SweepStats",
     "code_salt",

@@ -14,26 +14,25 @@ drivers, so CI and local runs always sweep the same plane:
   :func:`~repro.bench.sweep.run_sweep` and assembles the versioned
   ``BENCH_<experiment>.json`` document.
 
+The plans are the only description of a committed experiment: the
+regression gate re-runs a baseline artifact through the plan whose
+``experiment`` it names (:func:`repro.obs.regress.rerun_artifact`).
+
 Fig. 1 is not a bulk-exchange grid — it tabulates launch-overhead
 cost-model constants — so it rides along as a single ``kind="table"``
-shard whose builder lives in :data:`TABLE_BUILDERS`.
+shard built by :func:`fig01_table`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..config import ExperimentConfig
 from ..obs.artifact import experiment_artifact
 from ..obs.metrics import MetricsRegistry
-from .sweep import (
-    ExperimentSpec,
-    ResultCache,
-    SweepResult,
-    SweepStats,
-    run_sweep,
-)
+from .runner import ExperimentResult
+from .sweep import ExperimentSpec, ResultCache, SweepRun, SweepStats, run_sweep
 
 __all__ = [
     "FIGURES",
@@ -43,7 +42,7 @@ __all__ = [
     "FIG14_SCHEMES",
     "FigurePlan",
     "FigureRun",
-    "TABLE_BUILDERS",
+    "fig01_table",
     "run_figure",
     "fig08_views",
     "fig09_results",
@@ -138,7 +137,7 @@ def _scheme_overrides(
 # -- Fig. 1 table --------------------------------------------------------------
 
 
-def _fig01_table() -> Dict[str, Dict[str, float]]:
+def fig01_table() -> Dict[str, Dict[str, float]]:
     """Launch overhead vs pack-kernel time across GPU generations.
 
     Rows come back sorted by architecture name — the order a cached
@@ -164,16 +163,10 @@ def _fig01_table() -> Dict[str, Dict[str, float]]:
     return data
 
 
-#: registered ``kind="table"`` shard builders (name → zero-arg callable)
-TABLE_BUILDERS: Dict[str, Callable[[], Dict[str, Any]]] = {
-    "fig01_launch_overhead": _fig01_table,
-}
-
-
 # -- plans ---------------------------------------------------------------------
 
 TuningPhase = Callable[[], List[ExperimentSpec]]
-ExpandPhase = Callable[[Mapping[str, SweepResult]], List[ExperimentSpec]]
+ExpandPhase = Callable[[Mapping[str, ExperimentResult]], List[ExperimentSpec]]
 
 
 def _no_tuning() -> List[ExperimentSpec]:
@@ -190,18 +183,13 @@ class FigurePlan:
     tuning: TuningPhase = _no_tuning
 
 
-def _fig01_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig01_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     return [
-        ExperimentSpec(
-            experiment="fig01_launch_overhead",
-            key="table",
-            kind="table",
-            table="fig01_launch_overhead",
-        )
+        ExperimentSpec(experiment="fig01_launch_overhead", key="table", kind="table")
     ]
 
 
-def _fig08_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig08_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     return [
         _spec(
             "fig08_threshold",
@@ -217,7 +205,7 @@ def _fig08_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
     ]
 
 
-def _fig09_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig09_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     return [
         _spec(
             "fig09_bulk_sparse",
@@ -233,7 +221,7 @@ def _fig09_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
     ]
 
 
-def _fig10_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig10_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     specs = [
         _spec(
             "fig10_bulk_dense",
@@ -265,7 +253,7 @@ def _fig10_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
     return specs
 
 
-def _fig11_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig11_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     specs = []
     for scheme in FIG11_SCHEMES:
         overrides = {
@@ -306,7 +294,7 @@ def _figure12_tuning(experiment: str, system: str) -> List[ExperimentSpec]:
     return specs
 
 
-def tuned_thresholds(tuning: Mapping[str, SweepResult]) -> Dict[str, int]:
+def tuned_thresholds(tuning: Mapping[str, ExperimentResult]) -> Dict[str, int]:
     """Per-workload best threshold from the tuning-phase results.
 
     Ties go to the earliest candidate, exactly like the serial tuning
@@ -324,7 +312,7 @@ def tuned_thresholds(tuning: Mapping[str, SweepResult]) -> Dict[str, int]:
 
 
 def _figure12_grid(
-    experiment: str, system: str, tuning: Mapping[str, SweepResult]
+    experiment: str, system: str, tuning: Mapping[str, ExperimentResult]
 ) -> List[ExperimentSpec]:
     tuned = tuned_thresholds(tuning)
     specs = []
@@ -346,7 +334,7 @@ def _figure12_grid(
     return specs
 
 
-def _fig13_expand(tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig13_expand(tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     specs = _figure12_grid("fig13", "ABCI", tuning)
     # Cross-system comparison shards (Lassen) for the §V-C claims:
     # the sparse-layout win over GPU-Sync must *grow* on ABCI, and
@@ -381,7 +369,7 @@ def _fig13_expand(tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
     return specs
 
 
-def _fig14_expand(_tuning: Mapping[str, SweepResult]) -> List[ExperimentSpec]:
+def _fig14_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpec]:
     return [
         _spec(
             "fig14_production",
@@ -420,25 +408,12 @@ FIGURES: Dict[str, FigurePlan] = {
 
 
 @dataclass
-class FigureRun:
-    """Executed figure: merged entries plus shard accounting."""
+class FigureRun(SweepRun):
+    """Executed figure: the main grid's entries (tuning shards excluded)
+    in expansion order, with the shard accounting of both phases."""
 
-    figure: str
-    experiment: str
-    #: main-grid entries in expansion order (tuning shards excluded)
-    entries: List[Dict[str, Any]] = field(default_factory=list)
-    cached_flags: List[bool] = field(default_factory=list)
-    #: tuning-phase views (empty for single-phase figures)
-    tuning: Dict[str, SweepResult] = field(default_factory=dict)
-    stats: SweepStats = field(default_factory=SweepStats)
-
-    @property
-    def views(self) -> Dict[str, SweepResult]:
-        """Entry key → result view over the main grid."""
-        return {
-            str(entry["key"]): SweepResult(entry, cached=cached)
-            for entry, cached in zip(self.entries, self.cached_flags)
-        }
+    figure: str = ""
+    experiment: str = ""
 
     def artifact_doc(self) -> Dict[str, Any]:
         """The versioned ``BENCH_<experiment>.json`` document."""
@@ -464,7 +439,7 @@ def run_figure(
     """
     plan = FIGURES[figure] if isinstance(figure, str) else figure
     stats = SweepStats()
-    tuning_views: Dict[str, SweepResult] = {}
+    tuning_views: Dict[str, ExperimentResult] = {}
     tuning_specs = plan.tuning()
     if tuning_specs:
         tuning_run = run_sweep(
@@ -478,19 +453,17 @@ def run_figure(
     )
     stats.add(grid_run.stats)
     return FigureRun(
+        entries=grid_run.entries,
+        stats=stats,
         figure=plan.figure,
         experiment=plan.experiment,
-        entries=grid_run.entries,
-        cached_flags=grid_run.cached_flags,
-        tuning=tuning_views,
-        stats=stats,
     )
 
 
 # -- driver-shaped view helpers ------------------------------------------------
 
 
-def fig08_views(views: Mapping[str, SweepResult]) -> Dict[int, Dict[int, SweepResult]]:
+def fig08_views(views: Mapping[str, ExperimentResult]) -> Dict[int, Dict[int, ExperimentResult]]:
     """``grid[dim][threshold]`` over the Fig. 8 sweep."""
     return {
         dim: {
@@ -502,8 +475,8 @@ def fig08_views(views: Mapping[str, SweepResult]) -> Dict[int, Dict[int, SweepRe
 
 
 def _bulk_grid(
-    views: Mapping[str, SweepResult], prefix: str = ""
-) -> Dict[str, Dict[int, SweepResult]]:
+    views: Mapping[str, ExperimentResult], prefix: str = ""
+) -> Dict[str, Dict[int, ExperimentResult]]:
     return {
         scheme: {
             nbuf: views[f"{prefix}{scheme}/nbuf={nbuf}"]
@@ -513,26 +486,26 @@ def _bulk_grid(
     }
 
 
-def fig09_results(views: Mapping[str, SweepResult]) -> Dict[str, Dict[int, SweepResult]]:
+def fig09_results(views: Mapping[str, ExperimentResult]) -> Dict[str, Dict[int, ExperimentResult]]:
     """``results[scheme][nbuf]`` for the Fig. 9 bulk-sparse sweep."""
     return _bulk_grid(views)
 
 
 def fig10_results(
-    views: Mapping[str, SweepResult],
-) -> Tuple[Dict[str, Dict[int, SweepResult]], Dict[str, Dict[int, SweepResult]]]:
+    views: Mapping[str, ExperimentResult],
+) -> Tuple[Dict[str, Dict[int, ExperimentResult]], Dict[str, Dict[int, ExperimentResult]]]:
     """``(big, small)`` bulk-dense grids of Fig. 10."""
     return _bulk_grid(views), _bulk_grid(views, prefix=f"dim={FIG10_DIM_SMALL}/")
 
 
-def fig11_results(views: Mapping[str, SweepResult]) -> Dict[str, SweepResult]:
+def fig11_results(views: Mapping[str, ExperimentResult]) -> Dict[str, ExperimentResult]:
     """``results[scheme]`` for the Fig. 11 breakdown."""
     return {scheme: views[scheme] for scheme in FIG11_SCHEMES}
 
 
 def fig12_tables(
-    views: Mapping[str, SweepResult],
-) -> Dict[str, Dict[str, Dict[int, SweepResult]]]:
+    views: Mapping[str, ExperimentResult],
+) -> Dict[str, Dict[str, Dict[int, ExperimentResult]]]:
     """``tables[workload][scheme][dim]`` for Figs. 12/13."""
     return {
         workload: {
@@ -547,8 +520,8 @@ def fig12_tables(
 
 
 def fig13_lassen_views(
-    views: Mapping[str, SweepResult],
-) -> Tuple[Dict[str, Dict[int, SweepResult]], Dict[str, Dict[int, SweepResult]]]:
+    views: Mapping[str, ExperimentResult],
+) -> Tuple[Dict[str, Dict[int, ExperimentResult]], Dict[str, Dict[int, ExperimentResult]]]:
     """The Lassen comparison grids embedded in the Fig. 13 sweep."""
     sparse = {
         scheme: {
@@ -565,8 +538,8 @@ def fig13_lassen_views(
 
 
 def fig14_grids(
-    views: Mapping[str, SweepResult],
-) -> Dict[str, Dict[str, Dict[int, SweepResult]]]:
+    views: Mapping[str, ExperimentResult],
+) -> Dict[str, Dict[str, Dict[int, ExperimentResult]]]:
     """``grids[workload][scheme][dim]`` for Fig. 14."""
     return {
         workload: {

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +55,17 @@ from ..sim.trace import Category
 __all__ = ["ExperimentResult", "RecoveryReport", "run_bulk_exchange"]
 
 SchemeFactory = Callable[..., PackingScheme]
+
+#: the :class:`~repro.core.scheduler.SchedulerStats` fields an entry records
+_SCHEDULER_FIELDS = (
+    "enqueued",
+    "launches",
+    "fused_requests",
+    "flush_launches",
+    "threshold_launches",
+    "fallbacks",
+    "mean_batch",
+)
 
 
 @dataclass
@@ -126,7 +138,12 @@ class RecoveryReport:
 
 @dataclass
 class ExperimentResult:
-    """Measured outcome of one experiment."""
+    """Measured outcome of one experiment.
+
+    The one result type: a live run returns it, and an artifact entry
+    reads back into it (:meth:`from_entry`), so report formatters,
+    figure drivers and the figure tuning phase take either.
+    """
 
     scheme: str
     workload: str
@@ -162,6 +179,65 @@ class ExperimentResult:
     def speedup_over(self, other: "ExperimentResult") -> float:
         """How much faster this result is than ``other`` (>1 = faster)."""
         return other.mean_latency / self.mean_latency
+
+    # -- the artifact entry (schema in :mod:`repro.obs.artifact`) -----------
+    def to_entry(
+        self,
+        key: str,
+        config: Optional[Mapping[str, Any]] = None,
+        run: Optional[Mapping[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """This result as one ``BENCH_*.json`` entry under ``key``.
+
+        ``config`` records the scheme overrides
+        (:meth:`~repro.config.SchemeCfg.overrides_dict`) and ``run`` the
+        harness parameters; both are written only when non-empty.
+        """
+        entry: Dict[str, Any] = {
+            "key": key,
+            "scheme": self.scheme,
+            "workload": self.workload,
+            "system": self.system,
+            "nbuffers": self.nbuffers,
+            "dim": self.dim,
+            "message_bytes": self.message_bytes,
+            "mean_latency": self.mean_latency,
+            "min_latency": self.min_latency,
+            "latencies": [float(v) for v in self.latencies],
+            "breakdown": {str(cat): float(v) for cat, v in self.breakdown.items()},
+        }
+        stats = self.scheduler_stats
+        if stats is not None:
+            entry["scheduler"] = {name: getattr(stats, name) for name in _SCHEDULER_FIELDS}
+        if self.work:
+            entry["work"] = dict(self.work)
+        if self.metrics is not None:
+            entry["metrics"] = self.metrics.as_dict()
+        if config:
+            entry["config"] = dict(config)
+        if run:
+            entry["run"] = dict(run)
+        return entry
+
+    @classmethod
+    def from_entry(cls, entry: Mapping[str, Any]) -> "ExperimentResult":
+        """The result an exchange entry was written from.
+
+        Inverse of :meth:`to_entry` for everything the entry records;
+        ``scheduler_stats`` comes back as a namespace of the recorded
+        fields.
+        """
+        stats, metrics = entry.get("scheduler"), entry.get("metrics")
+        return cls(
+            entry["scheme"], entry["workload"], entry["system"],
+            entry["nbuffers"], entry["dim"],
+            latencies=list(entry["latencies"]),
+            breakdown={Category(name): v for name, v in entry["breakdown"].items()},
+            scheduler_stats=SimpleNamespace(**stats) if stats is not None else None,
+            metrics=MetricsSnapshot.from_dict(metrics) if metrics is not None else None,
+            message_bytes=entry["message_bytes"],
+            work=dict(entry.get("work", {})),
+        )
 
 
 def _fill_random(buffers, layout: DataLayout, rng: np.random.Generator) -> None:

@@ -26,10 +26,10 @@ plane embarrassingly parallel and perfectly cacheable:
   observable.
 
 Entries are plain dicts in the :data:`repro.obs.SCHEMA` artifact-entry
-shape; :class:`SweepResult` wraps one entry back into the duck-typed
-``ExperimentResult`` interface (``mean_latency``, ``breakdown[Category]``,
-``scheduler_stats`` …) that the report formatters and the figure shape
-assertions consume.
+shape, written by :meth:`~repro.bench.runner.ExperimentResult.to_entry`;
+:attr:`SweepRun.views` reads them back through
+:meth:`~repro.bench.runner.ExperimentResult.from_entry` for the report
+formatters, the figure shape assertions and the figure tuning phase.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..config import ExperimentConfig, HarnessCfg, ProtocolCfg, SchemeCfg, SystemCfg, WorkloadCfg
-from ..obs.artifact import result_entry
+from ..config import ExperimentConfig
 from ..obs.metrics import MetricsRegistry
-from ..sim.trace import Category
+from .runner import ExperimentResult
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -58,7 +56,6 @@ __all__ = [
     "ExperimentSpec",
     "ResultCache",
     "SweepError",
-    "SweepResult",
     "SweepRun",
     "SweepStats",
     "code_salt",
@@ -67,8 +64,9 @@ __all__ = [
 
 CACHE_SCHEMA = "repro.obs/sweep-cache"
 #: version 2: cache documents embed the spec's nested ``cfg`` tree
-#: (the config plane) instead of the old flat field dict
-CACHE_SCHEMA_VERSION = 2
+#: (the config plane) instead of the old flat field dict; version 3:
+#: the spec dict no longer carries a ``table`` builder name
+CACHE_SCHEMA_VERSION = 3
 
 
 class SweepError(RuntimeError):
@@ -85,18 +83,17 @@ class ExperimentSpec:
     """One independent, seed-deterministic shard of a sweep.
 
     A spec is an :class:`~repro.config.ExperimentConfig` plus sweep
-    identity (``experiment``/``key``/``kind``/``table``).  Everything
-    is by-value and picklable: systems, schemes, and workloads are
-    named inside the config, and :meth:`run_result` rebuilds the live
-    objects from the registries inside whichever process runs the
-    shard.
+    identity (``experiment``/``key``/``kind``).  Everything is by-value
+    and picklable: systems, schemes, and workloads are named inside the
+    config, and :meth:`run_result` rebuilds the live objects from the
+    registries inside whichever process runs the shard.  A
+    ``kind="table"`` shard builds the Fig. 1 table instead.
     """
 
     experiment: str
     key: str
     cfg: ExperimentConfig = field(default_factory=ExperimentConfig)
     kind: str = "exchange"
-    table: str = ""
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -105,7 +102,6 @@ class ExperimentSpec:
             "experiment": self.experiment,
             "key": self.key,
             "kind": self.kind,
-            "table": self.table,
             "cfg": self.cfg.to_dict(),
         }
 
@@ -117,40 +113,7 @@ class ExperimentSpec:
             key=str(data["key"]),
             cfg=ExperimentConfig.from_dict(data["cfg"]),
             kind=str(data["kind"]),
-            table=str(data["table"]),
         )
-
-    @classmethod
-    def from_entry(
-        cls, experiment: str, entry: Mapping[str, Any]
-    ) -> "ExperimentSpec":
-        """Spec that reproduces a stored artifact entry.
-
-        The inverse of :meth:`run_entry` — how the regression gate
-        re-runs a baseline measurement.
-        """
-        run = dict(entry.get("run", {}))
-        cfg = ExperimentConfig(
-            system=SystemCfg(name=str(entry["system"])),
-            workload=WorkloadCfg(
-                name=str(entry["workload"]),
-                dim=int(entry["dim"]),
-                nbuffers=int(entry["nbuffers"]),
-            ),
-            scheme=SchemeCfg.from_overrides(
-                str(entry["scheme"]), entry.get("config", {})
-            ),
-            protocol=ProtocolCfg(
-                rendezvous=str(run.get("rendezvous_protocol", "rput"))
-            ),
-            harness=HarnessCfg(
-                iterations=int(run.get("iterations", 2)),
-                warmup=int(run.get("warmup", 1)),
-                data_plane=bool(run.get("data_plane", False)),
-                seed=int(run.get("seed", 42)),
-            ),
-        )
-        return cls(experiment, str(entry["key"]), cfg)
 
     def cache_key(self, salt: str) -> str:
         """Content address of this shard under a code-version salt.
@@ -161,7 +124,7 @@ class ExperimentSpec:
         construction.
         """
         digest = hashlib.sha256()
-        for part in (salt, self.experiment, self.key, self.kind, self.table):
+        for part in (salt, self.experiment, self.key, self.kind):
             digest.update(part.encode())
             digest.update(b"\0")
         digest.update(self.cfg.content_hash().encode())
@@ -179,13 +142,14 @@ class ExperimentSpec:
             "seed": harness.seed,
         }
 
-    def run_result(self, obs: Any = None) -> Any:
+    def run_result(self, obs: Any = None) -> ExperimentResult:
         """Run the shard; returns the live ``ExperimentResult``."""
         if self.kind != "exchange":
             raise ValueError(
                 f"spec {self.key!r} has kind {self.kind!r}; only 'exchange' "
                 "shards produce an ExperimentResult"
             )
+        # Imported here, at call time, so a patched runner sees every shard.
         from .runner import run_bulk_exchange
 
         return run_bulk_exchange(self.cfg, obs=obs)
@@ -193,16 +157,11 @@ class ExperimentSpec:
     def run_entry(self) -> Dict[str, Any]:
         """Run the shard; returns its serialized artifact entry."""
         if self.kind == "table":
-            from .figures import TABLE_BUILDERS
+            from .figures import fig01_table
 
-            data = TABLE_BUILDERS[self.table]()
-            return {"key": self.key, "kind": "table", "data": data}
-        result = self.run_result()
-        return result_entry(
-            result,
-            key=self.key,
-            config=self.cfg.scheme.overrides_dict() or None,
-            run=self.run_params(),
+            return {"key": self.key, "kind": "table", "data": fig01_table()}
+        return self.run_result().to_entry(
+            self.key, self.cfg.scheme.overrides_dict() or None, self.run_params()
         )
 
 
@@ -287,82 +246,6 @@ class ResultCache:
         return removed
 
 
-class SweepResult:
-    """``ExperimentResult``-shaped view over a serialized artifact entry.
-
-    What the figure drivers' shape assertions and the report formatters
-    consume after a sweep: latencies, the Fig. 11 cost breakdown keyed
-    by :class:`~repro.sim.trace.Category`, and the scheduler stats —
-    all reconstructed from the entry dict.
-    """
-
-    def __init__(self, entry: Mapping[str, Any], *, cached: bool = False):
-        self.entry: Dict[str, Any] = dict(entry)
-        #: True when this shard was served from the result cache
-        self.cached = cached
-
-    # -- identity ----------------------------------------------------------
-    @property
-    def scheme(self) -> str:
-        return str(self.entry.get("scheme", ""))
-
-    @property
-    def workload(self) -> str:
-        return str(self.entry.get("workload", ""))
-
-    @property
-    def system(self) -> str:
-        return str(self.entry.get("system", ""))
-
-    @property
-    def nbuffers(self) -> int:
-        return int(self.entry.get("nbuffers", 0))
-
-    @property
-    def dim(self) -> int:
-        return int(self.entry.get("dim", 0))
-
-    @property
-    def message_bytes(self) -> int:
-        return int(self.entry.get("message_bytes", 0))
-
-    # -- measurements ------------------------------------------------------
-    @property
-    def latencies(self) -> List[float]:
-        return [float(v) for v in self.entry.get("latencies", [])]
-
-    @property
-    def mean_latency(self) -> float:
-        return float(self.entry.get("mean_latency", float("nan")))
-
-    @property
-    def min_latency(self) -> float:
-        return float(self.entry.get("min_latency", float("nan")))
-
-    @property
-    def breakdown(self) -> Dict[Category, float]:
-        raw = self.entry.get("breakdown", {})
-        return {Category(name): float(value) for name, value in raw.items()}
-
-    @property
-    def scheduler_stats(self) -> Optional[SimpleNamespace]:
-        stats = self.entry.get("scheduler")
-        return SimpleNamespace(**stats) if stats is not None else None
-
-    @property
-    def data(self) -> Optional[Dict[str, Any]]:
-        """Payload of a ``kind="table"`` shard (``None`` for exchanges)."""
-        payload = self.entry.get("data")
-        return dict(payload) if payload is not None else None
-
-    def speedup_over(self, other: "SweepResult") -> float:
-        """How much faster this result is than ``other`` (>1 = faster)."""
-        return other.mean_latency / self.mean_latency
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SweepResult({self.entry.get('key')!r}, cached={self.cached})"
-
-
 @dataclass
 class SweepStats:
     """Shard accounting of one sweep (or one multi-phase figure run)."""
@@ -394,15 +277,14 @@ class SweepRun:
     #: serialized entries, in spec order (the artifact merge order)
     entries: List[Dict[str, Any]] = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
-    #: per-entry cache provenance, parallel to ``entries``
-    cached_flags: List[bool] = field(default_factory=list)
 
     @property
-    def views(self) -> Dict[str, SweepResult]:
-        """Entry key → :class:`SweepResult` view."""
+    def views(self) -> Dict[str, ExperimentResult]:
+        """Entry key → :class:`ExperimentResult`, for every exchange entry."""
         return {
-            str(entry["key"]): SweepResult(entry, cached=cached)
-            for entry, cached in zip(self.entries, self.cached_flags)
+            str(entry["key"]): ExperimentResult.from_entry(entry)
+            for entry in self.entries
+            if entry.get("kind") != "table"
         }
 
 
@@ -461,7 +343,6 @@ def run_sweep(
     started = time.monotonic()
     effective_salt = salt if salt is not None else code_salt()
     entries: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-    cached_flags = [False] * len(specs)
     misses: List[int] = []
     digests: List[Optional[str]] = [None] * len(specs)
 
@@ -471,7 +352,6 @@ def run_sweep(
             hit = cache.get(spec, digests[i])
             if hit is not None:
                 entries[i] = hit
-                cached_flags[i] = True
                 continue
         misses.append(i)
 
@@ -529,4 +409,4 @@ def run_sweep(
 
     final_entries = [e for e in entries if e is not None]
     assert len(final_entries) == len(specs)
-    return SweepRun(entries=final_entries, stats=stats, cached_flags=cached_flags)
+    return SweepRun(entries=final_entries, stats=stats)

@@ -350,11 +350,11 @@ def cmd_regress(args) -> int:
     if args.candidate:
         candidate = load_bench_artifact(args.candidate)
     else:
-        print(
-            f"re-running {len(baseline.get('entries', []))} entries of "
-            f"{args.baseline} ..."
-        )
-        candidate = _regress.rerun_artifact(baseline)
+        print(f"re-running the figure plan of {args.baseline} ...")
+        try:
+            candidate = _regress.rerun_artifact(baseline)
+        except ValueError as exc:
+            raise SystemExit(f"regress: {exc}") from None
     report = _regress.compare_artifacts(
         baseline,
         candidate,
@@ -565,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--candidate", default=None, metavar="PATH",
-        help="second artifact to compare instead of re-running the baseline",
+        help="second artifact to compare instead of re-running the figure "
+        "plan that writes the baseline (required for any other artifact)",
     )
     p.add_argument(
         "--tolerance", type=_nonnegative_float, default=0.10,

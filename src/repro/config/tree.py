@@ -67,8 +67,7 @@ CONFIG_SCHEMA = "repro.config/v1"
 #: duplicated by value so this module stays import-light)
 _RENDEZVOUS = ("rput", "rget")
 
-#: scheme-constructor override keys routed to :class:`FusionCfg` (the
-#: legacy artifact ``config`` block vocabulary)
+#: :class:`FusionCfg` fields written into the artifact ``config`` block
 _FUSION_KEYS = (
     "threshold_bytes",
     "max_batch_requests",
@@ -92,6 +91,31 @@ def _check_int(name: str, value: Any, minimum: int) -> None:
 def _check_opt_int(name: str, value: Any, minimum: int) -> None:
     if value is not None:
         _check_int(name, value, minimum)
+
+
+def _check_float(
+    obj: Any, section: str, name: str, minimum: float, *, strict: bool = False
+) -> None:
+    """A real number ``>= minimum`` (``> minimum`` when ``strict``),
+    stored as a float so ``0`` and ``0.0`` hash alike."""
+    value = getattr(obj, name)
+    _require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and (value > minimum if strict else value >= minimum),
+        f"{section}.{name} must be a number {'>' if strict else '>='} {minimum}, "
+        f"got {value!r}",
+    )
+    object.__setattr__(obj, name, float(value))
+
+
+def _check_bool(obj: Any, section: str, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        _require(
+            isinstance(value, bool),
+            f"{section}.{name} must be true or false, got {value!r}",
+        )
 
 
 # -- sub-configs ---------------------------------------------------------------
@@ -220,22 +244,9 @@ class SchemeCfg:
         registry lookup) — any fusion override or an explicit label."""
         return self.fusion.configured or self.label is not None
 
-    @classmethod
-    def from_overrides(cls, name: str, overrides: Mapping[str, Any]) -> "SchemeCfg":
-        """Build from a legacy artifact-entry ``config`` block.
-
-        The block's vocabulary (``threshold_bytes`` / ``capacity`` /
-        policy knobs / ``name``) maps onto :class:`FusionCfg` +
-        :attr:`label`; anything else is a constructor option.
-        """
-        overrides = dict(overrides or {})
-        fusion = FusionCfg(**{k: overrides.pop(k) for k in _FUSION_KEYS if k in overrides})
-        label = overrides.pop("name", None)
-        return cls(name=name, label=label, fusion=fusion, options=overrides)
-
     def overrides_dict(self) -> Dict[str, Any]:
-        """The legacy ``config`` block this scheme config records into
-        artifact entries (inverse of :meth:`from_overrides`)."""
+        """The ``config`` block this scheme config records into artifact
+        entries: set fusion fields, the label as ``name``, and options."""
         out: Dict[str, Any] = {
             k: v
             for k in _FUSION_KEYS
@@ -277,11 +288,11 @@ class ProtocolCfg:
             )
         _check_opt_int("protocol.eager_threshold", self.eager_threshold, 0)
         _check_opt_int("protocol.host_staging_threshold", self.host_staging_threshold, 0)
-        _require(self.poll_interval > 0, f"protocol.poll_interval must be > 0, got {self.poll_interval!r}")
-        _require(self.flatten_base_cost >= 0, "protocol.flatten_base_cost must be >= 0")
-        _require(self.flatten_block_cost >= 0, "protocol.flatten_block_cost must be >= 0")
-        if not (isinstance(self.pipeline_chunk_bytes, int) and self.pipeline_chunk_bytes >= 1):
-            raise ValueError("pipeline_chunk_bytes must be positive")
+        _check_bool(self, "protocol", "enable_direct_ipc", "layout_cache_enabled")
+        _check_float(self, "protocol", "poll_interval", 0, strict=True)
+        _check_float(self, "protocol", "flatten_base_cost", 0)
+        _check_float(self, "protocol", "flatten_block_cost", 0)
+        _check_int("protocol.pipeline_chunk_bytes", self.pipeline_chunk_bytes, 1)
 
 
 @dataclass(frozen=True)
@@ -348,7 +359,7 @@ class NoiseCfg:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require(self.cv >= 0, f"noise.cv must be >= 0, got {self.cv!r}")
+        _check_float(self, "noise", "cv", 0)
         _check_opt_int("noise.seed", self.seed, 0)
 
     def build(self, default_seed: int) -> Optional[Any]:
@@ -370,6 +381,9 @@ class ObsCfg:
     metrics: bool = False
     #: record the span/event stream (Chrome-trace exportable)
     trace: bool = False
+
+    def __post_init__(self) -> None:
+        _check_bool(self, "obs", "metrics", "trace")
 
     def build(self) -> Optional[Any]:
         """A live :class:`~repro.obs.Observer`, or ``None`` when every
@@ -397,10 +411,9 @@ class HarnessCfg:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.warmup < 0:
-            raise ValueError("need iterations >= 1 and warmup >= 0")
         _check_int("harness.iterations", self.iterations, 1)
         _check_int("harness.warmup", self.warmup, 0)
+        _check_bool(self, "harness", "verify", "data_plane")
         _check_int("harness.seed", self.seed, 0)
 
 

@@ -25,10 +25,8 @@ from .artifact import (
     SCHEMA,
     SCHEMA_VERSION,
     artifact_path,
-    entries_from_grid,
     experiment_artifact,
     load_bench_artifact,
-    result_entry,
     write_bench_artifact,
 )
 from .metrics import (
@@ -59,10 +57,8 @@ __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
     "artifact_path",
-    "entries_from_grid",
     "experiment_artifact",
     "load_bench_artifact",
-    "result_entry",
     "write_bench_artifact",
     "regress",
 ]

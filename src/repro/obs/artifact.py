@@ -33,30 +33,31 @@ Schema (``repro.obs/bench-artifact`` version 1)::
       "data": {...}                        # free-form, for figures that
     }                                      # are not bulk-exchange grids
 
-``entries`` carry everything needed to *re-run* the measurement
-(:func:`repro.obs.regress.rerun_entry`); ``data`` covers figures like
-Fig. 1 that tabulate cost-model constants rather than exchanges.
-``work`` records what the whole run (warm-up included) cost the
-simulator — calendar events fired, kernel launches (per-op and fused),
-link transfers and link bytes — and stays out of ``run``, which is read
-back as the re-run's inputs.  The counts are deterministic, so the
-regression gate compares them exactly.
+Entries are written and read by
+:meth:`repro.bench.runner.ExperimentResult.to_entry` /
+:meth:`~repro.bench.runner.ExperimentResult.from_entry`; ``config`` and
+``run`` record the scheme overrides and harness parameters a reader
+needs to tell the measurements apart, while the figure plan that wrote
+the artifact (:data:`repro.bench.figures.FIGURES`) is what re-runs it.
+``data`` covers figures like Fig. 1 that tabulate cost-model constants
+rather than exchanges.  ``work`` records what the whole run (warm-up
+included) cost the simulator — calendar events fired, kernel launches
+(per-op and fused), link transfers and link bytes.  The counts are
+deterministic, so the regression gate compares them exactly.
 
-This module is deliberately import-light (stdlib + duck-typed results)
-so ``repro.obs`` can load before the simulator packages.
+This module is deliberately import-light (stdlib only) so
+``repro.obs`` can load before the simulator packages.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
-    "result_entry",
-    "entries_from_grid",
     "experiment_artifact",
     "write_bench_artifact",
     "load_bench_artifact",
@@ -65,80 +66,6 @@ __all__ = [
 
 SCHEMA = "repro.obs/bench-artifact"
 SCHEMA_VERSION = 1
-
-
-def result_entry(
-    result: Any,
-    *,
-    key: Optional[str] = None,
-    config: Optional[Mapping[str, Any]] = None,
-    run: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Serialize one ``ExperimentResult``-like object into an entry.
-
-    ``result`` is duck-typed: anything with the runner's result fields
-    works.  ``config`` records scheme-constructor overrides (e.g. the
-    fusion threshold) and ``run`` the harness parameters needed to
-    reproduce the number.
-    """
-    entry: Dict[str, Any] = {
-        "key": key or f"{result.scheme}/dim={result.dim}/nbuf={result.nbuffers}",
-        "scheme": result.scheme,
-        "workload": result.workload,
-        "system": result.system,
-        "nbuffers": result.nbuffers,
-        "dim": result.dim,
-        "message_bytes": result.message_bytes,
-        "mean_latency": result.mean_latency,
-        "min_latency": result.min_latency,
-        "latencies": [float(v) for v in result.latencies],
-        "breakdown": {str(cat): float(v) for cat, v in result.breakdown.items()},
-    }
-    stats = getattr(result, "scheduler_stats", None)
-    if stats is not None:
-        entry["scheduler"] = {
-            "enqueued": stats.enqueued,
-            "launches": stats.launches,
-            "fused_requests": stats.fused_requests,
-            "flush_launches": stats.flush_launches,
-            "threshold_launches": stats.threshold_launches,
-            "fallbacks": stats.fallbacks,
-            "mean_batch": stats.mean_batch,
-        }
-    work = getattr(result, "work", None)
-    if work:
-        entry["work"] = dict(work)
-    metrics = getattr(result, "metrics", None)
-    if metrics is not None:
-        entry["metrics"] = metrics.as_dict() if hasattr(metrics, "as_dict") else metrics
-    if config:
-        entry["config"] = dict(config)
-    if run:
-        entry["run"] = dict(run)
-    return entry
-
-
-def entries_from_grid(
-    results: Mapping[str, Mapping[Any, Any]],
-    *,
-    column: str = "col",
-    run: Optional[Mapping[str, Any]] = None,
-    key_prefix: str = "",
-) -> List[Dict[str, Any]]:
-    """Entries for a ``results[scheme][column_value]`` benchmark grid.
-
-    The grid shape the report formatters take
-    (:func:`repro.bench.format_latency_table`).  Keys become
-    ``[prefix/]scheme/<column>=<value>``.
-    """
-    entries = []
-    for scheme, per_column in results.items():
-        for value, result in per_column.items():
-            key = f"{scheme}/{column}={value}"
-            if key_prefix:
-                key = f"{key_prefix}/{key}"
-            entries.append(result_entry(result, key=key, run=run))
-    return entries
 
 
 def experiment_artifact(

@@ -1,12 +1,14 @@
 """Perf-regression gate: compare a run against a stored baseline.
 
-``repro regress --baseline benchmarks/results/BENCH_fig08.json``
-re-runs every entry of the baseline artifact (the simulator is
-deterministic, so an unchanged tree reproduces the numbers exactly)
-and fails — nonzero exit code — when any watched metric regresses past
-its tolerance.  ``--candidate`` skips the re-run and compares two
-artifact files instead, which is what CI does after the benchmark
-suite has refreshed ``benchmarks/results/``.
+``repro regress --baseline benchmarks/results/BENCH_fig08_threshold.json``
+re-runs the figure plan that writes the baseline
+(:data:`repro.bench.figures.FIGURES`, matched on ``experiment``) — the
+simulator is deterministic, so an unchanged tree reproduces the
+numbers exactly — and fails, with a nonzero exit code, when any
+watched metric regresses past its tolerance.  An artifact no figure
+plan writes cannot be re-run; ``--candidate`` compares two artifact
+files instead, which is also what CI does after the benchmark suite
+has refreshed ``benchmarks/results/``.
 
 A metric *regresses* when ``candidate > baseline × (1 + tolerance)``;
 improvements are reported but never fail the gate.  The ``work.*``
@@ -21,9 +23,10 @@ do a watched metric that no baseline entry holds and a comparison
 that checks nothing — a silently dropped measurement is how perf
 coverage rots.
 
-This module imports the benchmark runner, so import it directly
-(``from repro.obs import regress``) rather than from the package
-root — ``repro.obs``'s core stays importable before the simulator.
+Re-running imports the figure plans, and with them the simulator, so
+import this module directly (``from repro.obs import regress``) rather
+than from the package root — ``repro.obs``'s core stays importable
+before the simulator.
 """
 
 from __future__ import annotations
@@ -31,14 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .artifact import experiment_artifact, result_entry
-
 __all__ = [
     "DEFAULT_TOLERANCE",
     "MetricCheck",
     "RegressionReport",
     "compare_artifacts",
-    "rerun_entry",
     "rerun_artifact",
 ]
 
@@ -247,55 +247,25 @@ def _table_rows(artifact: Mapping[str, Any]) -> Dict[str, Mapping[str, Any]]:
     }
 
 
-# -- re-running baseline entries ------------------------------------------------
+# -- re-running a baseline ------------------------------------------------------
 
 
-def rerun_entry(entry: Mapping[str, Any], obs=None):
-    """Re-run one artifact entry; returns a fresh ``ExperimentResult``.
+def rerun_artifact(baseline: Mapping[str, Any]) -> Dict[str, Any]:
+    """Re-run the figure plan that writes ``baseline``; returns its
+    fresh artifact document.
 
-    Reconstructs the experiment through the sweep engine's picklable
-    :class:`~repro.bench.sweep.ExperimentSpec` — registry schemes by
-    name, fusion variants through ``config.threshold_bytes`` /
-    ``config.capacity`` / ``config.name`` — so the gate and the
-    parallel sweep plane rebuild measurements identically.
+    Raises ``ValueError`` when no plan in
+    :data:`~repro.bench.figures.FIGURES` writes the baseline's
+    experiment: such an artifact can only be compared against a
+    ``--candidate`` file.
     """
-    from ..bench.sweep import ExperimentSpec
+    from ..bench.figures import FIGURES, run_figure
 
-    try:
-        spec = ExperimentSpec.from_entry("rerun", entry)
-        return spec.run_result(obs=obs)
-    except KeyError as exc:
-        raise KeyError(
-            f"entry {entry.get('key')!r}: cannot re-run ({exc})"
-        ) from exc
-
-
-def rerun_artifact(
-    baseline: Mapping[str, Any], *, meta: Optional[Mapping[str, Any]] = None
-) -> Dict[str, Any]:
-    """Re-run every entry of ``baseline``; returns a candidate artifact."""
-    entries = []
-    for entry in baseline.get("entries", []):
-        result = rerun_entry(entry)
-        entries.append(
-            result_entry(
-                result,
-                key=entry["key"],
-                config=entry.get("config"),
-                run=entry.get("run"),
-            )
-        )
-    experiment = str(baseline.get("experiment", "?"))
-    data = None
-    if "data" in baseline:
-        from ..bench.figures import TABLE_BUILDERS
-
-        if experiment not in TABLE_BUILDERS:
-            raise KeyError(f"{experiment!r}: no table builder re-runs its data")
-        data = TABLE_BUILDERS[experiment]()
-    return experiment_artifact(
-        experiment,
-        entries,
-        data=data,
-        meta=dict(meta or {"rerun_of": baseline.get("meta", {})}),
+    experiment = baseline.get("experiment")
+    for plan in FIGURES.values():
+        if plan.experiment == experiment:
+            return run_figure(plan).artifact_doc()
+    raise ValueError(
+        f"no figure plan writes experiment {experiment!r}, so it cannot be "
+        "re-run; compare it against a --candidate artifact"
     )

@@ -19,7 +19,7 @@ from .engine import (
     ns,
     us,
 )
-from .resources import Channel, Resource, Store
+from .resources import Resource
 from .faults import FAULT_PRESETS, FaultError, FaultPlan, FaultSpec, FaultStats
 from .noise import NoiseModel
 from .timeline import render_timeline
@@ -36,8 +36,6 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "Resource",
-    "Store",
-    "Channel",
     "Category",
     "Trace",
     "render_timeline",

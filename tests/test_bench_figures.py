@@ -16,11 +16,12 @@ from repro.bench.figures import (
     run_figure,
     tuned_thresholds,
 )
-from repro.bench.sweep import ResultCache, SweepResult
+from repro.bench.runner import ExperimentResult
+from repro.bench.sweep import ResultCache
 
 
 def _fake_view(mean_latency):
-    return SweepResult({"key": "fake", "mean_latency": mean_latency})
+    return ExperimentResult("Proposed", "fake", "Lassen", 1, 1, latencies=[mean_latency])
 
 
 def _fake_tuning(latency=1.0):
@@ -143,9 +144,9 @@ def test_fig01_row_order_survives_cache_round_trip():
     table must list its architectures in the order a cached one replays."""
     import json
 
-    from repro.bench.figures import TABLE_BUILDERS
+    from repro.bench.figures import fig01_table
 
-    data = TABLE_BUILDERS["fig01_launch_overhead"]()
+    data = fig01_table()
     cached = json.loads(json.dumps(data, sort_keys=True))
     assert list(data) == list(cached)
     assert list(data)[0] == "Quadro GV100"

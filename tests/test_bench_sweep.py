@@ -17,11 +17,11 @@ import pickle
 
 import pytest
 
+from repro.bench.runner import ExperimentResult
 from repro.bench.sweep import (
     ExperimentSpec,
     ResultCache,
     SweepError,
-    SweepResult,
     code_salt,
     run_sweep,
 )
@@ -68,13 +68,14 @@ def test_spec_pickle_round_trip():
     assert clone.cache_key("s") == spec.cache_key("s")
 
 
-def test_spec_from_entry_inverts_run_entry():
+def test_result_from_entry_inverts_run_entry():
     spec = small_spec(
         scheme="Proposed", overrides={"scheme.fusion.threshold_bytes": 512 * 1024}
     )
     entry = spec.run_entry()
-    rebuilt = ExperimentSpec.from_entry("test", entry)
-    assert rebuilt == spec
+    assert entry["config"] == {"threshold_bytes": 512 * 1024}
+    rebuilt = ExperimentResult.from_entry(entry)
+    assert rebuilt.to_entry(spec.key, entry["config"], spec.run_params()) == entry
 
 
 def test_simulator_refuses_pickling():
@@ -85,7 +86,7 @@ def test_simulator_refuses_pickling():
 
 
 def test_table_spec_rejects_run_result():
-    spec = ExperimentSpec("t", "table", kind="table", table="fig01_launch_overhead")
+    spec = ExperimentSpec("t", "table", kind="table")
     with pytest.raises(ValueError, match="kind"):
         spec.run_result()
     entry = spec.run_entry()
@@ -185,7 +186,6 @@ def test_warm_cache_runs_zero_shards(tmp_path):
     warm = run_sweep(GRID[:2], cache=cache, salt="v1")
     assert (warm.stats.hits, warm.stats.ran) == (2, 0)
     assert warm.entries == cold.entries
-    assert warm.cached_flags == [True, True]
 
 
 def test_salt_change_invalidates_cache(tmp_path):
@@ -245,7 +245,7 @@ def test_sweep_metrics_recorded(tmp_path):
     assert snap.value("sweep_wall_seconds_total") > 0
 
 
-# -- SweepResult views ---------------------------------------------------------
+# -- result views ----------------------------------------------------------------
 
 
 def test_sweep_result_views():
@@ -253,6 +253,7 @@ def test_sweep_result_views():
     views = run.views
     assert set(views) == {"GPU-Sync/n=1", "GPU-Sync/n=2"}
     view = views["GPU-Sync/n=1"]
+    assert isinstance(view, ExperimentResult)
     assert view.scheme == "GPU-Sync"
     assert view.workload == "MILC"
     assert view.system == "Lassen"
@@ -261,11 +262,16 @@ def test_sweep_result_views():
     assert view.mean_latency > 0
     assert view.min_latency > 0
     assert len(view.latencies) == 1
-    assert not view.cached
-    assert view.data is None
+    assert view.work["events"] > 0
     bd = view.breakdown
     assert all(isinstance(k, Category) for k in bd)
     assert Category.COMM in bd
+
+
+def test_table_entries_have_no_result_view():
+    run = run_sweep([GRID[0], ExperimentSpec("test", "table", kind="table")])
+    assert [e["key"] for e in run.entries] == [GRID[0].key, "table"]
+    assert set(run.views) == {GRID[0].key}
 
 
 def test_sweep_result_speedup_and_scheduler_stats():
@@ -280,11 +286,19 @@ def test_sweep_result_speedup_and_scheduler_stats():
 
 
 def test_sweep_result_matches_live_run():
-    """The serialized view reproduces the live ExperimentResult numbers."""
+    """The view read back from an entry equals the live result."""
     spec = GRID[0]
     live = spec.run_result()
-    view = SweepResult(spec.run_entry())
-    assert view.mean_latency == pytest.approx(live.mean_latency)
-    assert view.breakdown[Category.COMM] == pytest.approx(
-        live.breakdown[Category.COMM]
-    )
+    view = ExperimentResult.from_entry(spec.run_entry())
+    assert view.latencies == live.latencies
+    assert view.breakdown == live.breakdown
+    assert view.work == live.work
+
+
+def test_metrics_survive_the_entry_round_trip():
+    spec = small_spec(overrides={"obs.metrics": True})
+    entry = spec.run_entry()
+    view = ExperimentResult.from_entry(entry)
+    assert view.metrics is not None
+    assert view.metrics.total("engine_events_total") == entry["work"]["events"]
+    assert view.to_entry(spec.key, None, spec.run_params()) == entry

@@ -9,6 +9,7 @@ and a canonical content hash that is stable across processes and
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,41 @@ def test_validation_fails_at_construction(build, match):
         build()
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("harness.iterations", "abc"),
+        ("harness.iterations", True),
+        ("harness.warmup", 1.5),
+        ("noise.cv", "high"),
+        ("noise.cv", True),
+        ("protocol.poll_interval", "fast"),
+        ("protocol.poll_interval", 0),
+        ("protocol.flatten_base_cost", None),
+        ("protocol.flatten_block_cost", False),
+        ("protocol.pipeline_chunk_bytes", 0),
+        ("harness.verify", 1),
+        ("harness.verify", "yes"),
+        ("harness.data_plane", 0),
+        ("protocol.enable_direct_ipc", "no"),
+        ("protocol.layout_cache_enabled", 1),
+        ("obs.metrics", 1),
+        ("obs.trace", "true"),
+    ],
+)
+def test_bad_value_is_a_value_error_naming_its_path(path, value):
+    with pytest.raises(ValueError, match=re.escape(path)):
+        ExperimentConfig.default().with_overrides({path: value})
+
+
+def test_integral_number_hashes_like_its_float():
+    base = ExperimentConfig.default()
+    as_int = base.with_overrides({"noise.cv": 1, "protocol.flatten_base_cost": 0})
+    as_float = base.with_overrides({"noise.cv": 1.0, "protocol.flatten_base_cost": 0.0})
+    assert as_int == as_float
+    assert as_int.content_hash() == as_float.content_hash()
+
+
 def test_resolve_rejects_unknown_registry_names():
     with pytest.raises(ValueError, match="unknown system 'Frontier'"):
         SystemCfg(name="Frontier").resolve()
@@ -170,13 +206,15 @@ def test_resolve_rejects_unknown_registry_names():
 # -- scheme overrides block ---------------------------------------------------
 
 
-def test_scheme_from_overrides_inverts_overrides_dict():
-    block = {"threshold_bytes": 512 * KiB, "capacity": 64, "name": "Tuned"}
-    cfg = SchemeCfg.from_overrides("Proposed", block)
-    assert cfg.fusion.threshold_bytes == 512 * KiB
-    assert cfg.fusion.capacity == 64
-    assert cfg.label == "Tuned"
-    assert cfg.overrides_dict() == block
+def test_scheme_overrides_dict_writes_the_config_block():
+    cfg = SchemeCfg(
+        name="Proposed",
+        label="Tuned",
+        fusion=FusionCfg(threshold_bytes=512 * KiB, capacity=64),
+    )
+    assert cfg.overrides_dict() == {
+        "threshold_bytes": 512 * KiB, "capacity": 64, "name": "Tuned",
+    }
     assert SchemeCfg(name="GPU-Async").overrides_dict() == {}
 
 

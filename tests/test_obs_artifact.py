@@ -1,23 +1,24 @@
 """repro.obs.artifact — BENCH_*.json schema, round trip, validation."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro.bench import run_bulk_exchange
+from repro.bench import ExperimentResult, run_bulk_exchange
 from repro.config import ExperimentConfig
 from repro.obs import (
     SCHEMA,
     SCHEMA_VERSION,
     artifact_path,
-    entries_from_grid,
     experiment_artifact,
     load_bench_artifact,
-    result_entry,
     write_bench_artifact,
 )
 
 RUN = {"iterations": 2, "warmup": 1, "data_plane": False}
+RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+COMMITTED = sorted(RESULTS.glob("BENCH_fig*.json"))
 
 
 def _result(scheme="GPU-Sync", dim=100, nbuffers=2):
@@ -36,7 +37,7 @@ def _result(scheme="GPU-Sync", dim=100, nbuffers=2):
 
 def test_result_entry_captures_the_measurement():
     result = _result()
-    entry = result_entry(result, run=RUN)
+    entry = result.to_entry("GPU-Sync/dim=100/nbuf=2", run=RUN)
     assert entry["key"] == "GPU-Sync/dim=100/nbuf=2"
     assert entry["scheme"] == "GPU-Sync"
     assert entry["mean_latency"] == pytest.approx(result.mean_latency)
@@ -45,13 +46,27 @@ def test_result_entry_captures_the_measurement():
     assert entry["run"] == RUN
     assert entry["work"] == result.work and entry["work"]["events"] > 0
     assert "scheduler" not in entry  # non-fusion run
+    assert "config" not in entry  # no scheme overrides
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+def test_committed_entries_round_trip_through_the_result(path):
+    """Every committed exchange entry reads back into an
+    ``ExperimentResult`` that writes the same entry again."""
+    entries = load_bench_artifact(str(path))["entries"]
+    for entry in entries:
+        result = ExperimentResult.from_entry(entry)
+        assert result.to_entry(entry["key"], entry.get("config"), entry.get("run")) == entry
+
+
+def test_all_eight_figures_are_committed():
+    assert len(COMMITTED) == 8
 
 
 def test_artifact_document_and_file_round_trip(tmp_path):
-    grid = {"GPU-Sync": {2: _result(nbuffers=2)}}
     doc = experiment_artifact(
         "unit_fig",
-        entries_from_grid(grid, column="nbuf", run=RUN),
+        [_result(nbuffers=2).to_entry("GPU-Sync/nbuf=2", run=RUN)],
         meta={"seed": 42},
     )
     assert doc["schema"] == SCHEMA and doc["version"] == SCHEMA_VERSION

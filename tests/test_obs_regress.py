@@ -13,7 +13,6 @@ from repro.mpi.communicator import Runtime
 from repro.obs import (
     experiment_artifact,
     load_bench_artifact,
-    result_entry,
     write_bench_artifact,
 )
 from repro.obs import regress
@@ -46,7 +45,7 @@ def baseline():
     ):
         result = run_bulk_exchange(dataclasses.replace(base, scheme=scheme))
         config = scheme.overrides_dict() or None
-        entries.append(result_entry(result, key=scheme.name, config=config, run=RUN))
+        entries.append(result.to_entry(scheme.name, config, RUN))
     return experiment_artifact("unit_regress", entries, meta={"seed": 42})
 
 
@@ -191,7 +190,9 @@ def fig09_entry():
 
 def test_rerun_reproduces_committed_work(fig09_entry):
     candidate = regress.rerun_artifact(fig09_entry)
-    assert candidate["entries"][0]["work"] == fig09_entry["entries"][0]["work"]
+    (entry,) = fig09_entry["entries"]
+    rerun = {e["key"]: e for e in candidate["entries"]}[entry["key"]]
+    assert rerun["work"] == entry["work"]
     assert regress.compare_artifacts(fig09_entry, candidate).ok
 
 
@@ -219,20 +220,18 @@ def test_one_extra_event_per_message_fails_only_the_work_gate(
 # -- re-running -------------------------------------------------------------
 
 
-def test_rerun_reproduces_the_baseline_exactly(baseline):
+def test_rerun_reproduces_the_baseline_exactly():
+    baseline = load_bench_artifact(os.path.join(RESULTS, "BENCH_fig11_breakdown.json"))
     candidate = regress.rerun_artifact(baseline)
+    assert candidate["entries"] == baseline["entries"]
     report = regress.compare_artifacts(baseline, candidate)
-    assert report.ok
-    for check in report.checks:
-        assert check.candidate == pytest.approx(check.baseline, rel=1e-12)
+    assert report.ok and not report.extra
+    assert all(check.candidate == check.baseline for check in report.checks)
 
 
-def test_rerun_entry_rejects_unrunnable_scheme(baseline):
-    entry = dict(baseline["entries"][0])
-    entry["scheme"] = "No-Such-Scheme"
-    entry.pop("config", None)
-    with pytest.raises(KeyError):
-        regress.rerun_entry(entry)
+def test_rerun_rejects_an_artifact_no_figure_plan_writes(baseline):
+    with pytest.raises(ValueError, match="--candidate"):
+        regress.rerun_artifact(baseline)
 
 
 # -- CLI gate ---------------------------------------------------------------
@@ -255,3 +254,15 @@ def test_cli_regress_pass_and_fail(tmp_path, baseline, capsys):
         "regress", "--baseline", base_path, "--candidate", slow_path,
         "--tolerance", "0.2",
     ]) == 0
+
+    # no figure plan writes this artifact, so it needs a --candidate
+    with pytest.raises(SystemExit, match="--candidate"):
+        main(["regress", "--baseline", base_path])
+
+
+def test_cli_regress_reruns_a_committed_figure(capsys):
+    path = os.path.join(RESULTS, "BENCH_fig01_launch_overhead.json")
+    assert main(["regress", "--baseline", path]) == 0
+    out = capsys.readouterr().out
+    assert "fig01_launch_overhead: 12 checks, 0 regressions" in out
+    assert "verdict: PASS" in out

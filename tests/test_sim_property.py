@@ -1,14 +1,14 @@
 """Property-based tests (hypothesis) for the simulation kernel.
 
 DESIGN.md §6 invariants: events fire in non-decreasing time, FIFO for
-ties, full determinism given identical process code, and resource/store
+ties, full determinism given identical process code, and resource
 conservation under arbitrary interleavings.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 @settings(max_examples=80, deadline=None)
@@ -74,41 +74,6 @@ def test_resource_conserves_capacity(jobs, capacity):
     assert active["peak"] <= capacity
     # Grants follow request order (single-process-per-request FIFO).
     assert served == sorted(served)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(["put", "get"]), min_size=1, max_size=40))
-def test_store_conserves_items(script):
-    """Everything put is eventually got, in order, nothing duplicated."""
-    sim = Simulator()
-    store = Store(sim)
-    puts = []
-    gots = []
-    counter = {"next": 0}
-    n_puts = script.count("put")
-    n_gets = min(script.count("get"), n_puts)
-
-    def getter():
-        item = yield store.get()
-        gots.append(item)
-
-    gets_launched = 0
-    for action in script:
-        if action == "put":
-            item = counter["next"]
-            counter["next"] += 1
-            puts.append(item)
-            store.put(item)
-        elif gets_launched < n_gets:
-            gets_launched += 1
-            sim.process(getter())
-    # Launch any remaining getters so every available item is consumed.
-    while gets_launched < n_gets:
-        gets_launched += 1
-        sim.process(getter())
-    sim.run()
-    assert gots == puts[:n_gets]
-    assert len(store) == n_puts - n_gets
 
 
 @settings(max_examples=30, deadline=None)

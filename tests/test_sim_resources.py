@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Channel."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Channel, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator
 
 
 # -- Resource -----------------------------------------------------------------
@@ -59,98 +59,3 @@ def test_resource_release_idle_rejected():
 def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
-
-
-# -- Store ---------------------------------------------------------------------
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = store.get()
-    sim.run()
-    assert got.value == "x"
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    results = []
-
-    def consumer():
-        item = yield store.get()
-        results.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(3.0)
-        store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert results == [("late", pytest.approx(3.0))]
-
-
-def test_store_fifo_ordering():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(5):
-        store.put(i)
-    got = [store.get() for _ in range(5)]
-    sim.run()
-    assert [g.value for g in got] == [0, 1, 2, 3, 4]
-
-
-def test_store_bounded_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    first = store.put("a")
-    second = store.put("b")
-    sim.run()
-    assert first.processed and not second.triggered
-    got = store.get()
-    sim.run()
-    assert got.value == "a"
-    assert second.processed
-    assert store.items == ("b",)
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("v")
-    assert store.try_get() == "v"
-    assert store.try_get() is None
-
-
-def test_store_capacity_validation():
-    with pytest.raises(ValueError):
-        Store(Simulator(), capacity=0)
-
-
-# -- Channel ----------------------------------------------------------------------
-
-
-def test_channel_duplex_roundtrip():
-    sim = Simulator()
-    chan = Channel(sim, name="c")
-    a, b = chan.endpoint_a(), chan.endpoint_b()
-    log = []
-
-    def ping():
-        a.send("ping")
-        reply = yield a.recv()
-        log.append(reply)
-
-    def pong():
-        msg = yield b.recv()
-        log.append(msg)
-        b.send("pong")
-
-    sim.process(ping())
-    sim.process(pong())
-    sim.run()
-    assert log == ["ping", "pong"]

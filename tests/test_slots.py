@@ -17,7 +17,7 @@ from repro.gpu.memory import GPUBuffer
 from repro.gpu.stream import CudaEvent, ExecutionEngine, Stream
 from repro.net.link import Link, LinkSpec
 from repro.sim.engine import AllOf, AnyOf, CompletionWatch, Event, Process, Simulator, Timeout
-from repro.sim.resources import Channel, ChannelEnd, Resource, Store
+from repro.sim.resources import Resource
 
 
 def _instances():
@@ -27,7 +27,6 @@ def _instances():
     op = type("Op", (), {})  # stand-in KernelOp payload for the ring
     op.nbytes = 64
     op.kind = OpKind.PACK
-    channel = Channel(sim, name="c")
     ring = CircularRequestList(sim, capacity=4)
     request = ring.enqueue(op)
 
@@ -42,9 +41,6 @@ def _instances():
         AnyOf(sim, []),
         CompletionWatch(sim, []),
         Resource(sim),
-        Store(sim),
-        channel,
-        channel.endpoint_a(),
         Link(sim, LinkSpec("l", bandwidth=1e9, latency=1e-6)),
         ExecutionEngine(),
         Stream(sim),
@@ -76,7 +72,7 @@ def test_slotted_classes_reject_adhoc_attributes():
 
 EXPECTED_SLOTTED = [
     Event, Timeout, Process, AllOf, AnyOf, CompletionWatch,
-    Resource, Store, Channel, ChannelEnd,
+    Resource,
     Link, ExecutionEngine, Stream, CudaEvent,
     GPUBuffer, DataLayout, CircularRequestList, FusionRequest,
 ]
