@@ -13,6 +13,9 @@ drivers, so CI and local runs always sweep the same plane:
 * :func:`run_figure` executes both stages through
   :func:`~repro.bench.sweep.run_sweep` and assembles the versioned
   ``BENCH_<experiment>.json`` document.
+* :func:`threshold_curve` is the same tuning for one experiment, the
+  grid ``repro autotune`` runs; it and the figures' tuning phase pick
+  their winner with one argmin, :func:`best_threshold`.
 
 The plans are the only description of a committed experiment: the
 regression gate re-runs a baseline artifact through the plan whose
@@ -26,7 +29,7 @@ shard built by :func:`fig01_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ExperimentConfig
 from ..obs.artifact import experiment_artifact
@@ -42,8 +45,10 @@ __all__ = [
     "FIG14_SCHEMES",
     "FigurePlan",
     "FigureRun",
+    "best_threshold",
     "fig01_table",
     "run_figure",
+    "threshold_curve",
     "fig08_views",
     "fig09_results",
     "fig10_results",
@@ -86,6 +91,9 @@ FIG12_SWEEPS: Dict[str, List[int]] = {
     "NAS_MG": [32, 64, 128, 256],
 }
 TUNE_CANDIDATES = [128 * KiB, 256 * KiB, 512 * KiB]
+#: candidate grid of ``repro autotune`` (the Fig. 8 sweep points)
+AUTOTUNE_THRESHOLDS = [32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB,
+                       1024 * KiB, 2048 * KiB]
 FIG12_SCHEMES = [
     "GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed", "Proposed-Tuned",
 ]
@@ -294,21 +302,44 @@ def _figure12_tuning(experiment: str, system: str) -> List[ExperimentSpec]:
     return specs
 
 
-def tuned_thresholds(tuning: Mapping[str, ExperimentResult]) -> Dict[str, int]:
-    """Per-workload best threshold from the tuning-phase results.
+def best_threshold(curve: Mapping[int, float]) -> int:
+    """The threshold with the lowest latency in ``curve`` (threshold →
+    mean latency); ties go to the earliest candidate."""
+    return min(curve, key=curve.__getitem__)
 
-    Ties go to the earliest candidate, exactly like the serial tuning
-    loop the drivers used to run.
-    """
-    best: Dict[str, int] = {}
-    for workload in FIG12_SWEEPS:
-        best_thr, best_lat = TUNE_CANDIDATES[0], float("inf")
-        for threshold in TUNE_CANDIDATES:
-            lat = tuning[_tuning_key(workload, threshold)].mean_latency
-            if lat < best_lat:
-                best_thr, best_lat = threshold, lat
-        best[workload] = best_thr
-    return best
+
+def tuned_thresholds(tuning: Mapping[str, ExperimentResult]) -> Dict[str, int]:
+    """Per-workload best threshold from the tuning-phase results."""
+    return {
+        workload: best_threshold(
+            {
+                threshold: tuning[_tuning_key(workload, threshold)].mean_latency
+                for threshold in TUNE_CANDIDATES
+            }
+        )
+        for workload in FIG12_SWEEPS
+    }
+
+
+def threshold_curve(
+    base: ExperimentConfig, thresholds: Sequence[int] = AUTOTUNE_THRESHOLDS
+) -> Dict[int, float]:
+    """Empirical §IV-C tuning of one experiment: ``base`` run once per
+    candidate fusion threshold through the sweep engine; returns
+    threshold → mean latency in candidate order."""
+    specs = [
+        ExperimentSpec(
+            "autotune",
+            f"thr={threshold}",
+            base.with_overrides({"scheme.fusion.threshold_bytes": threshold}),
+        )
+        for threshold in thresholds
+    ]
+    views = run_sweep(specs).views
+    return {
+        threshold: views[spec.key].mean_latency
+        for threshold, spec in zip(thresholds, specs)
+    }
 
 
 def _figure12_grid(

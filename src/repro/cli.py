@@ -54,7 +54,7 @@ from .config import (
     SystemCfg,
     WorkloadCfg,
 )
-from .core.autotune import autotune_threshold, recommend_threshold
+from .core.autotune import recommend_threshold
 from .net import SYSTEMS
 from .obs import Observer, Recorder
 from .schemes import SCHEME_REGISTRY
@@ -273,24 +273,21 @@ def _cmd_figure_sweep(args) -> int:
 
 
 def cmd_autotune(args) -> int:
+    from .bench.figures import best_threshold, threshold_curve
+
     spec = WORKLOADS[args.workload](args.dim)
     system = SYSTEMS[args.system]
     layout = spec.datatype.flatten().replicate(spec.count)
     model = recommend_threshold(system.gpu_arch, layout)
     print(f"model-based recommendation: {model // KiB} KB "
           f"(§IV-C: fused time >= 2x launch overhead)\n")
-    base = ExperimentConfig(
-        system=SystemCfg(name=args.system),
-        workload=WorkloadCfg(
-            name=args.workload, dim=args.dim, nbuffers=args.nbuffers
-        ),
-        harness=HarnessCfg(iterations=2, warmup=1, data_plane=False),
-    )
-    result = autotune_threshold(base)
+    curve = threshold_curve(_experiment_config(args, "Proposed"))
+    best = best_threshold(curve)
     print("empirical sweep:")
-    print(result.describe())
-    print(f"\nempirical best: {result.best_threshold // KiB} KB "
-          f"({result.best_latency * 1e6:.1f} us)")
+    for threshold, latency in curve.items():
+        mark = "   <-- best" if threshold == best else ""
+        print(f"{threshold // KiB:>6} KB: {latency * 1e6:9.2f} us{mark}")
+    print(f"\nempirical best: {best // KiB} KB ({curve[best] * 1e6:.1f} us)")
     return 0
 
 
@@ -410,12 +407,20 @@ def _parse_set_value(raw: str):
         return raw
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _read_config(path: str) -> ExperimentConfig:
+    """A config JSON file; a bad one exits with the loader's message."""
     import json
 
+    with open(path) as fh:
+        try:
+            return ExperimentConfig.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise SystemExit(f"{path}: {exc}") from None
+
+
+def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+        cfg = _read_config(args.file)
     else:
         cfg = ExperimentConfig.default()
     overrides = {}
@@ -425,7 +430,10 @@ def _config_from_args(args) -> ExperimentConfig:
             raise SystemExit(f"--set expects PATH=VALUE, got {item!r}")
         overrides[path] = _parse_set_value(raw)
     if overrides:
-        cfg = cfg.with_overrides(overrides)
+        try:
+            cfg = cfg.with_overrides(overrides)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     return cfg
 
 
@@ -443,13 +451,7 @@ def cmd_config_hash(args) -> int:
 
 def cmd_config_diff(args) -> int:
     """Dotted-path diff of two config JSON files; exit 1 when they differ."""
-    import json
-
-    def load(path: str) -> ExperimentConfig:
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
-
-    diffs = load(args.a).diff(load(args.b))
+    diffs = _read_config(args.a).diff(_read_config(args.b))
     if not diffs:
         print("configs identical")
         return 0

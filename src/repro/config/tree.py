@@ -456,8 +456,16 @@ class ExperimentConfig:
         return _from_dict(cls, data, path="")
 
     def canonical_json(self) -> str:
-        """Sorted-key, minimal-separator JSON — the hashed form."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Sorted-key, minimal-separator JSON — the hashed form.
+
+        With the data plane off there is nothing to verify, so
+        ``harness.verify`` is left out: a dry run has one hash whatever
+        that flag says.
+        """
+        data = self.to_dict()
+        if not self.harness.data_plane:
+            del data["harness"]["verify"]
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
         """Canonical sha256 content hash of this config.

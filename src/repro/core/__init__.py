@@ -5,7 +5,7 @@ with cooperative-group partitioning (§IV-A3), the §IV-C launch policy,
 and the packing-scheme adapter that plugs it into the MPI runtime.
 """
 
-from .autotune import AutotuneResult, autotune_threshold, recommend_threshold
+from .autotune import recommend_threshold
 from .framework import KernelFusionScheme
 from .fused_kernel import launch_fused_kernel
 from .fusion_policy import FusionPolicy, ModelBasedPolicy
@@ -15,8 +15,6 @@ from .scheduler import FusionScheduler, SchedulerStats
 __all__ = [
     "KernelFusionScheme",
     "recommend_threshold",
-    "autotune_threshold",
-    "AutotuneResult",
     "FusionScheduler",
     "SchedulerStats",
     "FusionPolicy",

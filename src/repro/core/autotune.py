@@ -1,42 +1,32 @@
-"""Threshold auto-tuning — operationalizing §IV-C and §VII.
+"""Model-based threshold recommendation — operationalizing §IV-C and §VII.
 
 The paper tunes the fusion threshold per system/workload by hand
 ("we use the above-mentioned heuristic method to find the optimal
-threshold") and names model-based auto-tuning as future work.  This
-module provides both halves:
+threshold") and names model-based auto-tuning as future work.
+:func:`recommend_threshold` is that model: the closed-form §IV-C
+principle, the smallest pooled byte count whose *estimated* fused
+execution time exceeds a multiple of the kernel-launch overhead,
+computed from the workload's block shape and the architecture cost
+model.  No runs needed.
 
-* :func:`recommend_threshold` — the closed-form §IV-C principle: the
-  smallest pooled byte count whose *estimated* fused execution time
-  exceeds a multiple of the kernel-launch overhead, computed from the
-  workload's block shape and the architecture cost model.  No runs
-  needed.
-* :func:`autotune_threshold` — the empirical method the paper actually
-  used: run the bulk exchange across a candidate grid and return the
-  argmin (plus the whole curve for reporting).
-
-The ablation benchmark shows the closed-form recommendation lands
-within a small factor of the empirical optimum — the paper's future
-work, realized.
+The empirical method the paper actually used — run the bulk exchange
+across a candidate grid and take the argmin — is a sweep like any
+other: :func:`repro.bench.figures.threshold_curve` runs it through the
+sweep engine and :func:`repro.bench.figures.best_threshold` picks the
+winner, the same pick the Figs. 12/13 tuning phase makes.  ``repro
+autotune`` prints both, and ``tests/test_core_autotune.py`` checks that
+the model lands within one 4x sweep step of the empirical optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
-
-from ..config import ExperimentConfig
 from ..datatypes.layout import DataLayout
 from ..gpu.archs import GPUArchitecture
 from ..gpu.kernels import kernel_compute_time
 
-__all__ = ["recommend_threshold", "AutotuneResult", "autotune_threshold"]
+__all__ = ["recommend_threshold"]
 
 KiB = 1024
-
-#: default empirical candidate grid (the Fig. 8 sweep points)
-DEFAULT_CANDIDATES = (
-    32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1024 * KiB, 2048 * KiB,
-)
 
 
 def recommend_threshold(
@@ -64,46 +54,3 @@ def recommend_threshold(
         if estimate >= target or pooled_bytes >= max_threshold:
             return min(pooled_bytes, max_threshold)
     return max_threshold
-
-
-@dataclass
-class AutotuneResult:
-    """Outcome of an empirical threshold sweep."""
-
-    best_threshold: int
-    best_latency: float
-    #: threshold -> mean latency (seconds) for every candidate
-    curve: Dict[int, float] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        """Human-readable sweep summary."""
-        lines = [
-            f"{thr // KiB:>6} KB: {lat * 1e6:9.2f} us"
-            + ("   <-- best" if thr == self.best_threshold else "")
-            for thr, lat in sorted(self.curve.items())
-        ]
-        return "\n".join(lines)
-
-
-def autotune_threshold(
-    base: ExperimentConfig,
-    *,
-    candidates: Sequence[int] = DEFAULT_CANDIDATES,
-) -> AutotuneResult:
-    """Empirical §IV-C tuning: sweep candidates, return the argmin.
-
-    Each candidate runs ``base`` with ``scheme.fusion.threshold_bytes``
-    set to it; everything else (system, workload, harness) comes from
-    ``base``.
-    """
-    # Imported here: bench depends on core for the proposed scheme.
-    from ..bench.runner import run_bulk_exchange
-
-    if not candidates:
-        raise ValueError("need at least one candidate threshold")
-    curve: Dict[int, float] = {}
-    for threshold in candidates:
-        cfg = base.with_overrides({"scheme.fusion.threshold_bytes": threshold})
-        curve[threshold] = run_bulk_exchange(cfg).mean_latency
-    best = min(curve, key=curve.get)
-    return AutotuneResult(best_threshold=best, best_latency=curve[best], curve=curve)

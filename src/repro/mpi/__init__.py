@@ -1,32 +1,23 @@
 """MPI-like runtime: ranks, matching, protocols, progress."""
 
 from .cartesian import PROC_NULL, CartComm
-from .collectives import allgather, allreduce, alltoall, barrier, neighbor_alltoall
+from .collectives import allreduce, alltoall, neighbor_alltoall
 from .communicator import Rank, Runtime
-from .persistent import PersistentKind, PersistentRequest
 from .matching import ANY_SOURCE, ANY_TAG, MatchingEngine, MessageRecord
 from .protocols import DIRECT, EAGER, PIPELINE, RGET, RPUT
-from .request import RecvRequest, Request, RequestState, SendRequest
-from .rma import Window, create_windows
+from .request import RecvRequest, Request, SendRequest
 
 __all__ = [
     "Runtime",
     "Rank",
     "alltoall",
-    "allgather",
     "allreduce",
     "neighbor_alltoall",
-    "barrier",
-    "PersistentRequest",
     "CartComm",
     "PROC_NULL",
-    "Window",
-    "create_windows",
-    "PersistentKind",
     "Request",
     "SendRequest",
     "RecvRequest",
-    "RequestState",
     "MatchingEngine",
     "MessageRecord",
     "ANY_SOURCE",

@@ -3,19 +3,18 @@
 The paper situates datatype fusion inside the broader GPU-collectives
 literature ([11]–[13]) and its bulk-transfer scenario — "multiple
 non-contiguous data transfers to multiple neighbors" — is exactly what
-a datatype-typed collective generates.  This module provides the
-collectives the examples and benchmarks use, implemented with the same
+a datatype-typed collective generates.  This module keeps the three
+collectives the examples and benchmarks run, implemented with the same
 nonblocking primitives an MPI library would lower them to:
 
 * :func:`alltoall` — personalized exchange of one datatype instance per
   peer (the FFT-transpose pattern: every send is non-contiguous, and a
   fusing runtime batches all ``P-1`` packing kernels);
-* :func:`allgather` — ring-free direct exchange of one instance from
-  everyone to everyone;
 * :func:`neighbor_alltoall` — the halo-exchange collective: per-
   neighbor send/recv datatypes (MPI's
   ``MPI_Neighbor_alltoallw`` shape), used by the halo examples;
-* :func:`barrier` — dissemination barrier over zero-payload messages.
+* :func:`allreduce` — the small convergence-check reduction of
+  iterative solvers (``examples/jacobi2d.py``).
 
 All are generators to be driven inside a rank's simulation process,
 like every other CPU-consuming call.  Tags are drawn from a reserved
@@ -32,7 +31,7 @@ from ..gpu.memory import GPUBuffer
 from .communicator import Rank, TypeArg
 from .request import Request
 
-__all__ = ["alltoall", "allgather", "neighbor_alltoall", "barrier", "allreduce"]
+__all__ = ["alltoall", "neighbor_alltoall", "allreduce"]
 
 #: base tag of the reserved collective range
 _COLL_TAG = 1 << 20
@@ -88,49 +87,6 @@ def alltoall(
         packed = pack_bytes(
             sendbuf.data, send_layout, base_offset=me * send_layout.extent
         )
-        unpack_bytes(
-            packed, recv_layout, recvbuf.data, base_offset=me * recv_layout.extent
-        )
-    yield from rank.waitall(requests)
-
-
-def allgather(
-    rank: Rank,
-    sendbuf: GPUBuffer,
-    send_type: TypeArg,
-    recvbuf: GPUBuffer,
-    recv_type: TypeArg,
-    *,
-    tag_round: int = 0,
-) -> Generator:
-    """All-gather: every rank contributes one ``send_type`` instance.
-
-    Rank ``p``'s contribution lands at ``p * extent`` of everyone's
-    ``recvbuf`` (direct exchange; the simulator has no congestion
-    incentive for a ring).
-    """
-    runtime = rank.runtime
-    me = rank.rank_id
-    send_layout = rank.resolve_layout(send_type, 1)
-    recv_layout = rank.resolve_layout(recv_type, 1)
-    tag = _COLL_TAG + (1 << 10) + tag_round
-    requests: List[Request] = []
-    for peer in range(runtime.size):
-        if peer == me:
-            continue
-        requests.append(
-            rank.irecv(
-                recvbuf, recv_layout, 1, peer, tag=tag,
-                offset=peer * recv_layout.extent,
-            )
-        )
-    for peer in range(runtime.size):
-        if peer == me:
-            continue
-        sreq = yield from rank.isend(sendbuf, send_layout, 1, peer, tag=tag)
-        requests.append(sreq)
-    if sendbuf.functional and recvbuf.functional:
-        packed = pack_bytes(sendbuf.data, send_layout)
         unpack_bytes(
             packed, recv_layout, recvbuf.data, base_offset=me * recv_layout.extent
         )
@@ -258,29 +214,3 @@ def allreduce(
     finally:
         sendbuf.free()
         recvbuf.free()
-
-
-def barrier(rank: Rank, *, tag_round: int = 0) -> Generator:
-    """Dissemination barrier: ``ceil(log2 P)`` rounds of token pairs."""
-    runtime = rank.runtime
-    size = runtime.size
-    if size == 1:
-        return
-    me = rank.rank_id
-    token = rank.device.alloc(8)
-    try:
-        distance = 1
-        round_no = 0
-        while distance < size:
-            to = (me + distance) % size
-            frm = (me - distance) % size
-            tag = _COLL_TAG + (3 << 10) + tag_round * 64 + round_no
-            rreq = rank.irecv(token, DataLayout.contiguous(8), 1, frm, tag=tag)
-            sreq = yield from rank.isend(
-                token, DataLayout.contiguous(8), 1, to, tag=tag
-            )
-            yield from rank.waitall([rreq, sreq])
-            distance *= 2
-            round_no += 1
-    finally:
-        token.free()

@@ -26,7 +26,7 @@ kernel fusion.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Generator, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Generator, Iterable, List, Optional, Union
 
 from ..config import ProtocolCfg
 from ..datatypes.base import Datatype
@@ -488,22 +488,21 @@ class Rank:
         return rreq
 
     # -- completion --------------------------------------------------------------
-    def _progress_until(
-        self, pending: Callable[[], List[Event]], slack: int = 0
-    ) -> Generator[Event, None, None]:
-        """Drive the progress engine until at most ``slack`` of the
-        events ``pending()`` returns are still outstanding.
+    def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
+        """Block until all requests complete (``MPI_Waitall``).
 
-        Each iteration holds the CPU for the scheme's sync-point flush
-        (§IV-C scenario 1: "the communication progress engine has no
-        more operations to request") and progress tick, then sleeps
-        until a watched event fires or the poll interval elapses.
-        ``pending`` runs once, after the first flush; from then on a
-        :class:`~repro.sim.engine.CompletionWatch` counts completions,
-        so no poll re-scans or re-subscribes the whole set.  Poll ticks
-        that land while :meth:`_idle` holds are skipped by the watch:
-        such a poll would cost nothing and change nothing.
+        Each iteration of the progress loop holds the CPU for the
+        scheme's sync-point flush (§IV-C scenario 1: "the communication
+        progress engine has no more operations to request") and progress
+        tick, then sleeps until a request completes or the poll interval
+        elapses.  The pending set is taken once, after the first flush;
+        from then on a :class:`~repro.sim.engine.CompletionWatch` counts
+        completions, so a bulk of N requests costs O(N) bookkeeping
+        however many poll wakes the wait takes.  Poll ticks that land
+        while :meth:`_idle` holds are skipped by the watch: such a poll
+        would cost nothing and change nothing.
         """
+        reqs = list(requests)
         watch = None
         while True:
             yield self.cpu.request()
@@ -513,8 +512,10 @@ class Rank:
             finally:
                 self.cpu.release()
             if watch is None:
-                watch = CompletionWatch(self.sim, pending())
-            if watch.remaining <= slack:
+                watch = CompletionWatch(
+                    self.sim, [r.completion for r in reqs if not r.done]
+                )
+            if watch.remaining == 0:
                 return
             yield watch.sleep(self.runtime.poll_interval, self._idle)
 
@@ -522,70 +523,6 @@ class Rank:
         """Whether a progress poll now would be a no-op: the CPU is free
         with nobody queued and the scheme is quiescent."""
         return self.cpu.idle and self.scheme.quiescent()
-
-    def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
-        """Block until all requests complete (``MPI_Waitall``).
-
-        Progress runs through :meth:`_progress_until`: each request's
-        ``done`` is read once and its completion subscribed once, so a
-        bulk of N requests costs O(N) bookkeeping however many poll
-        wakes the wait takes.
-        """
-        reqs = list(requests)
-        yield from self._progress_until(
-            lambda: [r.completion for r in reqs if not r.done]
-        )
-
-    def wait(self, request: Request) -> Generator[Event, None, None]:
-        """Block until one request completes (``MPI_Wait``)."""
-        yield from self.waitall([request])
-
-    def waitany(self, requests: Sequence[Request]) -> Generator[Event, None, int]:
-        """Block until *some* request completes; returns the lowest
-        completed index (``MPI_Waitany``).  Progress semantics match
-        :meth:`waitall`."""
-        reqs = list(requests)
-        if not reqs:
-            raise ValueError("waitany requires at least one request")
-        yield from self._progress_until(
-            lambda: [r.completion for r in reqs if not r.done], slack=len(reqs) - 1
-        )
-        return next(index for index, req in enumerate(reqs) if req.done)
-
-    def waitsome(self, requests: Sequence[Request]) -> Generator[Event, None, List[int]]:
-        """Block until at least one request completes; returns the
-        indices of every completed request (``MPI_Waitsome``)."""
-        reqs = list(requests)
-        first = yield from self.waitany(reqs)
-        done = [i for i, r in enumerate(reqs) if r.done]
-        assert first in done
-        return done
-
-    def test(self, request: Request) -> Generator[Event, None, bool]:
-        """Nonblocking completion check with progress (``MPI_Test``).
-
-        One progress-engine pass (flush + scheme tick), then the status
-        read — matching MPI's requirement that ``MPI_Test`` advances
-        the progress engine.
-        """
-        yield self.cpu.request()
-        try:
-            yield from self.scheme.flush()
-            yield from self.scheme.progress_tick()
-        finally:
-            self.cpu.release()
-        return request.done
-
-    def testall(self, requests: Iterable[Request]) -> Generator[Event, None, bool]:
-        """Nonblocking check of a whole set (``MPI_Testall``)."""
-        reqs = list(requests)
-        yield self.cpu.request()
-        try:
-            yield from self.scheme.flush()
-            yield from self.scheme.progress_tick()
-        finally:
-            self.cpu.release()
-        return all(r.done for r in reqs)
 
     # -- blocking conveniences ------------------------------------------------------
     def send(
@@ -613,31 +550,6 @@ class Rank:
         """Blocking receive."""
         rreq = self.irecv(buffer, datatype, count, source, tag, offset)
         yield from self.waitall([rreq])
-
-    # -- persistent requests (MPI_Send_init family) ------------------------------------
-    def send_init(self, buffer, datatype, count, dest, tag=0, offset=0):
-        """Create a persistent send pattern (``MPI_Send_init``)."""
-        from .persistent import send_init as _send_init
-
-        return _send_init(self, buffer, datatype, count, dest, tag, offset)
-
-    def recv_init(self, buffer, datatype, count, source, tag=0, offset=0):
-        """Create a persistent receive pattern (``MPI_Recv_init``)."""
-        from .persistent import recv_init as _recv_init
-
-        return _recv_init(self, buffer, datatype, count, source, tag, offset)
-
-    def start(self, request):
-        """Activate one persistent request (``MPI_Start``); generator."""
-        result = yield from request.start()
-        return result
-
-    def startall(self, requests):
-        """Activate a set of persistent requests (``MPI_Startall``)."""
-        from .persistent import startall as _startall
-
-        result = yield from _startall(self, requests)
-        return result
 
     # -- MPI-level explicit pack/unpack (Algorithm 1) ----------------------------------
     def pack(

@@ -1,7 +1,7 @@
 """MPI-style request objects.
 
 A :class:`Request` is returned by the nonblocking operations
-(``isend``/``irecv``) and consumed by ``wait``/``waitall``.  Its
+(``isend``/``irecv``) and consumed by ``waitall``.  Its
 ``completion`` simulation event fires when the MPI semantics are
 satisfied:
 
@@ -17,7 +17,6 @@ packing).
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Optional
 
@@ -26,17 +25,7 @@ from ..gpu.memory import GPUBuffer
 from ..schemes.base import OpHandle
 from ..sim.engine import Event, Simulator
 
-__all__ = ["RequestState", "Request", "SendRequest", "RecvRequest"]
-
-
-class RequestState(str, enum.Enum):
-    """Lifecycle of a request."""
-
-    ACTIVE = "active"
-    COMPLETE = "complete"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+__all__ = ["Request", "SendRequest", "RecvRequest"]
 
 
 class Request:
@@ -71,18 +60,9 @@ class Request:
         self.issued_at = sim.now
 
     @property
-    def state(self) -> RequestState:
-        """Current lifecycle state."""
-        return RequestState.COMPLETE if self.completion.processed else RequestState.ACTIVE
-
-    @property
     def done(self) -> bool:
         """True once MPI completion semantics are satisfied."""
         return self.completion.processed
-
-    def test(self) -> bool:
-        """Nonblocking completion check (``MPI_Test``)."""
-        return self.done
 
     @property
     def nbytes(self) -> int:
@@ -96,14 +76,13 @@ class Request:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} #{self.req_id} rank={self.rank} "
-            f"peer={self.peer} tag={self.tag} {self.state}>"
+            f"peer={self.peer} tag={self.tag} "
+            f"{'complete' if self.done else 'active'}>"
         )
 
 
 class SendRequest(Request):
     """Nonblocking send in flight."""
-
-    is_send = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -114,8 +93,6 @@ class SendRequest(Request):
 
 class RecvRequest(Request):
     """Nonblocking receive in flight."""
-
-    is_send = False
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -104,7 +104,19 @@ def test_autotune_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "model-based recommendation" in out
-    assert "empirical best" in out
+    assert "<-- best" in out and "empirical best" in out
+
+
+def test_autotune_runs_the_common_flags(capsys):
+    """``--seed`` and ``--noise`` reach every candidate run."""
+    outputs = []
+    for flags in ([], ["--noise", "0.3", "--seed", "3"], ["--noise", "0.3", "--seed", "4"]):
+        assert main([
+            "autotune", "--workload", "NAS_MG", "--dim", "64", "--nbuffers", "4",
+            *flags,
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 3
 
 
 def test_faults_command(capsys):
@@ -234,10 +246,24 @@ def test_config_set_overrides(capsys):
 
 
 def test_config_set_rejects_unknown_path_and_bad_syntax(capsys):
-    with pytest.raises(ValueError, match="unknown config path"):
+    with pytest.raises(SystemExit, match="unknown config path"):
         main(["config", "hash", "--set", "workload.dimension=2000"])
     with pytest.raises(SystemExit, match="PATH=VALUE"):
         main(["config", "hash", "--set", "workload.dim"])
+
+
+def test_bad_config_value_exits_with_the_message_alone(tmp_path):
+    """A bad value ends the command like a bad flag does: the one-line
+    message and a nonzero exit, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["config", "show", "--set", "harness.iterations=abc"])
+    assert exc.value.code == "harness.iterations must be an integer >= 1, got 'abc'"
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"harness": {"iterations": "abc"}}')
+    for argv in (["config", "hash", "--file", str(bad)], ["config", "diff", str(bad), str(bad)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"{bad}: harness.iterations must be an integer >= 1, got 'abc'"
 
 
 def test_config_diff_files(capsys, tmp_path):

@@ -231,6 +231,21 @@ def test_default_hash_matches_golden_pin():
     assert ExperimentConfig.default().content_hash() == GOLDEN_DEFAULT_HASH
 
 
+def test_dry_run_hash_ignores_verify():
+    """With the data plane off nothing is verified: one dry run, one hash."""
+    from repro.bench.figures import FIG_BASE
+
+    dry = FIG_BASE
+    assert dry.harness.data_plane is False
+    unverified = dry.with_overrides({"harness.verify": False})
+    assert dry.content_hash() == unverified.content_hash()
+    # The field itself keeps its value, so turning the data plane back
+    # on still verifies.
+    wet = dry.with_overrides({"harness.data_plane": True})
+    assert wet.harness.verify is True
+    assert wet.content_hash() != wet.with_overrides({"harness.verify": False}).content_hash()
+
+
 def test_hash_changes_with_any_knob():
     base = ExperimentConfig.default()
     seen = {base.content_hash()}

@@ -1,9 +1,12 @@
-"""Tests for threshold auto-tuning (closed-form + empirical)."""
+"""Tests for threshold auto-tuning: the closed-form model, and the
+empirical candidate sweep ``repro autotune`` runs through the sweep
+engine."""
 
 import pytest
 
+from repro.bench.figures import best_threshold, threshold_curve
 from repro.config import ExperimentConfig
-from repro.core import autotune_threshold, recommend_threshold
+from repro.core import recommend_threshold
 from repro.gpu import TESLA_V100, TESLA_V100_PCIE
 from repro.net import LASSEN
 from repro.workloads import WORKLOADS
@@ -64,27 +67,28 @@ def test_recommend_threshold_rejects_empty_layout():
 
 
 def test_autotune_finds_interior_optimum():
-    result = autotune_threshold(
-        _base("specfem3D_cm", 1000), candidates=(16 * KiB, 128 * KiB, 4096 * KiB)
-    )
-    assert result.best_threshold == 128 * KiB
-    assert result.best_latency == min(result.curve.values())
-    assert len(result.curve) == 3
-    assert "<-- best" in result.describe()
+    candidates = (16 * KiB, 128 * KiB, 4096 * KiB)
+    curve = threshold_curve(_base("specfem3D_cm", 1000), candidates)
+    assert list(curve) == list(candidates)
+    best = best_threshold(curve)
+    assert best == 128 * KiB
+    assert curve[best] == min(curve.values())
 
 
 def test_autotune_validation():
     with pytest.raises(ValueError):
-        autotune_threshold(_base("MILC", 8), candidates=())
+        best_threshold(threshold_curve(_base("MILC", 8), ()))
 
 
 def test_model_recommendation_close_to_empirical():
     """The future-work claim: the model lands near the measured best."""
     spec = WORKLOADS["specfem3D_cm"](2000)
     rec = recommend_threshold(LASSEN.gpu_arch, spec.datatype.flatten())
-    result = autotune_threshold(
-        _base("specfem3D_cm", 2000),
-        candidates=(64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1024 * KiB),
+    best = best_threshold(
+        threshold_curve(
+            _base("specfem3D_cm", 2000),
+            (64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1024 * KiB),
+        )
     )
     # Within one sweep step (4x) of the empirical optimum.
-    assert result.best_threshold / 4 <= rec <= result.best_threshold * 4
+    assert best / 4 <= rec <= best * 4

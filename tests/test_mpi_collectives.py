@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datatypes import DOUBLE, Contiguous, Vector
-from repro.mpi import Runtime, allgather, alltoall, barrier, neighbor_alltoall
+from repro.mpi import Runtime, alltoall, neighbor_alltoall
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
@@ -101,29 +101,6 @@ def test_alltoall_size_mismatch_rejected():
         sim.run(p)
 
 
-@pytest.mark.parametrize("scheme", ["GPU-Sync", "Proposed"])
-def test_allgather(scheme):
-    sim, rt = _runtime(scheme=scheme)
-    size = rt.size
-    item = Contiguous(32, DOUBLE).commit()
-    bufs = {}
-    for r in range(size):
-        rank = rt.rank(r)
-        send = rank.device.alloc(item.extent)
-        send.view(np.float64)[:] = r + 1
-        recv = rank.device.alloc(size * item.extent)
-        bufs[r] = (send, recv)
-
-    def prog(r):
-        yield from allgather(rt.rank(r), bufs[r][0], item, bufs[r][1], item)
-
-    _run_all(sim, [prog(r) for r in range(size)])
-    for r in range(size):
-        view = bufs[r][1].view(np.float64)
-        for p in range(size):
-            assert (view[p * 32 : (p + 1) * 32] == p + 1).all()
-
-
 def test_neighbor_alltoall_halo_pair():
     """Symmetric 2-rank halo via the neighborhood collective."""
     sim, rt = _runtime(size=2, ranks_per_node=1)
@@ -159,34 +136,6 @@ def test_neighbor_alltoall_halo_pair():
             got = arrays[me].data[ghost.flatten().gather_index()]
             want = snapshots[peer][sent.flatten().gather_index()]
             assert np.array_equal(got, want), d
-
-
-@pytest.mark.parametrize("size,rpn", [(2, 1), (4, 2)])
-def test_barrier_synchronizes(size, rpn):
-    sim, rt = _runtime(size=size, ranks_per_node=rpn)
-    exit_times = {}
-
-    def prog(r):
-        # Stagger arrivals; nobody leaves before the last arrival.
-        yield sim.timeout(r * 1e-5)
-        yield from barrier(rt.rank(r))
-        exit_times[r] = sim.now
-
-    _run_all(sim, [prog(r) for r in range(size)])
-    last_arrival = (size - 1) * 1e-5
-    assert all(t >= last_arrival for t in exit_times.values())
-
-
-def test_barrier_single_rank_noop():
-    sim = Simulator()
-    cluster = Cluster(sim, LASSEN, nodes=1, ranks_per_node=1)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"])
-
-    def prog():
-        yield from barrier(rt.rank(0))
-
-    sim.run(sim.process(prog()))
-    assert sim.now == 0.0
 
 
 def test_collectives_fuse_under_proposed():

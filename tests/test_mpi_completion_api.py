@@ -1,5 +1,5 @@
-"""Tests for MPI_Test / Testall / Waitany / Waitsome semantics, and for
-the progress loop behind every blocking wait."""
+"""Tests for the progress loop behind ``Rank.waitall``, the one
+blocking wait every send, receive and collective completes through."""
 
 from collections import Counter
 
@@ -11,142 +11,6 @@ from repro.mpi.request import Request
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import CompletionWatch, Event, Simulator
-
-
-def _setup(scheme="Proposed"):
-    sim = Simulator()
-    cluster = Cluster(sim, LASSEN, nodes=2)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY[scheme])
-    dt = Vector(16, 2, 5, DOUBLE).commit()
-    lay = rt.rank(0).resolve_layout(dt, 1)
-    hi = int(lay.offsets[-1] + lay.lengths[-1])
-    return sim, rt, dt, lay, hi
-
-
-def test_test_advances_progress_and_reports():
-    """For the fusion scheme, repeated MPI_Test is itself enough to
-    flush the scheduler (the §IV-C sync point) and complete a send."""
-    sim, rt, dt, lay, hi = _setup()
-    r0, r1 = rt.rank(0), rt.rank(1)
-    sbuf = r0.device.alloc(hi, fill=1)
-    rbuf = r1.device.alloc(hi)
-    log = {}
-
-    def sender():
-        req = yield from r0.isend(sbuf, dt, 1, dest=1, tag=0)
-        log["immediately_done"] = yield from r0.test(req)
-        while not (yield from r0.test(req)):
-            yield sim.timeout(1e-6)
-        log["finished_at"] = sim.now
-
-    def receiver():
-        req = r1.irecv(rbuf, dt, 1, source=0, tag=0)
-        yield from r1.waitall([req])
-
-    p0, p1 = sim.process(sender()), sim.process(receiver())
-    sim.run(sim.all_of([p0, p1]))
-    assert log["immediately_done"] is False
-    assert log["finished_at"] > 0
-    assert (rbuf.data[lay.gather_index()] == 1).all()
-
-
-def test_testall_set_semantics():
-    sim, rt, dt, lay, hi = _setup("GPU-Sync")
-    r0, r1 = rt.rank(0), rt.rank(1)
-    sbufs = [r0.device.alloc(hi, fill=i + 1) for i in range(3)]
-    rbufs = [r1.device.alloc(hi) for _ in range(3)]
-
-    def sender():
-        reqs = []
-        for i, b in enumerate(sbufs):
-            req = yield from r0.isend(b, dt, 1, dest=1, tag=i)
-            reqs.append(req)
-        while not (yield from r0.testall(reqs)):
-            yield sim.timeout(1e-6)
-
-    def receiver():
-        reqs = [r1.irecv(b, dt, 1, source=0, tag=i) for i, b in enumerate(rbufs)]
-        while not (yield from r1.testall(reqs)):
-            yield sim.timeout(1e-6)
-
-    p0, p1 = sim.process(sender()), sim.process(receiver())
-    sim.run(sim.all_of([p0, p1]))
-    for i, rb in enumerate(rbufs):
-        assert (rb.data[lay.gather_index()] == i + 1).all()
-
-
-def test_waitany_returns_first_completion_index():
-    sim, rt, dt, lay, hi = _setup("GPU-Sync")
-    r0, r1 = rt.rank(0), rt.rank(1)
-    sbuf = r0.device.alloc(hi, fill=9)
-    rbufs = [r1.device.alloc(hi) for _ in range(2)]
-    got = {}
-
-    def sender():
-        # Only tag 1 is ever sent; tag 0 stays pending.
-        yield sim.timeout(5e-6)
-        req = yield from r0.isend(sbuf, dt, 1, dest=1, tag=1)
-        yield from r0.waitall([req])
-
-    def receiver():
-        never = r1.irecv(rbufs[0], dt, 1, source=0, tag=0)
-        comes = r1.irecv(rbufs[1], dt, 1, source=0, tag=1)
-        got["index"] = yield from r1.waitany([never, comes])
-        got["never_done"] = never.done
-        # Drain: cancel semantics are out of scope; complete the pair so
-        # the simulation ends cleanly.
-        req = yield from r1.isend(sbuf_r1, dt, 1, dest=0, tag=99)
-        yield from r1.waitall([req])
-
-    sbuf_r1 = r1.device.alloc(hi)
-
-    def drain():
-        req = r0.irecv(r0.device.alloc(hi), dt, 1, source=1, tag=99)
-        yield from r0.waitall([req])
-
-    p0, p1, p2 = sim.process(sender()), sim.process(receiver()), sim.process(drain())
-    sim.run(sim.all_of([p0, p1, p2]))
-    assert got["index"] == 1
-    assert got["never_done"] is False
-
-
-def test_waitsome_returns_all_completed():
-    sim, rt, dt, lay, hi = _setup("GPU-Sync")
-    r0, r1 = rt.rank(0), rt.rank(1)
-    sbufs = [r0.device.alloc(hi, fill=5) for _ in range(2)]
-    rbufs = [r1.device.alloc(hi) for _ in range(2)]
-    got = {}
-
-    def sender():
-        reqs = []
-        for i, b in enumerate(sbufs):
-            req = yield from r0.isend(b, dt, 1, dest=1, tag=i)
-            reqs.append(req)
-        yield from r0.waitall(reqs)
-
-    def receiver():
-        reqs = [r1.irecv(b, dt, 1, source=0, tag=i) for i, b in enumerate(rbufs)]
-        # Wait long enough that both have landed, then waitsome.
-        yield sim.timeout(2e-3)
-        got["done"] = yield from r1.waitsome(reqs)
-
-    p0, p1 = sim.process(sender()), sim.process(receiver())
-    sim.run(sim.all_of([p0, p1]))
-    assert got["done"] == [0, 1]
-
-
-def test_waitany_requires_requests():
-    sim, rt, *_ = _setup("GPU-Sync")
-
-    def proc():
-        yield from rt.rank(0).waitany([])
-
-    p = sim.process(proc())
-    with pytest.raises(ValueError):
-        sim.run(p)
-
-
-# -- the progress loop ---------------------------------------------------------
 
 
 def _bulk_exchange(monkeypatch, scheme, nbuf=16):

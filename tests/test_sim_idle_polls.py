@@ -34,7 +34,7 @@ class _Recording(Simulator):
 
 
 class _Poller:
-    """The ``_progress_until`` loop in miniature: take the CPU, do any
+    """The ``Rank.waitall`` progress loop in miniature: take the CPU, do any
     queued work, return once the watched event fired, else sleep."""
 
     def __init__(self, sim, name, done_at, start=0.0):
