@@ -17,9 +17,6 @@ paper's evaluation (Section V).  Conventions:
 * Each benchmark prints its paper-style table through the capture-
   disabled console *and* writes it to ``<results-dir>/<name>.txt``
   so EXPERIMENTS.md can reference stable artifacts.
-* ``benchmark.pedantic`` wraps one representative configuration so
-  pytest-benchmark records harness wall time; the *scientific* numbers
-  are the simulated microseconds inside the tables.
 * Shape assertions (who wins, where crossovers fall) make each figure a
   regression test of the reproduction, not just a printout.
 * The ``artifact`` fixture writes a machine-readable

@@ -40,7 +40,7 @@ def _run(overrides=None, *, scheme_factory=None):
     )
 
 
-def test_ablation_rput_overlaps_handshake(benchmark, report):
+def test_ablation_rput_overlaps_handshake(report):
     rput = _run({"protocol.rendezvous": "rput"})
     rget = _run({"protocol.rendezvous": "rget"})
     report(
@@ -50,10 +50,9 @@ def test_ablation_rput_overlaps_handshake(benchmark, report):
         f"  RGET (pack, RTS, read)  : {rget.mean_latency * 1e6:9.2f}us",
     )
     assert rput.mean_latency < rget.mean_latency
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_sync_point_linger(benchmark, report):
+def test_ablation_sync_point_linger(report):
     eager_flush = _run({"scheme.options.idle_linger": 0.0})
     lingered = _run({"scheme.options.idle_linger": us(6.0)})
     report(
@@ -66,10 +65,9 @@ def test_ablation_sync_point_linger(benchmark, report):
     )
     assert lingered.scheduler_stats.launches < eager_flush.scheduler_stats.launches
     assert lingered.mean_latency <= eager_flush.mean_latency * 1.02
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_request_list_capacity(benchmark, report):
+def test_ablation_request_list_capacity(report):
     big = _run({"scheme.fusion.capacity": 256})
     tiny = _run({"scheme.fusion.capacity": 2})
     report(
@@ -80,10 +78,9 @@ def test_ablation_request_list_capacity(benchmark, report):
         "(fallbacks engage the GPU-Sync path)",
     )
     assert tiny.mean_latency > big.mean_latency
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_cooperative_grid(benchmark, report):
+def test_ablation_cooperative_grid(report):
     def grid_factory(grid_blocks):
         def factory(site, trace):
             scheme = KernelFusionScheme(site, trace)
@@ -101,10 +98,9 @@ def test_ablation_cooperative_grid(benchmark, report):
         f"  starved grid (8 blocks)     : {starved.mean_latency * 1e6:9.2f}us",
     )
     assert starved.mean_latency > full.mean_latency
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_model_based_policy(benchmark, report):
+def test_ablation_model_based_policy(report):
     def model_factory(site, trace):
         policy = ModelBasedPolicy(
             arch=site.device.arch, threshold_bytes=1 << 40, launch_cost_multiple=2.0
@@ -129,10 +125,9 @@ def test_ablation_model_based_policy(benchmark, report):
     # The untuned model-based policy stays within 1.5x of the tuned
     # heuristic everywhere — no per-system byte threshold needed.
     assert ok
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_async_pipeline_depth(benchmark, report):
+def test_ablation_async_pipeline_depth(report):
     lat = {
         c: _run(
             {"scheme.name": "GPU-Async", "scheme.options.pipeline_chunks": c}
@@ -146,10 +141,9 @@ def test_ablation_async_pipeline_depth(benchmark, report):
     )
     # On modern GPUs deeper pipelining only multiplies launch overhead.
     assert lat[1] < lat[2] < lat[4]
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_layout_cache(benchmark, report):
+def test_ablation_layout_cache(report):
     """Table I's 'Layout Cache' column [24]: without it, every message
     re-extracts the datatype layout — a per-block tree walk that grows
     with sparsity and lands straight on the critical path."""
@@ -174,10 +168,9 @@ def test_ablation_layout_cache(benchmark, report):
     # per-message flatten walks tens of thousands of blocks).
     assert effects["specfem3D_cm"] > 1.1
     assert effects["specfem3D_cm"] > effects["MILC"]
-    benchmark.pedantic(lambda: None, rounds=1)
 
 
-def test_ablation_pipeline_chunk_size(benchmark, report):
+def test_ablation_pipeline_chunk_size(report):
     """The classic staged-pipeline tuning curve: chunk size trades
     per-chunk latency (too small) against lost stage overlap (too
     large).  This is the large-message transport the production
@@ -223,4 +216,3 @@ def test_ablation_pipeline_chunk_size(benchmark, report):
     assert 64 * KiB <= best <= 1024 * KiB
     assert curve[16 * KiB] > curve[best]
     assert curve[4096 * KiB] > curve[best]
-    benchmark.pedantic(lambda: None, rounds=1)

@@ -39,7 +39,7 @@ def _run(scheme, workload, dim, iterations=FIG_BASE.harness.iterations):
     )
 
 
-def test_extended_workloads(benchmark, report):
+def test_extended_workloads(report):
     chunks = []
     speedups = {}
     for workload, dims in SWEEPS.items():
@@ -62,5 +62,3 @@ def test_extended_workloads(benchmark, report):
     for workload, factor in speedups.items():
         assert factor > 1.5, (workload, factor)
     assert max(speedups.values()) > 3.0
-
-    benchmark.pedantic(lambda: _run("Proposed", "WRF", 32, iterations=1), rounds=1)

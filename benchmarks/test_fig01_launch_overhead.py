@@ -12,10 +12,9 @@ Pascal/Volta the launch bar dominates.
 """
 
 
-from repro.bench.figures import fig01_table
 
 
-def test_fig01_launch_vs_pack(benchmark, report, artifact, sweep_run):
+def test_fig01_launch_vs_pack(report, artifact, sweep_run):
     run = sweep_run("fig01")
     data = run.entries[0]["data"]
     artifact(run)
@@ -43,5 +42,3 @@ def test_fig01_launch_vs_pack(benchmark, report, artifact, sweep_run):
     assert volta["Specfem3D"] < kepler["Specfem3D"] / 3
     # ...while launch overhead stayed the same order of magnitude.
     assert volta["launch"] > kepler["launch"] / 2
-
-    benchmark.pedantic(fig01_table, rounds=3, iterations=10)

@@ -18,16 +18,14 @@ Expected shape (paper, §IV-C): a U-curve per input size —
 """
 
 
-from repro.bench import run_bulk_exchange
 from repro.bench.figures import FIG08_DIMS as DIMS
 from repro.bench.figures import FIG08_THRESHOLDS as THRESHOLDS
-from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig08_views
 
 KiB = 1024
 
 
-def test_fig08_threshold_sweep(benchmark, report, artifact, sweep_run):
+def test_fig08_threshold_sweep(report, artifact, sweep_run):
     run = sweep_run("fig08")
     views = fig08_views(run.views)
     grid = {
@@ -74,16 +72,3 @@ def test_fig08_threshold_sweep(benchmark, report, artifact, sweep_run):
     assert grid[2000][4096 * KiB] > 1.2 * best_2000
     best_4000 = min(grid[4000].values())
     assert grid[4000][4096 * KiB] > 1.05 * best_4000
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides(
-                {
-                    "scheme.fusion.threshold_bytes": 512 * KiB,
-                    "workload.dim": 2000,
-                    "harness.iterations": 1,
-                }
-            )
-        ),
-        rounds=1,
-    )

@@ -13,16 +13,15 @@ kernel path plus its adaptive overhead).
 """
 
 
-from repro.bench import format_latency_table, run_bulk_exchange
+from repro.bench import format_latency_table
 from repro.bench.figures import BULK_NBUFFERS as NBUFFERS
 from repro.bench.figures import FIG09_DIM as DIM
-from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig09_results
 
 from conftest import best_speedup
 
 
-def test_fig09_bulk_sparse_lassen(benchmark, report, artifact, sweep_run):
+def test_fig09_bulk_sparse_lassen(report, artifact, sweep_run):
     run = sweep_run("fig09")
     results = fig09_results(run.views)
     artifact(run)
@@ -53,10 +52,3 @@ def test_fig09_bulk_sparse_lassen(benchmark, report, artifact, sweep_run):
     # Headline factor: several-fold at 16 buffers (paper: up to 5.9x).
     assert gap(16) > 2.5
     assert best_speedup(results, "Proposed", "CPU-GPU-Hybrid") > 2.5
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides({"workload.dim": DIM, "harness.iterations": 1})
-        ),
-        rounds=1,
-    )

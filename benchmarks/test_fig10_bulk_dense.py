@@ -14,15 +14,14 @@ Expected shape (paper):
 """
 
 
-from repro.bench import format_latency_table, run_bulk_exchange
+from repro.bench import format_latency_table
 from repro.bench.figures import BULK_NBUFFERS as NBUFFERS
 from repro.bench.figures import FIG10_DIM as DIM
 from repro.bench.figures import FIG10_DIM_SMALL as DIM_SMALL
-from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig10_results
 
 
-def test_fig10_bulk_dense_lassen(benchmark, report, artifact, sweep_run):
+def test_fig10_bulk_dense_lassen(report, artifact, sweep_run):
     run = sweep_run("fig10")
     big, small = fig10_results(run.views)
     artifact(run)
@@ -64,12 +63,3 @@ def test_fig10_bulk_dense_lassen(benchmark, report, artifact, sweep_run):
             small["CPU-GPU-Hybrid"][nbuf].mean_latency
             < small["Proposed"][nbuf].mean_latency
         ), nbuf
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides(
-                {"workload.name": "MILC", "workload.dim": DIM, "harness.iterations": 1}
-            )
-        ),
-        rounds=1,
-    )

@@ -18,15 +18,14 @@ Expected shape (paper):
 """
 
 
-from repro.bench import format_breakdown_table, run_bulk_exchange
+from repro.bench import format_breakdown_table
 from repro.bench.figures import FIG11_DIM as DIM
 from repro.bench.figures import FIG11_NBUF as NBUF
-from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig11_results
 from repro.sim import Category, us
 
 
-def test_fig11_time_breakdown(benchmark, report, artifact, sweep_run):
+def test_fig11_time_breakdown(report, artifact, sweep_run):
     run = sweep_run("fig11")
     by_name = fig11_results(run.views)
     results = list(by_name.values())
@@ -64,17 +63,3 @@ def test_fig11_time_breakdown(benchmark, report, artifact, sweep_run):
 
     # The proposed total is the lowest.
     assert by_name["Proposed"].mean_latency == min(r.mean_latency for r in results)
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides(
-                {
-                    "system.name": "ABCI",
-                    "workload.name": "MILC",
-                    "workload.dim": DIM,
-                    "harness.iterations": 1,
-                }
-            )
-        ),
-        rounds=1,
-    )

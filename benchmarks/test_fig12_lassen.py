@@ -91,19 +91,9 @@ def emit_tables(report, name, system_label, tables):
     report(name.lower().replace(". ", "").replace(" ", "_"), "\n\n".join(chunks))
 
 
-def test_fig12_lassen(benchmark, report, artifact, sweep_run):
+def test_fig12_lassen(report, artifact, sweep_run):
     run = sweep_run("fig12")
     tables = fig12_tables(run.views)
     artifact(run)
     emit_tables(report, "Fig12", "Lassen", tables)
     check_figure_shape(tables, sparse_min_speedup=3.0)
-
-    from repro.bench import run_bulk_exchange
-    from repro.bench.figures import FIG_BASE
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides({"workload.dim": 1000, "harness.iterations": 1})
-        ),
-        rounds=1,
-    )

@@ -22,8 +22,6 @@ shard plane.
 """
 
 
-from repro.bench import run_bulk_exchange
-from repro.bench.figures import FIG_BASE
 from repro.bench.figures import FIG12_SWEEPS as SWEEPS
 from repro.bench.figures import fig12_tables, fig13_lassen_views
 
@@ -31,7 +29,7 @@ from conftest import best_speedup
 from test_fig12_lassen import check_figure_shape, emit_tables
 
 
-def test_fig13_abci(benchmark, report, artifact, sweep_run):
+def test_fig13_abci(report, artifact, sweep_run):
     run = sweep_run("fig13")
     tables = fig12_tables(run.views)
     artifact(run)
@@ -64,12 +62,3 @@ def test_fig13_abci(benchmark, report, artifact, sweep_run):
         / lassen_milc["GPU-Sync"][16].mean_latency
     )
     assert async_ratio(tables, "MILC", 16) < lassen_ratio * 1.05
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides(
-                {"system.name": "ABCI", "workload.dim": 1000, "harness.iterations": 1}
-            )
-        ),
-        rounds=1,
-    )

@@ -13,13 +13,12 @@ Normalized to SpectrumMPI (higher is better), like the paper's bars:
 """
 
 
-from repro.bench import format_speedup_table, run_bulk_exchange, speedup_matrix
+from repro.bench import format_speedup_table, speedup_matrix
 from repro.bench.figures import FIG14_CASES as CASES
-from repro.bench.figures import FIG_BASE
 from repro.bench.figures import fig14_grids
 
 
-def test_fig14_production_libraries(benchmark, report, artifact, sweep_run):
+def test_fig14_production_libraries(report, artifact, sweep_run):
     run = sweep_run("fig14")
     grids = fig14_grids(run.views)
     artifact(run)
@@ -61,17 +60,3 @@ def test_fig14_production_libraries(benchmark, report, artifact, sweep_run):
     assert sparse_factor > 2.5
     assert dense_factor > 2.0
     assert sparse_factor > dense_factor
-
-    benchmark.pedantic(
-        lambda: run_bulk_exchange(
-            FIG_BASE.with_overrides(
-                {
-                    "scheme.name": "MVAPICH2-GDR",
-                    "workload.name": "MILC",
-                    "workload.dim": 16,
-                    "harness.iterations": 1,
-                }
-            )
-        ),
-        rounds=1,
-    )

@@ -58,7 +58,7 @@ SCHEMES = {
 }
 
 
-def test_pack_throughput_microbench(benchmark, report):
+def test_pack_throughput_microbench(report):
     cases = {
         "specfem3D_cm": WORKLOADS["specfem3D_cm"](4000),
         "MILC": WORKLOADS["MILC"](32),
@@ -93,7 +93,3 @@ def test_pack_throughput_microbench(benchmark, report):
     # layouts; for these large inputs it uses the GPU path, so it
     # tracks GPU-Sync minus its decision overhead.
     assert table["CPU-GPU-Hybrid"]["MILC"] < table["Proposed"]["MILC"]
-
-    benchmark.pedantic(
-        lambda: _throughput(KernelFusionScheme, cases["MILC"]), rounds=1
-    )

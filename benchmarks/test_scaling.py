@@ -55,7 +55,7 @@ def _ring_latency(scheme_factory, ranks_per_node):
     return sim.now
 
 
-def test_scaling_ring(benchmark, report):
+def test_scaling_ring(report):
     rows = []
     speedups = {}
     for rpn in (1, 2, 4):
@@ -75,5 +75,3 @@ def test_scaling_ring(benchmark, report):
     # The fusion win persists at every job size.
     for rpn, factor in speedups.items():
         assert factor > 2.0, (rpn, factor)
-
-    benchmark.pedantic(lambda: _ring_latency(SCHEME_REGISTRY["Proposed"], 2), rounds=1)

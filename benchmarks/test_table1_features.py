@@ -24,7 +24,7 @@ ROWS = {
 }
 
 
-def test_table1_feature_matrix(benchmark, report):
+def test_table1_feature_matrix(report):
     header = (
         f"{'approach':<22}{'cache':>7}{'driver ovh':>12}{'latency':>9}"
         f"{'overlap':>9}{'GDRCopy':>9}"
@@ -53,5 +53,3 @@ def test_table1_feature_matrix(benchmark, report):
         and not cls.capabilities.requires_gdrcopy
     ]
     assert winners == ["Proposed"]
-
-    benchmark.pedantic(lambda: [cls.capabilities for cls in ROWS.values()], rounds=1)

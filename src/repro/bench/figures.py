@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ExperimentConfig
 from ..obs.artifact import experiment_artifact
-from ..obs.metrics import MetricsRegistry
 from .runner import ExperimentResult
 from .sweep import ExperimentSpec, ResultCache, SweepRun, SweepStats, run_sweep
 
@@ -461,7 +460,6 @@ def run_figure(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     salt: Optional[str] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> FigureRun:
     """Expand and execute one figure's full grid through the sweep engine.
 
@@ -473,14 +471,11 @@ def run_figure(
     tuning_views: Dict[str, ExperimentResult] = {}
     tuning_specs = plan.tuning()
     if tuning_specs:
-        tuning_run = run_sweep(
-            tuning_specs, jobs=jobs, cache=cache, salt=salt, registry=registry
-        )
+        tuning_run = run_sweep(tuning_specs, jobs=jobs, cache=cache, salt=salt)
         stats.add(tuning_run.stats)
         tuning_views = tuning_run.views
     grid_run = run_sweep(
-        plan.expand(tuning_views), jobs=jobs, cache=cache, salt=salt,
-        registry=registry,
+        plan.expand(tuning_views), jobs=jobs, cache=cache, salt=salt
     )
     stats.add(grid_run.stats)
     return FigureRun(

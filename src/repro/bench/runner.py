@@ -33,7 +33,6 @@ was requested, into the metrics registry.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -395,10 +394,8 @@ def run_bulk_exchange(
         sim.process(rank_program(ranks[0], 1), name="rank0"),
         sim.process(rank_program(ranks[1], 0), name="rank1"),
     ]
-    run_started = time.perf_counter()
     sim.run(sim.all_of(procs))
-    run_wall = time.perf_counter() - run_started
-    result.work, result.recovery = _read_counters(sim, runtime, faults, obs, run_wall)
+    result.work, result.recovery = _read_counters(sim, runtime, faults, obs)
 
     if verify:
         for me, peer in ((0, 1), (1, 0)):
@@ -436,7 +433,6 @@ def _read_counters(
     runtime: Runtime,
     faults: Optional[FaultPlan],
     obs: Optional[Observer],
-    run_wall: float,
 ) -> Tuple[Dict[str, int], Optional[RecoveryReport]]:
     """Read every model counter off the object that keeps it, once.
 
@@ -504,14 +500,6 @@ def _read_counters(
         publish("sched_deadline_hits_total", stat("deadline_hits"))
         publish("sched_deadline_relaunches_total", stat("deadline_relaunches"))
         publish("sched_ring_fallbacks_total", stat("fallbacks"))
-        # Host-side engine telemetry (wall clock, not simulated time —
-        # the virtual timeline is untouched by observation, DESIGN §6).
-        obs.count("engine_events_total", sim.events_processed)
-        obs.count("engine_wall_seconds_total", run_wall)
-        obs.gauge_set(
-            "engine_events_per_second",
-            sim.events_processed / run_wall if run_wall > 0 else 0.0,
-        )
 
     if faults is None:
         return work, None

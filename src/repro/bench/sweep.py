@@ -20,10 +20,9 @@ plane embarrassingly parallel and perfectly cacheable:
   the default salt is a hash of the ``repro`` source tree
   (:func:`code_salt`) — unchanged grid points are never re-run, and any
   code change invalidates every cached shard at once;
-* cache hits / executed shards / worker counts are recorded through a
-  :class:`~repro.obs.MetricsRegistry` (metric names in
-  :data:`repro.obs.METRIC_CATALOG`), so the speedup is itself
-  observable.
+* cache hits, executed shards, failures, workers and wall time are
+  counted in one :class:`SweepStats`, which ``repro sweep`` prints, so
+  the speedup is itself observable.
 
 Entries are plain dicts in the :data:`repro.obs.SCHEMA` artifact-entry
 shape, written by :meth:`~repro.bench.runner.ExperimentResult.to_entry`;
@@ -47,7 +46,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ExperimentConfig
-from ..obs.metrics import MetricsRegistry
 from .runner import ExperimentResult
 
 __all__ = [
@@ -302,26 +300,12 @@ def _run_spec_payload(spec_dict: Mapping[str, Any]) -> Tuple[str, Dict[str, Any]
         return ("error", traceback.format_exc())
 
 
-def _sweep_metric(registry: Optional[MetricsRegistry], name: str, labelnames=()):
-    if registry is None:
-        return None
-    from ..obs.observer import METRIC_CATALOG
-
-    kind, help_, names, _buckets = METRIC_CATALOG.get(
-        name, ("counter", "", tuple(labelnames), None)
-    )
-    if kind == "gauge":
-        return registry.gauge(name, help_, names)
-    return registry.counter(name, help_, names)
-
-
 def run_sweep(
     specs: Sequence[ExperimentSpec],
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     salt: Optional[str] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> SweepRun:
     """Execute a list of shards, in parallel, through the result cache.
 
@@ -382,20 +366,6 @@ def run_sweep(
                 stats.failures += 1
 
     stats.wall_seconds = time.monotonic() - started
-
-    shards_total = _sweep_metric(registry, "sweep_shards_total", ("outcome",))
-    if shards_total is not None:
-        shards_total.labels(outcome="hit").inc(stats.hits)
-        shards_total.labels(outcome="run").inc(stats.ran)
-    failures_total = _sweep_metric(registry, "sweep_failures_total")
-    if failures_total is not None:
-        failures_total.labels().inc(stats.failures)
-    jobs_gauge = _sweep_metric(registry, "sweep_jobs")
-    if jobs_gauge is not None:
-        jobs_gauge.labels().set(stats.jobs)
-    wall_total = _sweep_metric(registry, "sweep_wall_seconds_total")
-    if wall_total is not None:
-        wall_total.labels().inc(stats.wall_seconds)
 
     if failures:
         detail = "\n\n".join(

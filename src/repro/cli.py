@@ -7,9 +7,9 @@ without writing a script:
 * ``breakdown`` — the Fig. 11 five-bucket cost decomposition,
 * ``sweep``     — ``--figure figN``: run a full paper figure's grid
   through the sharded parallel sweep engine (``--jobs``, content-
-  addressed ``--cache-dir``, artifact ``--out``); without ``--figure``,
-  the classic Fig. 8 fusion-threshold sweep,
-* ``autotune``  — empirical + model-based threshold recommendations,
+  addressed ``--cache-dir``, artifact ``--out``),
+* ``autotune``  — empirical + model-based threshold recommendations
+  (the one-workload fusion-threshold sweep),
 * ``faults``    — chaos sweep: re-run one scheme under the fault
   presets and report latency inflation + recovery actions,
 * ``regress``   — perf-regression gate: compare a fresh run (or a
@@ -47,7 +47,6 @@ from .bench import format_breakdown_table, format_latency_table, run_bulk_exchan
 from .config import (
     ExperimentConfig,
     FaultsCfg,
-    FusionCfg,
     HarnessCfg,
     NoiseCfg,
     SchemeCfg,
@@ -91,7 +90,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _experiment_config(
-    args, scheme, *, fault_preset: Optional[str] = None
+    args, scheme: str, *, fault_preset: Optional[str] = None
 ) -> ExperimentConfig:
     """Fold the common CLI flags into one canonical :class:`ExperimentConfig`.
 
@@ -99,13 +98,12 @@ def _experiment_config(
     test-suite, and the benchmark harness all share a single resolution
     path from knobs to experiment.
     """
-    scheme_cfg = scheme if isinstance(scheme, SchemeCfg) else SchemeCfg(name=scheme)
     return ExperimentConfig(
         system=SystemCfg(name=args.system),
         workload=WorkloadCfg(
             name=args.workload, dim=args.dim, nbuffers=args.nbuffers
         ),
-        scheme=scheme_cfg,
+        scheme=SchemeCfg(name=scheme),
         noise=NoiseCfg(cv=getattr(args, "noise", 0.0)),
         faults=FaultsCfg(preset=fault_preset),
         harness=HarnessCfg(
@@ -162,7 +160,7 @@ def cmd_compare(args) -> int:
     )
     if registry is not None:
         with open(args.metrics, "w") as fh:
-            fh.write(registry.to_prometheus_text())
+            fh.write(registry.snapshot().to_prometheus_text())
         print(f"\nmetrics written to {args.metrics}")
     return 0
 
@@ -198,27 +196,6 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.figure:
-        return _cmd_figure_sweep(args)
-    print(
-        f"Fusion-threshold sweep: {args.workload} dim={args.dim} on {args.system}\n"
-    )
-    print(f"{'threshold':>12}{'latency':>12}{'kernels':>9}{'mean batch':>12}")
-    for threshold in args.thresholds:
-        scheme = SchemeCfg(
-            name="Proposed",
-            fusion=FusionCfg(threshold_bytes=threshold * KiB),
-        )
-        result = _run(args, scheme)
-        stats = result.scheduler_stats
-        print(
-            f"{threshold:>10}KB{result.mean_latency * 1e6:>10.1f}us"
-            f"{stats.launches:>9}{stats.mean_batch:>12.1f}"
-        )
-    return 0
-
-
-def _cmd_figure_sweep(args) -> int:
     """``repro sweep --figure figN``: the sharded, cached figure sweep."""
     import os
     import pathlib
@@ -234,11 +211,6 @@ def _cmd_figure_sweep(args) -> int:
             "REPRO_SWEEP_CACHE", ".repro-cache/sweep"
         )
         cache = ResultCache(cache_dir)
-    registry = None
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
     salt = args.salt if args.salt is not None else code_salt()
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,10 +218,7 @@ def _cmd_figure_sweep(args) -> int:
     status = 0
     for figure in figures:
         try:
-            run = run_figure(
-                figure, jobs=args.jobs, cache=cache, salt=salt,
-                registry=registry,
-            )
+            run = run_figure(figure, jobs=args.jobs, cache=cache, salt=salt)
         except SweepError as exc:
             print(f"{figure}: FAILED\n{exc}")
             status = 1
@@ -265,10 +234,6 @@ def _cmd_figure_sweep(args) -> int:
         print(f"  -> {path} ({len(run.entries)} entries)")
     if cache is not None:
         print(f"cache: {cache.root} ({len(cache)} shards, salt {salt})")
-    if registry is not None:
-        with open(args.metrics, "w") as fh:
-            fh.write(registry.to_prometheus_text())
-        print(f"metrics written to {args.metrics}")
     return status
 
 
@@ -333,7 +298,7 @@ def cmd_faults(args) -> int:
                 print("    " + line)
     if registry is not None:
         with open(args.metrics, "w") as fh:
-            fh.write(registry.to_prometheus_text())
+            fh.write(registry.snapshot().to_prometheus_text())
         print(f"\nmetrics written to {args.metrics}")
     return 0
 
@@ -491,27 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_breakdown)
 
-    p = sub.add_parser(
-        "sweep",
-        help="parallel figure sweep (--figure) or Fig. 8 threshold sweep",
-    )
-    _add_common(p)
-    p.add_argument(
-        "--thresholds", type=int, nargs="+",
-        default=[16, 64, 128, 256, 512, 1024, 2048, 4096],
-        help="thresholds in KB (threshold-sweep mode)",
-    )
+    p = sub.add_parser("sweep", help="parallel sweep of paper figures")
     from .bench.figures import FIGURES as _FIGURES
 
     p.add_argument(
-        "--figure", action="append", default=None, metavar="FIG",
+        "--figure", action="append", required=True, metavar="FIG",
         choices=sorted(_FIGURES) + ["all"],
         help="run a full paper figure's grid through the sharded sweep "
         "engine (repeatable; 'all' runs every figure)",
     )
     p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for --figure sweeps (default 1 = serial)",
+        help="worker processes (default 1 = serial)",
     )
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -529,11 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", default="benchmarks/results", metavar="DIR",
-        help="artifact output directory for --figure sweeps",
-    )
-    p.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="dump sweep cache/shard counters as Prometheus text",
+        help="artifact output directory",
     )
     p.set_defaults(fn=cmd_sweep)
 

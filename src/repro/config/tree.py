@@ -60,8 +60,9 @@ __all__ = [
 
 #: hash-domain tag folded into :meth:`ExperimentConfig.content_hash`;
 #: bump only on a deliberate canonical-form change (the golden-hash pin
-#: test fails loudly when the form drifts by accident)
-CONFIG_SCHEMA = "repro.config/v1"
+#: test fails loudly when the form drifts by accident); v2: ``obs`` holds
+#: only ``metrics``
+CONFIG_SCHEMA = "repro.config/v2"
 
 #: rendezvous protocol names (mirrors ``repro.mpi.protocols`` RPUT/RGET;
 #: duplicated by value so this module stays import-light)
@@ -375,25 +376,24 @@ class NoiseCfg:
 
 @dataclass(frozen=True)
 class ObsCfg:
-    """Telemetry switches (observation never moves virtual time)."""
+    """Telemetry switch (observation never moves virtual time)."""
 
     #: collect counters/gauges/histograms into a registry
     metrics: bool = False
-    #: record the span/event stream (Chrome-trace exportable)
-    trace: bool = False
 
     def __post_init__(self) -> None:
-        _check_bool(self, "obs", "metrics", "trace")
+        _check_bool(self, "obs", "metrics")
 
     def build(self) -> Optional[Any]:
-        """A live :class:`~repro.obs.Observer`, or ``None`` when every
-        switch is off (the runner then skips observation entirely)."""
-        if not (self.metrics or self.trace):
+        """A counters-only :class:`~repro.obs.Observer`, or ``None`` when
+        ``metrics`` is off (the runner then skips observation entirely).
+        Spans are recorded only by an observer passed to the runner."""
+        if not self.metrics:
             return None
         from ..obs.observer import Observer
-        from ..obs.recorder import NullRecorder, Recorder
+        from ..obs.recorder import NullRecorder
 
-        return Observer(recorder=Recorder() if self.trace else NullRecorder())
+        return Observer(recorder=NullRecorder())
 
 
 @dataclass(frozen=True)

@@ -80,16 +80,6 @@ class GPUDevice:
         """All streams created on this device."""
         return tuple(self._streams)
 
-    @property
-    def busy_time(self) -> float:
-        """Total GPU-seconds executed across all streams."""
-        return sum(s.busy_time for s in self._streams)
-
-    @property
-    def kernel_count(self) -> int:
-        """Total operations executed across all streams."""
-        return sum(s.op_count for s in self._streams)
-
     # -- memory ---------------------------------------------------------------
     def alloc(self, nbytes: int, name: str = "", fill: Optional[int] = None) -> GPUBuffer:
         """Allocate device memory."""

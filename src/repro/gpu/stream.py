@@ -55,7 +55,7 @@ class ExecutionEngine:
 class Stream:
     """An in-order GPU work queue."""
 
-    __slots__ = ("sim", "stream_id", "name", "engine", "_tail", "busy_time", "op_count")
+    __slots__ = ("sim", "stream_id", "name", "engine", "_tail")
 
     _ids = itertools.count()
 
@@ -65,10 +65,6 @@ class Stream:
         self.name = name or f"stream{self.stream_id}"
         self.engine = engine if engine is not None else ExecutionEngine()
         self._tail = 0.0
-        #: total GPU-busy seconds executed on this stream
-        self.busy_time = 0.0
-        #: number of operations executed
-        self.op_count = 0
 
     @property
     def tail(self) -> float:
@@ -107,8 +103,6 @@ class Stream:
         start = self.engine.reserve(max(sim.now, self._tail), duration)
         end = start + duration
         self._tail = end
-        self.busy_time += duration
-        self.op_count += 1
         return end
 
     def enqueue_callable(

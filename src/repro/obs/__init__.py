@@ -3,10 +3,10 @@
 One observability layer for the whole reproduction:
 
 * :mod:`repro.obs.metrics`  — counters / gauges / fixed-bucket
-  histograms with labeled children, snapshot/diff, Prometheus text;
+  histograms with labeled children, snapshots, Prometheus text;
 * :mod:`repro.obs.recorder` — the one span/event stream (cost buckets,
   request lifecycles, RTS handshakes and retransmissions, link
-  transfers) exportable as Chrome ``trace.json`` and JSONL;
+  transfers) exportable as a Chrome ``trace.json``;
 * :mod:`repro.obs.observer` — the ``sim.obs`` facade; a
   :class:`NullObserver` keeps disabled telemetry a strict no-op on the
   simulated timeline;

@@ -8,10 +8,10 @@ system in the spirit of the Prometheus client libraries:
 * ``family.labels(link="ib0")`` returns the labeled *child* instrument
   (created on first use), so hot paths update one dict entry per call;
 * :meth:`MetricsRegistry.snapshot` freezes every series into a
-  :class:`MetricsSnapshot` that supports :meth:`~MetricsSnapshot.diff`
-  (what happened between two points), JSON serialization
-  (:meth:`~MetricsSnapshot.as_dict`), and the Prometheus text
-  exposition format (:meth:`~MetricsSnapshot.to_prometheus_text`).
+  :class:`MetricsSnapshot`, which serializes to JSON
+  (:meth:`~MetricsSnapshot.as_dict`) and renders the Prometheus text
+  exposition format (:meth:`~MetricsSnapshot.to_prometheus_text`), the
+  one writer of that format.
 
 Everything here is plain arithmetic on host objects — no simulator
 interaction whatsoever — which is what makes the observability layer
@@ -84,12 +84,6 @@ class Gauge:
         self.value = value
         if value > self.peak:
             self.peak = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
 
 
 class Histogram:
@@ -245,10 +239,6 @@ class MetricsRegistry:
             }
         return MetricsSnapshot(data)
 
-    def to_prometheus_text(self) -> str:
-        """Prometheus text exposition of the current state."""
-        return self.snapshot().to_prometheus_text()
-
 
 def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
@@ -276,8 +266,8 @@ class MetricsSnapshot:
     """Immutable point-in-time copy of a registry's series.
 
     The canonical machine-readable form: benchmark artifacts embed
-    :meth:`as_dict`, the regression gate diffs snapshots, and
-    :meth:`to_prometheus_text` renders the scrape format.
+    :meth:`as_dict`, and :meth:`to_prometheus_text` renders the scrape
+    format.
     """
 
     def __init__(self, data: Dict[str, dict]):
@@ -320,43 +310,7 @@ class MetricsSnapshot:
                 total += value
         return total
 
-    # -- transforms --------------------------------------------------------
-    def diff(self, older: "MetricsSnapshot") -> "MetricsSnapshot":
-        """What happened since ``older``.
-
-        Counters and histogram buckets subtract; gauges keep their
-        current value (an instantaneous reading has no meaningful
-        delta); series absent from ``older`` pass through unchanged.
-        """
-        out: Dict[str, dict] = {}
-        for name, family in self._data.items():
-            old_family = older._data.get(name)
-            old_series = old_family["series"] if old_family else {}
-            series: Dict[LabelsKey, Any] = {}
-            for key, value in family["series"].items():
-                old = old_series.get(key)
-                if old is None or family["kind"] == "gauge":
-                    series[key] = value
-                elif family["kind"] == "histogram":
-                    series[key] = {
-                        "bounds": list(value["bounds"]),
-                        "buckets": [
-                            n - o
-                            for n, o in zip(value["buckets"], old["buckets"])
-                        ],
-                        "sum": value["sum"] - old["sum"],
-                        "count": value["count"] - old["count"],
-                    }
-                else:
-                    series[key] = value - old
-            out[name] = {
-                "kind": family["kind"],
-                "help": family["help"],
-                "labelnames": family["labelnames"],
-                "series": series,
-            }
-        return MetricsSnapshot(out)
-
+    # -- serialization -----------------------------------------------------
     def as_dict(self) -> Dict[str, dict]:
         """JSON-serializable form (labels become string dicts)."""
         out: Dict[str, dict] = {}

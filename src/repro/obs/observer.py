@@ -92,25 +92,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Tuple[str, ...], Optional[Tuple[float,
     "scheme_launch_retries_total": (
         "counter", "Per-operation launches retried after injected failures",
         ("scheme",), None),
-    # -- sweep engine (host-side, repro.bench.sweep) -----------------------
-    "sweep_shards_total": (
-        "counter",
-        "Sweep shards by outcome (hit=served from cache, run=executed)",
-        ("outcome",), None),
-    "sweep_failures_total": (
-        "counter", "Sweep shards that raised inside a worker", (), None),
-    "sweep_jobs": (
-        "gauge", "Worker processes used by the most recent sweep", (), None),
-    "sweep_wall_seconds_total": (
-        "counter", "Host wall-clock seconds spent executing sweep shards",
-        (), None),
-    # -- simulation engine (host-side, repro.sim.engine) -------------------
-    "engine_events_total": (
-        "counter", "Calendar events fired by the simulation engine", (), None),
-    "engine_wall_seconds_total": (
-        "counter", "Host wall-clock seconds spent inside Simulator.run", (), None),
-    "engine_events_per_second": (
-        "gauge", "Events/sec of the most recent Simulator.run drain", (), None),
 }
 
 

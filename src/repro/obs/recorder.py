@@ -10,12 +10,9 @@ after the fact.
 
 Events carry a *track* (rendered as a Chrome-trace process row — one
 per rank, ``<scheme>/rank<n>``, or per link) and a *category*
-(rendered as a thread row).  Exports:
-
-* :meth:`Recorder.export_chrome_trace` — ``chrome://tracing`` /
-  Perfetto JSON, spans as complete ('X') events, instants as 'i';
-* :meth:`Recorder.export_jsonl` — one JSON object per line, the
-  stream-processing-friendly form;
+(rendered as a thread row).  The one export,
+:meth:`Recorder.export_chrome_trace`, writes ``chrome://tracing`` /
+Perfetto JSON: spans as complete ('X') events, instants as 'i'.
 
 A :class:`NullRecorder` (the default on every simulator) turns every
 recording call into a constant-time no-op: with telemetry disabled the
@@ -54,7 +51,7 @@ class ObsEvent:
 
 
 class Recorder:
-    """Append-only event stream with Chrome-trace and JSONL export."""
+    """Append-only event stream with Chrome-trace export."""
 
     enabled = True
 
@@ -166,32 +163,6 @@ class Recorder:
         with open(path, "w") as fh:
             json.dump({"traceEvents": events, "displayTimeUnit": "ns"}, fh)
         return sum(1 for e in events if e.get("ph") in ("X", "i"))
-
-    def to_jsonl_lines(self) -> List[str]:
-        """One compact JSON object per event, in record order."""
-        lines = []
-        for event in self.events:
-            record = {
-                "name": event.name,
-                "cat": event.category,
-                "ts": event.ts,
-                "track": event.track,
-            }
-            if event.instant:
-                record["instant"] = True
-            else:
-                record["dur"] = event.dur
-            if event.args:
-                record["args"] = dict(event.args)
-            lines.append(json.dumps(record, sort_keys=True))
-        return lines
-
-    def export_jsonl(self, path: str) -> int:
-        """Write the stream as JSON Lines; returns the event count."""
-        lines = self.to_jsonl_lines()
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        return len(lines)
 
 
 class NullRecorder(Recorder):

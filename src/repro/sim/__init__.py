@@ -10,7 +10,6 @@ from .engine import (
     AnyOf,
     CompletionWatch,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -33,7 +32,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CompletionWatch",
-    "Interrupt",
     "SimulationError",
     "Resource",
     "Category",

@@ -75,7 +75,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CompletionWatch",
-    "Interrupt",
     "SimulationError",
     "us",
     "ns",
@@ -100,17 +99,6 @@ def ms(value: float) -> float:
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. double-trigger)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a :class:`Process` by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 #: sentinel distinguishing "no value yet" from a ``None`` value
@@ -156,17 +144,6 @@ class Event:
             cbs.append(callback)
         else:
             self._callbacks = [cbs, callback]
-
-    def discard_callback(self, callback: Callback) -> None:
-        """Unsubscribe ``callback`` if present (no-op otherwise)."""
-        cbs = self._callbacks
-        if cbs is None:
-            return
-        if type(cbs) is list:
-            if callback in cbs:
-                cbs.remove(callback)
-        elif cbs == callback:
-            self._callbacks = None
 
     @property
     def callbacks(self) -> List[Callback]:
@@ -502,7 +479,7 @@ class Process(Event):
     back to the bootstrap.
     """
 
-    __slots__ = ("generator", "_target", "_resume_cb")
+    __slots__ = ("generator", "_resume_cb")
 
     def __init__(
         self,
@@ -518,14 +495,12 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._target: Optional[Event] = None
         #: bound once — appending a method per yield would allocate
         self._resume_cb: Callback = self._resume
         if start is not None and not start._triggered:
             # Whenever ``start`` fires, it fires after the bootstrap
             # would have, so the first resume keeps its tie position.
             start.add_callback(self._kickoff)
-            self._target = start
         else:
             bootstrap = Event(sim)
             bootstrap._callbacks = self._resume_cb
@@ -536,24 +511,10 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event.
-        """
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        carrier = Event(self.sim, name=f"interrupt:{self.name}")
-        carrier._callbacks = self._resume_cb
-        carrier.fail(Interrupt(cause))
-
     # internal -------------------------------------------------------------
     def _kickoff(self, trigger: Event) -> None:
         """First step of a process started on ``trigger``: run up to
         its first yield, which must be ``trigger``, and resume on it."""
-        if self._target is not trigger:
-            return  # interrupted before its start event fired
         try:
             first = next(self.generator)
         except StopIteration:
@@ -565,14 +526,6 @@ class Process(Event):
         self._resume(trigger)
 
     def _resume(self, trigger: Event) -> None:
-        # Detach from a previous target if we were interrupted while
-        # waiting (trigger is then the interrupt carrier, not the
-        # target; when a target fires normally it IS the trigger and
-        # its callback storage was already cleared by the calendar).
-        target = self._target
-        if target is not None and target is not trigger:
-            target.discard_callback(self._resume_cb)
-        self._target = None
         sim = self.sim
         sim._active_process = self
         try:
@@ -616,10 +569,8 @@ class Process(Event):
                 carrier.succeed(target._value)
             else:
                 carrier.fail(target._value)
-            self._target = carrier
         else:
             target.add_callback(self._resume_cb)
-            self._target = target
 
 
 class Simulator:
@@ -633,8 +584,8 @@ class Simulator:
         #: latest time an idle-poll skip may re-arm up to; ``-inf``
         #: outside :meth:`run`, so :meth:`step` never skips
         self._horizon: float = -inf
-        #: calendar events fired so far (the obs ``engine_events_total``
-        #: series and the artifacts' ``work.events`` count read this)
+        #: calendar events fired so far (the artifacts' ``work.events``
+        #: count reads this)
         self.events_processed: int = 0
         #: optional multiplicative jitter applied by streams and links
         #: (see :mod:`repro.sim.noise`); None = exact determinism

@@ -26,7 +26,6 @@ from repro.bench.sweep import (
     run_sweep,
 )
 from repro.config import ExperimentConfig, SchemeCfg
-from repro.obs.metrics import MetricsRegistry
 from repro.schemes import make_scheme_factory
 from repro.sim import Category
 
@@ -232,19 +231,6 @@ def test_jobs_must_be_positive():
         run_sweep(GRID[:1], jobs=0)
 
 
-def test_sweep_metrics_recorded(tmp_path):
-    cache = ResultCache(tmp_path)
-    registry = MetricsRegistry()
-    run_sweep(GRID[:2], cache=cache, salt="v1", registry=registry)
-    run_sweep(GRID[:2], cache=cache, salt="v1", registry=registry)
-    snap = registry.snapshot()
-    assert snap.value("sweep_shards_total", outcome="run") == 2
-    assert snap.value("sweep_shards_total", outcome="hit") == 2
-    assert snap.total("sweep_failures_total") == 0
-    assert snap.value("sweep_jobs")["value"] == 1
-    assert snap.value("sweep_wall_seconds_total") > 0
-
-
 # -- result views ----------------------------------------------------------------
 
 
@@ -300,5 +286,5 @@ def test_metrics_survive_the_entry_round_trip():
     entry = spec.run_entry()
     view = ExperimentResult.from_entry(entry)
     assert view.metrics is not None
-    assert view.metrics.total("engine_events_total") == entry["work"]["events"]
+    assert view.metrics.total("link_transfers_total") == entry["work"]["link_transfers"]
     assert view.to_entry(spec.key, None, spec.run_params()) == entry

@@ -43,14 +43,23 @@ def test_breakdown_command(capsys):
     assert "pack" in out and "launch" in out and "comm" in out
 
 
-def test_sweep_command(capsys):
-    rc = main([
-        "sweep", "--workload", "NAS_MG", "--dim", "64", "--nbuffers", "8",
-        "--iterations", "2", "--thresholds", "16", "512",
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "16KB" in out and "512KB" in out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the retired threshold mode: `repro autotune` runs that grid
+        ["sweep", "--workload", "NAS_MG", "--dim", "64", "--nbuffers", "8",
+         "--iterations", "2", "--thresholds", "16", "512"],
+        # a figure sweep has no per-run flags to ignore silently
+        ["sweep", "--figure", "fig01", "--dim", "5", "--workload", "MILC",
+         "--no-cache"],
+    ],
+    ids=["threshold-mode", "figure-with-run-flags"],
+)
+def test_sweep_runs_figures_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_timeline_command(capsys):
@@ -170,11 +179,9 @@ def test_describe_command(capsys):
 def test_figure_sweep_command(capsys, tmp_path):
     cache = tmp_path / "cache"
     out = tmp_path / "results"
-    metrics = tmp_path / "sweep.prom"
     argv = [
         "sweep", "--figure", "fig11", "--jobs", "1",
-        "--cache-dir", str(cache), "--out", str(out),
-        "--metrics", str(metrics), "--salt", "test",
+        "--cache-dir", str(cache), "--out", str(out), "--salt", "test",
     ]
     rc = main(argv)
     assert rc == 0
@@ -182,7 +189,6 @@ def test_figure_sweep_command(capsys, tmp_path):
     assert "fig11: 3 shards — 3 run, 0 cached" in cold
     artifact = out / "BENCH_fig11_breakdown.json"
     assert artifact.exists()
-    assert "sweep_shards_total" in metrics.read_text()
 
     # Warm cache: identical artifact, zero shards re-run.
     before = artifact.read_bytes()

@@ -31,12 +31,12 @@ from repro.config import (
 
 KiB = 1024
 
-#: sha256 of the documented default config under ``repro.config/v1``.
+#: sha256 of the documented default config under ``repro.config/v2``.
 #: This pin fails loudly when the canonical form drifts — a deliberate
 #: schema change must bump CONFIG_SCHEMA and update this value (which
 #: also invalidates every sweep-cache entry, as it must).
 GOLDEN_DEFAULT_HASH = (
-    "81b7b92480dee7939a7dc88337718cce0e83abf16686a5c4db11872d644fd4c9"
+    "7c72e0dfc2a6d1ee5736b57cef6997424337783b8ab7de326f55c01ae9e95476"
 )
 
 
@@ -180,7 +180,7 @@ def test_validation_fails_at_construction(build, match):
         ("protocol.enable_direct_ipc", "no"),
         ("protocol.layout_cache_enabled", 1),
         ("obs.metrics", 1),
-        ("obs.trace", "true"),
+        ("obs.metrics", "true"),
     ],
 )
 def test_bad_value_is_a_value_error_naming_its_path(path, value):

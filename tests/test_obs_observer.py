@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,15 @@ def test_observer_populates_the_catalog_metrics(counted):
     # every update hit a pre-declared family (catalog covers hot paths)
     for name in snap.names():
         assert name in METRIC_CATALOG, name
+
+
+def test_observability_doc_lists_exactly_the_catalog():
+    """The catalog table in docs/observability.md names every
+    METRIC_CATALOG series with its kind, in catalog order, and no other."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "observability.md").read_text()
+    section = doc.split("\n## Metric catalog\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)(?:\{[^}]*\})?` \| (\w+) \|", section, re.M)
+    assert rows == [(name, entry[0]) for name, entry in METRIC_CATALOG.items()]
 
 
 def test_unfused_schemes_count_raw_kernel_launches():

@@ -1,4 +1,4 @@
-"""repro.obs.recorder — event stream, Chrome-trace and JSONL round trips."""
+"""repro.obs.recorder — event stream and Chrome-trace round trip."""
 
 import json
 
@@ -47,19 +47,6 @@ def test_chrome_trace_round_trip(tmp_path):
     assert {e["pid"] for e in payload} <= named_pids
     # args survive
     assert any(e.get("args", {}).get("uid") == 7 for e in spans)
-
-
-def test_jsonl_export_round_trip(tmp_path):
-    rec = _sample()
-    path = tmp_path / "events.jsonl"
-    assert rec.export_jsonl(str(path)) == 4
-    lines = path.read_text().splitlines()
-    records = [json.loads(line) for line in lines]
-    assert len(records) == 4
-    assert records[0]["name"] == "queued" and records[0]["dur"] > 0
-    assert records[2]["instant"] is True
-    # JSONL preserves record order (seconds, not microseconds)
-    assert records[1]["ts"] == pytest.approx(2e-6)
 
 
 def test_clear_empties_stream():

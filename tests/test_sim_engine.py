@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
     ms,
@@ -158,41 +157,6 @@ def test_waiting_on_processed_event_resumes():
         return sim.now
 
     assert sim.run(sim.process(proc())) == pytest.approx(sim.now)
-
-
-def test_interrupt_reaches_process():
-    sim = Simulator()
-    caught = []
-
-    def proc():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as exc:
-            caught.append(exc.cause)
-
-    p = sim.process(proc())
-
-    def killer():
-        yield sim.timeout(1.0)
-        p.interrupt("stop now")
-
-    sim.process(killer())
-    sim.run(p)
-    assert caught == ["stop now"]
-    assert sim.now == pytest.approx(1.0)
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def proc():
-        return 1
-        yield
-
-    p = sim.process(proc())
-    sim.run(p)
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_same_time_events_fire_fifo():
@@ -494,20 +458,3 @@ def test_start_event_must_be_the_first_wait():
     ev.succeed()
     with pytest.raises(SimulationError, match="start event"):
         sim.run()
-
-
-def test_interrupt_before_start_event_reaches_the_generator():
-    sim = Simulator()
-    ev = sim.event()
-    body = []
-
-    def proc():
-        body.append((yield ev))
-
-    p = sim.process(proc(), start=ev)
-    p.interrupt("early")
-    ev.succeed(delay=1.0)
-    with pytest.raises(Interrupt):
-        sim.run()
-    sim.run()  # the start event later finds the process gone
-    assert body == [] and not p.ok

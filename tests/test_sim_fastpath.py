@@ -4,14 +4,14 @@ A :class:`Simulator` with no noise model takes the closed-form fast
 paths (``Link.transmit`` in one timeout, stream completion as a single
 calendar entry).  Attaching a noise model — here an inert one with
 ``cv=0``, whose factor is exactly 1.0 — routes the same calls through
-the general branches.  Same-timestamp FIFO, Interrupt delivery,
-AllOf/AnyOf and apply-at-completion must hold identically either way.
+the general branches.  Same-timestamp FIFO, AllOf/AnyOf and
+apply-at-completion must hold identically either way.
 """
 
 import pytest
 
 from repro.gpu.device import GPUDevice
-from repro.sim import Interrupt, NoiseModel, Simulator
+from repro.sim import NoiseModel, Simulator
 
 
 @pytest.fixture(params=[False, True], ids=["fast", "generic"])
@@ -34,25 +34,6 @@ def test_same_timestamp_fifo_order(sim):
         sim.process(proc(tag))
     sim.run()
     assert order == list(range(8))
-
-
-def test_interrupt_delivery(sim):
-    seen = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt as exc:
-            seen.append((sim.now, exc.cause))
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert seen == [(2.0, "wake")]
 
 
 def test_allof_anyof_composition(sim):
