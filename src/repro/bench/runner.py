@@ -55,6 +55,9 @@ __all__ = ["ExperimentResult", "RecoveryReport", "run_bulk_exchange"]
 
 SchemeFactory = Callable[..., PackingScheme]
 
+#: the token every inter-iteration barrier message carries
+_BARRIER_TOKEN = DataLayout.contiguous(8)
+
 #: the :class:`~repro.core.scheduler.SchedulerStats` fields an entry records
 _SCHEDULER_FIELDS = (
     "enqueued",
@@ -246,7 +249,17 @@ def _fill_random(buffers, layout: DataLayout, rng: np.random.Generator) -> None:
     extent would cost (and fault in) memory no check ever reads.
     """
     for buf in buffers:
-        unpack_bytes(rng.integers(0, 256, layout.size, dtype=np.uint8), layout, buf.data)
+        store, store_layout, offset = buf.address(layout)
+        unpack_bytes(
+            rng.integers(0, 256, layout.size, dtype=np.uint8), store_layout, store,
+            base_offset=offset,
+        )
+
+
+def _payload(buf, layout: DataLayout) -> np.ndarray:
+    """The layout's bytes of ``buf``, packed."""
+    store, store_layout, offset = buf.address(layout)
+    return pack_bytes(store, store_layout, base_offset=offset)
 
 
 def run_bulk_exchange(
@@ -265,9 +278,11 @@ def run_bulk_exchange(
     ``harness.data_plane=False`` prices every operation but moves no
     bytes — identical timing, used for the figure sweeps.  A wet run
     also fills, moves and verifies the layout's bytes, at host cost
-    proportional to the payload plus first-touch page faults on the
-    buffers' touched pages; a dry run never materialises a buffer.  With
-    faults the result carries a :class:`RecoveryReport`.
+    proportional to the payload: every send and receive buffer is
+    allocated for ``layout``, so its store is the layout's guard-gap
+    store (:mod:`repro.gpu.memory`), not its extent.  A dry run never
+    materialises a buffer.  With faults the result carries a
+    :class:`RecoveryReport`.
 
     ``obs`` attaches a live :class:`~repro.obs.Observer`: the result
     then carries a frozen :class:`~repro.obs.MetricsSnapshot` and, when
@@ -333,10 +348,12 @@ def run_bulk_exchange(
 
     ranks = [runtime.rank(0), runtime.rank(1)]
     send_bufs = {
-        r.rank_id: [r.device.alloc(buf_bytes) for _ in range(nbuffers)] for r in ranks
+        r.rank_id: [r.device.alloc(buf_bytes, layout=layout) for _ in range(nbuffers)]
+        for r in ranks
     }
     recv_bufs = {
-        r.rank_id: [r.device.alloc(buf_bytes) for _ in range(nbuffers)] for r in ranks
+        r.rank_id: [r.device.alloc(buf_bytes, layout=layout) for _ in range(nbuffers)]
+        for r in ranks
     }
 
     result = ExperimentResult(
@@ -381,8 +398,8 @@ def run_bulk_exchange(
 
     def _barrier(rank, peer: int, tag: int):
         token = rank.device.alloc(8)
-        rreq = rank.irecv(token, DataLayout.contiguous(8), 1, peer, tag=tag)
-        sreq = yield from rank.isend(token, DataLayout.contiguous(8), 1, peer, tag=tag)
+        rreq = rank.irecv(token, _BARRIER_TOKEN, 1, peer, tag=tag)
+        sreq = yield from rank.isend(token, _BARRIER_TOKEN, 1, peer, tag=tag)
         yield from rank.waitall([rreq, sreq])
         token.free()
 
@@ -400,9 +417,7 @@ def run_bulk_exchange(
     if verify:
         for me, peer in ((0, 1), (1, 0)):
             for sbuf, rbuf in zip(send_bufs[peer], recv_bufs[me]):
-                if not np.array_equal(
-                    pack_bytes(rbuf.data, layout), pack_bytes(sbuf.data, layout)
-                ):
+                if not np.array_equal(_payload(rbuf, layout), _payload(sbuf, layout)):
                     raise AssertionError(
                         f"data corruption: {result.scheme} on {spec.name} "
                         f"(rank {me}, {spec.summary()})"

@@ -96,6 +96,7 @@ class DataLayout:
         "_gather_index",
         "_shifted_index",
         "_strided",
+        "_store",
         "_size",
         "_min_block",
         "_max_block",
@@ -140,6 +141,8 @@ class DataLayout:
         self._gather_index: Optional[np.ndarray] = None
         self._shifted_index: Optional[dict] = None
         self._strided: Optional[StridedForm] = None
+        #: this layout's image in a compact store (see :meth:`store_image`)
+        self._store: Optional[DataLayout] = None
         self._size: Optional[int] = None
         self._min_block: Optional[int] = None
         self._max_block: Optional[int] = None
@@ -274,6 +277,25 @@ class DataLayout:
                     form = self._strided = (first, n, stride, length)
         return form if form[1] else None
 
+    def store_image(self, offsets: np.ndarray) -> "DataLayout":
+        """This layout with its blocks moved to ``offsets`` of a compact store.
+
+        A buffer that stores only the bytes around this layout's blocks
+        (:class:`repro.gpu.memory.GPUBuffer`) addresses them through the
+        image.  The image keeps the layout's shape class, so the data
+        plane takes the same strided or gather path in the store as in
+        the extent: equal blocks whose long gaps were all cut would
+        otherwise turn uniform.  Built on the first call and cached; the
+        ``offsets`` of later calls are not read.
+        """
+        image = self._store
+        if image is None:
+            image = DataLayout(offsets, self.lengths, coalesce=False, validate=False)
+            if self.strided_form is None:
+                image._strided = _IRREGULAR
+            self._store = image
+        return image
+
     def gather_index(self, base_offset: int = 0) -> np.ndarray:
         """Flat ``int64`` byte-index array selecting every payload byte.
 
@@ -352,4 +374,4 @@ class DataLayout:
             raise ValueError("nbytes must be non-negative")
         if nbytes == 0:
             return DataLayout([], [], extent=0, validate=False)
-        return DataLayout([0], [nbytes], extent=nbytes, validate=False)
+        return DataLayout([0], [nbytes], extent=nbytes, coalesce=False, validate=False)

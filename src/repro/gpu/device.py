@@ -81,9 +81,17 @@ class GPUDevice:
         return tuple(self._streams)
 
     # -- memory ---------------------------------------------------------------
-    def alloc(self, nbytes: int, name: str = "", fill: Optional[int] = None) -> GPUBuffer:
-        """Allocate device memory."""
-        buffer = self.memory.alloc(nbytes, name=name, fill=fill)
+    def alloc(
+        self,
+        nbytes: int,
+        name: str = "",
+        fill: Optional[int] = None,
+        *,
+        layout: Optional[DataLayout] = None,
+    ) -> GPUBuffer:
+        """Allocate device memory, backed for ``layout`` when given
+        (:meth:`DeviceMemory.alloc`)."""
+        buffer = self.memory.alloc(nbytes, name=name, fill=fill, layout=layout)
         buffer.functional = self.functional
         return buffer
 

@@ -131,7 +131,8 @@ def make_pack_op(
 
     def apply() -> None:
         out = packed.data[packed_offset : packed_offset + nbytes]
-        pack_bytes(source.data, layout, out, base_offset=source_offset)
+        store, store_layout, offset = source.address(layout, source_offset)
+        pack_bytes(store, store_layout, out, base_offset=offset)
 
     return KernelOp(
         kind=OpKind.PACK,
@@ -159,7 +160,8 @@ def make_unpack_op(
 
     def apply() -> None:
         src = packed.data[packed_offset : packed_offset + nbytes]
-        unpack_bytes(src, layout, dest.data, base_offset=dest_offset)
+        store, store_layout, offset = dest.address(layout, dest_offset)
+        unpack_bytes(src, store_layout, store, base_offset=offset)
 
     return KernelOp(
         kind=OpKind.UNPACK,
@@ -194,8 +196,10 @@ def make_direct_ipc_op(
     nbytes = src_layout.size
 
     def apply() -> None:
-        staged = pack_bytes(source.data, src_layout)
-        unpack_bytes(staged, dst_layout, dest.data)
+        src_store, src_store_layout, src_offset = source.address(src_layout)
+        staged = pack_bytes(src_store, src_store_layout, base_offset=src_offset)
+        dst_store, dst_store_layout, dst_offset = dest.address(dst_layout)
+        unpack_bytes(staged, dst_store_layout, dst_store, base_offset=dst_offset)
 
     num_blocks = max(src_layout.num_blocks, dst_layout.num_blocks)
     mean_block = min(src_layout.mean_block, dst_layout.mean_block) or 1.0

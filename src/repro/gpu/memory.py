@@ -1,10 +1,18 @@
 """Simulated device memory: NumPy-backed buffers with a capacity ledger.
 
-A :class:`GPUBuffer` is the reproduction's ``void*`` device pointer: a
-1-D ``uint8`` array plus identity metadata.  :class:`DeviceMemory`
-tracks allocation against the architecture's capacity (we never
-actually reserve 16 GB of host RAM — each buffer allocates only its own
-bytes) and hands out buffers for the schemes' staging areas.
+A :class:`GPUBuffer` is the reproduction's ``void*`` device pointer: an
+extent of bytes backed by a 1-D ``uint8`` store, plus identity
+metadata.  :class:`DeviceMemory` tracks allocation against the
+architecture's capacity (we never actually reserve 16 GB of host RAM —
+each buffer allocates only its own store) and hands out buffers for the
+schemes' staging areas.
+
+A buffer allocated for a layout keeps only a *guard-gap store*: the
+layout with every gap longer than :data:`GAP_BYTES` cut down to that
+many bytes, half after one block and half before the next.  Accesses
+reach it through :meth:`GPUBuffer.address`, which maps extent
+coordinates to store coordinates, so a strided payload in a large
+extent costs host memory for the payload, not for the extent.
 
 Host (pinned) staging buffers use the same class with
 ``space="host"``; the distinction matters to the network model, which
@@ -15,38 +23,85 @@ from __future__ import annotations
 
 import itertools
 import mmap
-from typing import Literal, Optional
+from typing import Literal, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["GPUBuffer", "DeviceMemory", "OutOfMemoryError", "host_alloc", "BufferPool"]
+from ..datatypes.layout import DataLayout
+
+__all__ = [
+    "GAP_BYTES", "GPUBuffer", "DeviceMemory", "OutOfMemoryError", "host_alloc", "BufferPool",
+]
 
 Space = Literal["device", "host"]
+
+#: longest gap between two blocks that a guard-gap store keeps whole;
+#: a longer one keeps ``GAP_BYTES // 2`` bytes after the block before it
+#: and as many before the block after it
+GAP_BYTES = 64
+_GUARD = GAP_BYTES // 2
 
 
 class OutOfMemoryError(MemoryError):
     """Raised when an allocation exceeds the device's remaining capacity."""
 
 
-class GPUBuffer:
-    """A contiguous region of (simulated) device or host memory.
+def _guard_runs(layout: DataLayout, nbytes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The extent ranges a guard-gap store for ``layout`` keeps.
 
-    The NumPy backing store is materialized lazily on the first ``data``
-    access: dry (non-functional) runs price every operation without ever
-    touching buffer contents, and for the large-message figure sweeps
-    the eager ``np.zeros`` per allocation dominated wall time.  Contents
-    are unchanged — the first touch sees exactly the zeros (or ``fill``)
-    the eager allocation produced.
+    Every block keeps ``_GUARD`` bytes on either side, clipped to the
+    ``nbytes`` extent; blocks whose guards meet (a gap of at most
+    ``GAP_BYTES``) share one run.  Returns the runs' extent ``starts``
+    and ``stops`` and the run index of each block.
+    """
+    offsets = layout.offsets
+    lo = np.maximum(offsets - _GUARD, 0)
+    hi = np.minimum(offsets + layout.lengths + _GUARD, nbytes)
+    new_run = np.ones(len(offsets), dtype=bool)
+    np.greater(lo[1:], hi[:-1], out=new_run[1:])
+    ends_run = np.ones(len(offsets), dtype=bool)
+    ends_run[:-1] = new_run[1:]
+    return lo[new_run], hi[ends_run], np.cumsum(new_run) - 1
+
+
+def _zeroed(nbytes: int, fill: Optional[int]) -> np.ndarray:
+    """A fresh store: ``fill`` bytes, or zeros in an anonymous mapping."""
+    if fill is not None:
+        return np.full(nbytes, fill, dtype=np.uint8)
+    if nbytes:
+        return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+    return np.zeros(0, dtype=np.uint8)
+
+
+class GPUBuffer:
+    """An extent of (simulated) device or host memory.
+
+    ``nbytes`` is the extent: what the capacity ledger charges and what
+    accesses are addressed in.  The NumPy store behind it is
+    materialized lazily on first access: dry (non-functional) runs
+    price every operation without ever touching buffer contents.  The
+    first touch sees exactly the zeros (or ``fill``) an eager
+    allocation would have produced.
+
+    A buffer allocated for a ``layout`` is backed by a guard-gap store
+    (module docstring): every byte within ``GAP_BYTES // 2`` of a block
+    sits at the same position relative to its block as in the extent,
+    and the rest of each long gap is not stored.  Without a layout the
+    store is the whole extent.  :meth:`address` is the one way to reach
+    either; :attr:`data` is the store itself and exists only when the
+    store is the whole extent, so compact bytes are never read as
+    extent bytes.
 
     Zero-initialised stores are anonymous ``mmap`` regions rather than
     ``np.zeros``: NumPy advises allocations of 4 MiB and up for huge
     pages, so on a host with transparent huge pages in ``madvise`` mode
-    one touched byte would fault in and zero a whole 2 MiB page.  A
-    strided payload spread thinly over a large buffer then pays for the
-    extent; with plain 4 KiB pages it pays for the pages it touches.
+    one touched byte would fault in and zero a whole 2 MiB page.
     """
 
-    __slots__ = ("_data", "_nbytes", "_fill", "space", "owner", "buffer_id", "name", "functional")
+    __slots__ = (
+        "_data", "_runs", "_image", "_layout", "_nbytes", "_fill",
+        "space", "owner", "buffer_id", "name", "functional",
+    )
 
     _ids = itertools.count()
 
@@ -57,10 +112,22 @@ class GPUBuffer:
         owner: Optional["DeviceMemory"] = None,
         name: str = "",
         fill: Optional[int] = None,
+        layout: Optional[DataLayout] = None,
     ):
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+        if layout is not None and layout.num_blocks and (
+            layout.offsets[0] < 0 or layout.offsets[-1] + layout.lengths[-1] > nbytes
+        ):
+            raise ValueError(f"{layout!r} does not fit a buffer of {nbytes} B")
         self._data: Optional[np.ndarray] = None
+        #: ``(starts, stops, bases)`` of the guard-gap store's runs: extent
+        #: range and store offset of each (set when the store materializes)
+        self._runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: the backing layout's image in the store (set with ``_runs``)
+        self._image: Optional[DataLayout] = None
+        #: the layout the store backs; ``None`` once it is the whole extent
+        self._layout = layout
         self._nbytes = nbytes
         self._fill = fill
         self.space: Space = space
@@ -70,23 +137,76 @@ class GPUBuffer:
         #: False when the owning device runs in dry (priced-only) mode
         self.functional = True
 
+    def _store(self) -> np.ndarray:
+        store = self._data
+        if store is None:
+            size, layout = self._nbytes, self._layout
+            if layout is not None:
+                starts, stops, run = _guard_runs(layout, size)
+                lengths = stops - starts
+                stored = int(lengths.sum())
+                if stored == size:
+                    self._layout = None  # nothing to cut: the store is the extent
+                else:
+                    size = stored
+                    bases = np.cumsum(lengths) - lengths
+                    self._runs = (starts, stops, bases)
+                    self._image = layout.store_image(layout.offsets - starts[run] + bases[run])
+            store = self._data = _zeroed(size, self._fill)
+        return store
+
     @property
     def data(self) -> np.ndarray:
-        """The buffer's bytes (materialized on first access)."""
-        data = self._data
-        if data is None:
-            if self._fill is not None:
-                data = np.full(self._nbytes, self._fill, dtype=np.uint8)
-            elif self._nbytes:
-                data = np.frombuffer(mmap.mmap(-1, self._nbytes), dtype=np.uint8)
-            else:
-                data = np.zeros(0, dtype=np.uint8)
-            self._data = data
-        return data
+        """The whole extent's bytes (materialized on first access).
+
+        Raises ``ValueError`` for a guard-gap store: use :meth:`address`.
+        """
+        store = self._store()
+        if self._layout is not None:
+            raise ValueError(
+                f"{self.name} keeps a {len(store)} B guard-gap store for "
+                f"{self._layout!r}, not its {self._nbytes} B extent; "
+                "reach its bytes through address()"
+            )
+        return store
+
+    def address(self, layout: DataLayout, offset: int = 0) -> Tuple[np.ndarray, DataLayout, int]:
+        """Map an access from extent to store coordinates.
+
+        ``layout`` at byte ``offset`` of the extent becomes ``(store,
+        store_layout, store_offset)``: the same bytes, ready for
+        :func:`~repro.datatypes.pack.pack_bytes` and
+        :func:`~repro.datatypes.pack.unpack_bytes`.  A whole-extent store
+        maps every access to itself.  The backing layout at offset 0
+        maps to its image cached on the layout, which keeps the
+        layout's shape class (strided or gather); any other access is
+        translated block by block.  Raises ``IndexError`` when the
+        access touches a byte the store does not back.
+        """
+        store = self._store()
+        backing = self._layout
+        if backing is None:
+            return store, layout, offset
+        if offset == 0 and (layout is backing or layout == backing):
+            return store, self._image, 0
+        assert self._runs is not None
+        starts, stops, bases = self._runs
+        lo = layout.offsets + offset
+        run = np.searchsorted(starts, lo, side="right") - 1
+        outside = run < 0
+        if not outside.any():
+            outside = lo + layout.lengths > stops[run]
+        if outside.any():
+            raise IndexError(
+                f"{layout!r} at offset {offset} touches bytes of {self.name} "
+                f"outside its guard-gap store for {backing!r}"
+            )
+        offsets = lo - starts[run] + bases[run]
+        return store, DataLayout(offsets, layout.lengths, coalesce=False, validate=False), 0
 
     @property
     def nbytes(self) -> int:
-        """Capacity of the buffer in bytes."""
+        """Extent of the buffer in bytes."""
         return self._nbytes
 
     @property
@@ -129,8 +249,20 @@ class DeviceMemory:
         """Bytes still allocatable."""
         return self.capacity - self._allocated
 
-    def alloc(self, nbytes: int, name: str = "", fill: Optional[int] = None) -> GPUBuffer:
+    def alloc(
+        self,
+        nbytes: int,
+        name: str = "",
+        fill: Optional[int] = None,
+        *,
+        layout: Optional[DataLayout] = None,
+    ) -> GPUBuffer:
         """Allocate a device buffer of ``nbytes``.
+
+        ``layout`` is the layout the buffer is for: the buffer then
+        keeps a guard-gap store for it (the default keeps the whole
+        extent).  The ledger charges the extent either way, because it
+        models the GPU's memory, not the host's.
 
         Raises :class:`OutOfMemoryError` when capacity is exceeded —
         schemes use this to size their staging pools honestly.
@@ -143,7 +275,7 @@ class DeviceMemory:
         self._allocated += nbytes
         self.peak = max(self.peak, self._allocated)
         self.allocation_count += 1
-        return GPUBuffer(nbytes, space="device", owner=self, name=name, fill=fill)
+        return GPUBuffer(nbytes, space="device", owner=self, name=name, fill=fill, layout=layout)
 
     def _release(self, buffer: GPUBuffer) -> None:
         self._allocated -= buffer.nbytes
@@ -209,9 +341,10 @@ class BufferPool:
             self.hits += 1
             buffer = cached.pop()
             if self.functional:
-                # A fresh buffer's contents: otherwise a skipped pack
-                # would pass verification with last message's bytes.
-                buffer.data[:] = 0
+                # A fresh buffer's contents where its consumer looks:
+                # otherwise a skipped pack would pass verification with
+                # last message's bytes.
+                buffer.data[:nbytes] = 0
             return buffer
         self.misses += 1
         if self.memory is not None:

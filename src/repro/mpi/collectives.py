@@ -84,12 +84,10 @@ def alltoall(
     # Local slice: direct device copy (free of wire costs, like a real
     # implementation's memcpy path).
     if sendbuf.functional and recvbuf.functional:
-        packed = pack_bytes(
-            sendbuf.data, send_layout, base_offset=me * send_layout.extent
-        )
-        unpack_bytes(
-            packed, recv_layout, recvbuf.data, base_offset=me * recv_layout.extent
-        )
+        store, layout, offset = sendbuf.address(send_layout, me * send_layout.extent)
+        packed = pack_bytes(store, layout, base_offset=offset)
+        store, layout, offset = recvbuf.address(recv_layout, me * recv_layout.extent)
+        unpack_bytes(packed, layout, store, base_offset=offset)
     yield from rank.waitall(requests)
 
 

@@ -32,6 +32,7 @@ from ..config import ProtocolCfg
 from ..datatypes.base import Datatype
 from ..datatypes.cache import LayoutCache
 from ..datatypes.layout import DataLayout
+from ..datatypes.pack import unpack_bytes
 from ..gpu.memory import BufferPool, GPUBuffer
 from ..net.topology import Cluster, RankSite
 from ..schemes.base import PackingScheme
@@ -218,14 +219,22 @@ class Runtime:
         assert not functional or (payload is not None and len(payload) == nbytes)
         if rreq.layout.is_contiguous:
             if functional:
-                start = rreq.user_offset
-                rreq.user_buffer.data[start : start + nbytes] = payload
+                # Only the bytes that arrived: a message may be shorter
+                # than its receive.
+                store, store_layout, offset = rreq.user_buffer.address(
+                    DataLayout.contiguous(nbytes), rreq.user_offset
+                )
+                unpack_bytes(payload, store_layout, store, base_offset=offset)
             rreq._complete()
             return
         origin = getattr(rreq, "origin_datatype", None)
         if origin is not None and not isinstance(origin, DataLayout):
             yield from rank.resolve_layout_timed(origin)
-        staging = rank.staging_pool.acquire(nbytes, name=f"rstage:req{rreq.req_id}")
+        # Sized for what the unpack reads, the whole layout, so the pool
+        # zeroes the tail a shorter message leaves unwritten.
+        staging = rank.staging_pool.acquire(
+            rreq.layout.size, name=f"rstage:req{rreq.req_id}"
+        )
         if functional:
             staging.data[:nbytes] = payload
         rreq.staging = staging

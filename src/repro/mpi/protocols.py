@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 
+from ..datatypes.pack import pack_bytes
 from ..net.transfer import rdma_read, rdma_write
 from ..sim.engine import Event, Process
 from ..sim.faults import FaultError
@@ -163,8 +164,8 @@ def _snapshot_payload(sreq: SendRequest):
     if sreq.staging is not None:
         return sreq.staging.data[:nbytes].copy()
     # Contiguous send: the user buffer region is the packed form.
-    start = sreq.user_offset
-    return sreq.user_buffer.data[start : start + nbytes].copy()
+    store, store_layout, offset = sreq.user_buffer.address(sreq.layout, sreq.user_offset)
+    return pack_bytes(store, store_layout, base_offset=offset)
 
 
 def _pack_done_event(rank: "Rank", sreq: SendRequest) -> Event:

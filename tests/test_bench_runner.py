@@ -157,6 +157,37 @@ def test_verification_detects_dropped_bytes(monkeypatch):
     assert_corruption_caught("specfem3D_cm")
 
 
+def test_wet_milc_buffers_back_their_layout_not_their_extent(monkeypatch):
+    """MILC at dim 32 moves 786 KB per buffer out of a 25.1 MB extent;
+    each user buffer's store holds the payload plus its guard bytes."""
+    from repro.gpu.device import GPUDevice
+
+    backed = []
+    real_alloc = GPUDevice.alloc
+
+    def recording_alloc(device, nbytes, *args, layout=None, **kwargs):
+        buf = real_alloc(device, nbytes, *args, layout=layout, **kwargs)
+        if layout is not None:
+            backed.append((buf, layout))
+        return buf
+
+    monkeypatch.setattr(GPUDevice, "alloc", recording_alloc)
+    cfg = NAS_MG.with_overrides(
+        {
+            "workload.name": "MILC",
+            "workload.dim": 32,
+            "workload.nbuffers": 2,
+            "harness.iterations": 1,
+            "harness.warmup": 0,
+        }
+    )
+    run_bulk_exchange(cfg)  # verified: the stores carried every byte
+    assert len(backed) == 8  # 2 ranks x 2 buffers x (send, receive)
+    for buf, layout in backed:
+        assert buf.nbytes == 25_142_016
+        assert len(buf.address(layout)[0]) <= 900_000
+
+
 # -- report formatting -------------------------------------------------------------
 
 

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datatypes import DataLayout, pack_bytes, unpack_bytes
 from repro.gpu import DeviceMemory, GPUBuffer, OutOfMemoryError, host_alloc
+from repro.gpu.memory import GAP_BYTES
+
+GUARD = GAP_BYTES // 2
 
 
 def test_alloc_tracks_usage():
@@ -111,11 +117,14 @@ def test_pool_reused_buffer_zeroed():
     from repro.gpu import BufferPool
 
     pool = BufferPool(DeviceMemory(1 << 20))
-    a = pool.acquire(64)
-    a.data[:] = 9
-    pool.release(a)
-    b = pool.acquire(64)
-    assert not b.data.any()
+    for first, second in [(64, 64), (1000, 600)]:  # same bucket, then a smaller request
+        a = pool.acquire(first)
+        a.data[:] = 9
+        pool.release(a)
+        b = pool.acquire(second)
+        assert b is a
+        assert not b.data[:second].any()
+        pool.release(b)
 
 
 def test_pool_dry_mode_skips_zeroing_and_marks_buffers():
@@ -167,3 +176,142 @@ def test_pool_host_mode():
     pool = BufferPool(None)
     buf = pool.acquire(64)
     assert not buf.on_device
+
+
+# -- guard-gap stores ---------------------------------------------------------------
+
+
+def test_guard_gap_store_keeps_guards_around_each_block():
+    layout = DataLayout([100, 300], [10, 10], extent=400)
+    buf = GPUBuffer(400, layout=layout)
+    store, store_layout, offset = buf.address(layout)
+    # [68, 142) and [268, 342): 32 guard bytes on each side of each block
+    assert len(store) == 2 * (GUARD + 10 + GUARD)
+    assert store_layout.offsets.tolist() == [GUARD, GUARD + 10 + 2 * GUARD]
+    assert offset == 0
+    assert buf.nbytes == 400
+
+
+def test_guard_gap_store_is_the_extent_when_nothing_is_cut():
+    layout = DataLayout([10, 80], [40, 40], extent=130)
+    buf = GPUBuffer(130, layout=layout)
+    store, store_layout, offset = buf.address(layout)
+    assert store is buf.data and len(store) == 130
+    assert store_layout is layout and offset == 0
+
+
+def test_guard_gap_store_hides_its_compact_bytes():
+    layout = DataLayout([0, 1000], [8, 8], extent=1008)
+    buf = GPUBuffer(1008, layout=layout)
+    with pytest.raises(ValueError, match="guard-gap"):
+        buf.data
+    with pytest.raises(ValueError, match="guard-gap"):
+        buf.view(np.float64)
+
+
+def test_guard_gap_store_rejects_unbacked_access():
+    layout = DataLayout([0, 1000], [8, 8], extent=1008)
+    buf = GPUBuffer(1008, name="halo", layout=layout)
+    with pytest.raises(IndexError, match="halo"):
+        buf.address(DataLayout.contiguous(1), 8 + GUARD)
+    with pytest.raises(IndexError, match="halo"):
+        buf.address(layout, -1)
+
+
+def test_guard_gap_store_keeps_the_shape_class():
+    uniform = DataLayout([0, 200, 400], [8, 8, 8], extent=408)
+    # Equal blocks, every gap cut: the store image would be uniform.
+    irregular = DataLayout([0, 200, 500], [8, 8, 8], extent=508)
+    for layout in (uniform, irregular):
+        store_layout = GPUBuffer(layout.extent, layout=layout).address(layout)[1]
+        assert (store_layout.strided_form is None) == (layout.strided_form is None)
+        assert store_layout.num_blocks == layout.num_blocks
+
+
+def test_guard_gap_store_must_fit_the_extent():
+    with pytest.raises(ValueError, match="does not fit"):
+        GPUBuffer(16, layout=DataLayout([8], [16]))
+
+
+def test_ledger_charges_the_extent_of_a_guard_gap_buffer():
+    mem = DeviceMemory(1 << 20)
+    layout = DataLayout([0, 60_000], [8, 8], extent=60_008)
+    buf = mem.alloc(60_008, layout=layout)
+    assert mem.allocated == mem.peak == 60_008
+    assert len(buf.address(layout)[0]) < 200
+    buf.free()
+    assert mem.allocated == 0
+
+
+_GAPS = st.one_of(st.integers(1, GAP_BYTES), st.integers(GAP_BYTES + 1, 3 * GAP_BYTES))
+
+
+@st.composite
+def _layouts(draw):
+    """Sorted layouts with gaps on both sides of ``GAP_BYTES``, some uniform."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 48))] * n
+        gaps = [draw(_GAPS)] * (n - 1)
+    else:
+        lengths = draw(st.lists(st.integers(1, 48), min_size=n, max_size=n))
+        gaps = draw(st.lists(_GAPS, min_size=n - 1, max_size=n - 1))
+    lead = draw(st.integers(0, 2 * GAP_BYTES))
+    tail = draw(st.integers(0, 2 * GAP_BYTES))
+    offsets = lead + np.concatenate(([0], np.cumsum(np.add(lengths[:-1], gaps))))
+    return DataLayout(offsets, lengths, extent=int(offsets[-1]) + lengths[-1] + tail)
+
+
+def _backed(layout, nbytes):
+    """Bytes of the extent within ``GUARD`` of the payload."""
+    mask = np.zeros(nbytes, dtype=bool)
+    for start, length in zip(layout.offsets, layout.lengths):
+        mask[max(0, start - GUARD) : start + length + GUARD] = True
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout=_layouts(), data=st.data())
+def test_guard_gap_store_moves_the_bytes_an_extent_store_moves(layout, data):
+    nbytes = layout.extent
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    extent = GPUBuffer(nbytes)
+    guarded = GPUBuffer(nbytes, layout=layout)
+    backed = _backed(layout, nbytes)
+    store = guarded.address(layout)[0]
+    assert len(store) == backed.sum()
+    extent.data[:] = rng.integers(0, 256, nbytes, dtype=np.uint8)
+    store[:] = extent.data[backed]  # the store keeps the backed bytes in order
+
+    starts = [data.draw(st.integers(0, n - 1)) for n in layout.lengths]
+    stops = [data.draw(st.integers(a + 1, n)) for a, n in zip(starts, layout.lengths)]
+    window = data.draw(st.integers(0, nbytes - 1))
+    accesses = [
+        (layout, data.draw(st.integers(-GUARD, GUARD))),
+        (DataLayout(layout.offsets + starts, np.subtract(stops, starts)), 0),
+        (DataLayout.contiguous(data.draw(st.integers(1, nbytes - window))), window),
+    ]
+    for access, offset in accesses:
+        lo = access.offsets + offset
+        hi = lo + access.lengths
+        in_extent = lo[0] >= 0 and hi[-1] <= nbytes
+        if not (in_extent and all(backed[a:b].all() for a, b in zip(lo, hi))):
+            # A whole-extent store leaves the bounds check to the copy.
+            with pytest.raises(IndexError):
+                s, s_layout, s_offset = guarded.address(access, offset)
+                pack_bytes(s, s_layout, base_offset=s_offset)
+            continue
+        s, s_layout, s_offset = guarded.address(access, offset)
+        assert np.array_equal(
+            pack_bytes(s, s_layout, base_offset=s_offset),
+            pack_bytes(extent.data, access, base_offset=offset),
+        )
+        payload = rng.integers(0, 256, access.size, dtype=np.uint8)
+        unpack_bytes(payload, access, extent.data, base_offset=offset)
+        unpack_bytes(payload, s_layout, s, base_offset=s_offset)
+        assert np.array_equal(store, extent.data[backed])
+
+    far = np.flatnonzero(~backed)  # more than GUARD bytes from the payload
+    if len(far):
+        with pytest.raises(IndexError):
+            guarded.address(DataLayout.contiguous(1), int(data.draw(st.sampled_from(far))))

@@ -161,6 +161,49 @@ def test_blocking_send_recv():
     assert (rbuf.data[lay.gather_index()] == 9).all()
 
 
+def test_short_message_into_contiguous_receive():
+    """A message shorter than its contiguous receive fills only its bytes."""
+    sim, rt = make_runtime()
+    sbuf = rt.rank(0).device.alloc(8, fill=7)
+    rbuf = rt.rank(1).device.alloc(24, fill=0xEE)
+
+    def sender():
+        yield from rt.rank(0).send(sbuf, DOUBLE, 1, dest=1)
+
+    def receiver():
+        yield from rt.rank(1).recv(rbuf, DOUBLE, 2, source=0, offset=8)
+
+    run_pair(sim, rt, sender(), receiver())
+    assert (rbuf.data[8:16] == 7).all()
+    assert (rbuf.data[:8] == 0xEE).all() and (rbuf.data[16:] == 0xEE).all()
+
+
+def test_short_message_after_dirty_staging_reuse():
+    """Receive staging reused after a full message holds no stale bytes
+    where a shorter message leaves the layout's tail unwritten."""
+    sim, rt = make_runtime()
+    dt = Vector(2, 1, 2, DOUBLE).commit()  # 16 B per instance
+    lay = rt.rank(0).resolve_layout(dt, 6)  # 96 B; 80 B shares its 128 B bucket
+    hi = int(lay.offsets[-1] + lay.lengths[-1])
+    sbuf = rt.rank(0).device.alloc(hi, fill=5)
+    rbufs = [rt.rank(1).device.alloc(hi) for _ in range(2)]
+
+    def sender():
+        yield from rt.rank(0).send(sbuf, dt, 6, dest=1, tag=0)
+        yield from rt.rank(0).send(sbuf, dt, 5, dest=1, tag=1)
+
+    def receiver():
+        yield from rt.rank(1).recv(rbufs[0], dt, 6, source=0, tag=0)
+        yield from rt.rank(1).recv(rbufs[1], dt, 6, source=0, tag=1)
+
+    run_pair(sim, rt, sender(), receiver())
+    assert rt.rank(1).staging_pool.hits == 1
+    idx = lay.gather_index()
+    assert (rbufs[0].data[idx] == 5).all()
+    assert (rbufs[1].data[idx[:80]] == 5).all()
+    assert not rbufs[1].data[idx[80:]].any()
+
+
 def test_explicit_pack_unpack_algorithm1():
     """Algorithm 1: MPI_Pack / send packed / MPI_Unpack."""
     sim, rt = make_runtime()
