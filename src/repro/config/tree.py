@@ -61,20 +61,16 @@ __all__ = [
 #: hash-domain tag folded into :meth:`ExperimentConfig.content_hash`;
 #: bump only on a deliberate canonical-form change (the golden-hash pin
 #: test fails loudly when the form drifts by accident); v2: ``obs`` holds
-#: only ``metrics``
-CONFIG_SCHEMA = "repro.config/v2"
+#: only ``metrics``; v3: the single-valued protocol and fusion knobs are
+#: module constants, not fields
+CONFIG_SCHEMA = "repro.config/v3"
 
 #: rendezvous protocol names (mirrors ``repro.mpi.protocols`` RPUT/RGET;
 #: duplicated by value so this module stays import-light)
 _RENDEZVOUS = ("rput", "rget")
 
 #: :class:`FusionCfg` fields written into the artifact ``config`` block
-_FUSION_KEYS = (
-    "threshold_bytes",
-    "max_batch_requests",
-    "min_batch_requests",
-    "capacity",
-)
+_FUSION_KEYS = ("threshold_bytes", "capacity")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -94,18 +90,15 @@ def _check_opt_int(name: str, value: Any, minimum: int) -> None:
         _check_int(name, value, minimum)
 
 
-def _check_float(
-    obj: Any, section: str, name: str, minimum: float, *, strict: bool = False
-) -> None:
-    """A real number ``>= minimum`` (``> minimum`` when ``strict``),
-    stored as a float so ``0`` and ``0.0`` hash alike."""
+def _check_float(obj: Any, section: str, name: str, minimum: float) -> None:
+    """A real number ``>= minimum``, stored as a float so ``0`` and
+    ``0.0`` hash alike."""
     value = getattr(obj, name)
     _require(
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and (value > minimum if strict else value >= minimum),
-        f"{section}.{name} must be a number {'>' if strict else '>='} {minimum}, "
-        f"got {value!r}",
+        and value >= minimum,
+        f"{section}.{name} must be a number >= {minimum}, got {value!r}",
     )
     object.__setattr__(obj, name, float(value))
 
@@ -191,14 +184,10 @@ class FusionCfg:
     """
 
     threshold_bytes: Optional[int] = None
-    max_batch_requests: Optional[int] = None
-    min_batch_requests: Optional[int] = None
     capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_opt_int("scheme.fusion.threshold_bytes", self.threshold_bytes, 0)
-        _check_opt_int("scheme.fusion.max_batch_requests", self.max_batch_requests, 1)
-        _check_opt_int("scheme.fusion.min_batch_requests", self.min_batch_requests, 1)
         _check_opt_int("scheme.fusion.capacity", self.capacity, 1)
 
     @property
@@ -210,11 +199,9 @@ class FusionCfg:
 
     def policy_kwargs(self) -> Dict[str, int]:
         """The set policy fields, as ``FusionPolicy`` keyword arguments."""
-        return {
-            name: value
-            for name in ("threshold_bytes", "max_batch_requests", "min_batch_requests")
-            if (value := getattr(self, name)) is not None
-        }
+        if self.threshold_bytes is None:
+            return {}
+        return {"threshold_bytes": self.threshold_bytes}
 
 
 @dataclass(frozen=True)
@@ -271,11 +258,6 @@ class ProtocolCfg:
     enable_direct_ipc: bool = False
     #: datatype layout cache of [24] (Table I ablation axis)
     layout_cache_enabled: bool = True
-    #: progress-poll period, seconds
-    poll_interval: float = 1e-6
-    #: CPU cost of one layout extraction: base + per-block walk
-    flatten_base_cost: float = 5e-7
-    flatten_block_cost: float = 4e-9
     #: messages at/above this use the host-staged chunked pipeline
     #: (``None`` = never)
     host_staging_threshold: Optional[int] = None
@@ -290,9 +272,6 @@ class ProtocolCfg:
         _check_opt_int("protocol.eager_threshold", self.eager_threshold, 0)
         _check_opt_int("protocol.host_staging_threshold", self.host_staging_threshold, 0)
         _check_bool(self, "protocol", "enable_direct_ipc", "layout_cache_enabled")
-        _check_float(self, "protocol", "poll_interval", 0, strict=True)
-        _check_float(self, "protocol", "flatten_base_cost", 0)
-        _check_float(self, "protocol", "flatten_block_cost", 0)
         _check_int("protocol.pipeline_chunk_bytes", self.pipeline_chunk_bytes, 1)
 
 

@@ -25,12 +25,17 @@ from ..gpu.kernels import KernelOp
 from ..net.topology import RankSite
 from ..sim.engine import CompletionWatch, us
 from ..sim.trace import Category, Trace
+from ..schemes import base
 from ..schemes.base import OpHandle, PackingScheme, SchemeCapabilities, SchemeGen
 from ..schemes.gpu_sync import GPUSyncScheme
 from .fusion_policy import FusionPolicy
+from .request_list import REQUEST_LIST_CAPACITY
 from .scheduler import FusionScheduler
 
 __all__ = ["KernelFusionScheme"]
+
+#: CPU cost of one response-flag read (a host memory load per request)
+FLAG_POLL_COST = us(0.05)
 
 
 class KernelFusionScheme(PackingScheme):
@@ -50,16 +55,12 @@ class KernelFusionScheme(PackingScheme):
         trace: Optional[Trace] = None,
         *,
         policy: Optional[FusionPolicy] = None,
-        capacity: int = 256,
-        flag_poll_cost: float = us(0.05),
-        poll_interval: float = us(1.0),
+        capacity: int = REQUEST_LIST_CAPACITY,
         idle_linger: float = us(6.0),
         name: Optional[str] = None,
     ):
         super().__init__(site, trace)
         self.scheduler = FusionScheduler(site, self.trace, policy, capacity=capacity)
-        self.flag_poll_cost = flag_poll_cost
-        self.poll_interval = poll_interval
         #: how long the progress engine must be enqueue-idle before a
         #: sync-point flush launches a below-threshold batch (§IV-C
         #: scenario 1: "no more operations to request")
@@ -88,8 +89,8 @@ class KernelFusionScheme(PackingScheme):
         # queries, the design's whole advantage on the sync path.
         visible = self._discovered(
             request.done_event,
-            lambda: 0.5 * self.poll_interval
-            + len(self.outstanding) * self.flag_poll_cost,
+            lambda: 0.5 * base.POLL_INTERVAL
+            + len(self.outstanding) * FLAG_POLL_COST,
         )
         return self._handle(op, visible, uid=request.uid, label=label)
 
@@ -107,12 +108,12 @@ class KernelFusionScheme(PackingScheme):
         while watch.remaining:
             # One response-status read per outstanding request.
             yield from self._charge(
-                Category.SYNC, self.flag_poll_cost * watch.remaining, "flag-poll"
+                Category.SYNC, FLAG_POLL_COST * watch.remaining, "flag-poll"
             )
             if not watch.remaining:
                 return
             start = self.sim.now
-            yield watch.sleep(self.poll_interval)
+            yield watch.sleep(base.POLL_INTERVAL)
             self.trace.charge(Category.PACK, start, self.sim.now, label="wait")
 
     def progress_tick(self) -> SchemeGen:
@@ -125,7 +126,7 @@ class KernelFusionScheme(PackingScheme):
         if self.outstanding:
             yield from self._charge(
                 Category.SYNC,
-                self.flag_poll_cost * len(self.outstanding),
+                FLAG_POLL_COST * len(self.outstanding),
                 "flag-poll",
             )
 

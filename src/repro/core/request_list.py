@@ -30,7 +30,15 @@ from typing import List, Optional
 from ..gpu.kernels import KernelOp
 from ..sim.engine import Event, Simulator
 
-__all__ = ["RequestStatus", "FusionRequest", "CircularRequestList"]
+__all__ = [
+    "RequestStatus",
+    "FusionRequest",
+    "CircularRequestList",
+    "REQUEST_LIST_CAPACITY",
+]
+
+#: ring slots per rank unless ``scheme.fusion.capacity`` says otherwise
+REQUEST_LIST_CAPACITY = 256
 
 
 class RequestStatus(str, enum.Enum):
@@ -98,7 +106,7 @@ class CircularRequestList:
         "_uids", "_pending", "peak_occupancy", "rejections",
     )
 
-    def __init__(self, sim: Simulator, capacity: int = 256):
+    def __init__(self, sim: Simulator, capacity: int = REQUEST_LIST_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
@@ -132,11 +140,6 @@ class CircularRequestList:
         """Number of occupied (non-IDLE) slots."""
         return self._count
 
-    @property
-    def is_full(self) -> bool:
-        """True when no slot is available for enqueue."""
-        return self._slots[self._tail] is not None
-
     def pending(self) -> List[FusionRequest]:
         """Occupied PENDING entries in FIFO (head→tail) order, as a new
         list.  The list is maintained, not scanned: the scheduler asks
@@ -147,10 +150,6 @@ class CircularRequestList:
     def pending_count(self) -> int:
         """Number of PENDING entries."""
         return len(self._pending)
-
-    def pending_bytes(self) -> int:
-        """Total payload bytes across PENDING entries."""
-        return sum(r.op.nbytes for r in self.pending())
 
     # -- mutation -----------------------------------------------------------------
     def enqueue(self, op: KernelOp, track: str = "") -> Optional[FusionRequest]:

@@ -15,8 +15,8 @@ functions map directly onto the paper's Fig. 5 annotations:
   and response statuses (a host memory read, microseconds cheap).
 
 The measured scheduling overhead of the real implementation is ~2 µs
-per message (§V-B); ``enqueue_overhead`` + ``completion_overhead``
-default to that figure.
+per message (§V-B); :data:`ENQUEUE_OVERHEAD` +
+:data:`COMPLETION_OVERHEAD` add up to that figure.
 
 Fault tolerance
 ---------------
@@ -50,20 +50,23 @@ from typing import List, Optional
 from ..gpu.coop import FusionPlan
 from ..net.topology import RankSite
 from ..gpu.kernels import KernelOp
+from ..schemes.base import launch_with_retries
 from ..sim.engine import us
-from ..sim.faults import FaultError
 from ..sim.trace import Category, Trace
 from .fused_kernel import launch_fused_kernel
 from .fusion_policy import FusionPolicy
-from .request_list import CircularRequestList, FusionRequest
+from .request_list import REQUEST_LIST_CAPACITY, CircularRequestList, FusionRequest
 
 __all__ = ["SchedulerStats", "FusionScheduler"]
 
-#: hard cap on degraded single-request launch attempts — diagnostic
-#: backstop, unreachable for valid fault specs
-MAX_LAUNCH_ATTEMPTS = 10_000
-#: degraded-launch backoff ceiling, in multiples of the launch overhead
-LAUNCH_BACKOFF_CAP_FACTOR = 64
+#: CPU cost of one enqueue (request-list fill + policy check)
+ENQUEUE_OVERHEAD = us(1.2)
+#: CPU cost of a launched batch's completion bookkeeping (dequeue/reap)
+COMPLETION_OVERHEAD = us(0.8)
+#: completion deadline = factor × expected batch duration + slack
+#: (armed per launch, only under fault injection)
+DEADLINE_FACTOR = 4.0
+DEADLINE_SLACK = us(50.0)
 #: deadline watchdog escalation rounds before it just waits completion out
 MAX_DEADLINE_ROUNDS = 8
 
@@ -99,18 +102,6 @@ class SchedulerStats:
             sum(self.batch_sizes) / len(self.batch_sizes) if self.batch_sizes else 0.0
         )
 
-    @property
-    def recoveries(self) -> int:
-        """Total recovery actions the scheduler took (any ladder rung,
-        deadline relaunch, or ring-full fallback)."""
-        return (
-            self.relaunches
-            + self.batch_splits
-            + self.sync_fallbacks
-            + self.deadline_relaunches
-            + self.fallbacks
-        )
-
 
 class FusionScheduler:
     """Scheduler + circular request list for one rank."""
@@ -121,25 +112,15 @@ class FusionScheduler:
         trace: Trace,
         policy: Optional[FusionPolicy] = None,
         *,
-        capacity: int = 256,
-        enqueue_overhead: float = us(1.2),
-        completion_overhead: float = us(0.8),
+        capacity: int = REQUEST_LIST_CAPACITY,
         grid_blocks: Optional[int] = None,
-        deadline_factor: float = 4.0,
-        deadline_slack: float = us(50.0),
     ):
         self.site = site
         self.sim = site.device.sim
         self.trace = trace
         self.policy = policy if policy is not None else FusionPolicy()
         self.request_list = CircularRequestList(self.sim, capacity=capacity)
-        self.enqueue_overhead = enqueue_overhead
-        self.completion_overhead = completion_overhead
         self.grid_blocks = grid_blocks
-        #: completion deadline = factor × expected batch duration + slack
-        #: (armed per launch, only under fault injection)
-        self.deadline_factor = deadline_factor
-        self.deadline_slack = deadline_slack
         self.stream = site.device.default_stream
         self.stats = SchedulerStats()
         #: times of the two most recent enqueues (drive the idle-flush
@@ -156,7 +137,7 @@ class FusionScheduler:
         ``None`` is the negative-UID answer — the ring is full and the
         progress engine must fall back (§IV-A2 ①).
         """
-        yield from self._charge_sched(self.enqueue_overhead, label)
+        yield from self._charge_sched(ENQUEUE_OVERHEAD, label)
         self.request_list.reap()
         self.prev_enqueue_at = self.last_enqueue_at
         self.last_enqueue_at = self.sim.now
@@ -216,7 +197,7 @@ class FusionScheduler:
         self.request_list.mark_busy(pending)
         yield from self._launch_batch(list(pending), label)
         # Completion-side bookkeeping (dequeue/reap) for the batch.
-        yield from self._charge_sched(self.completion_overhead, label)
+        yield from self._charge_sched(COMPLETION_OVERHEAD, label)
 
     def _launch_batch(self, batch: List[FusionRequest], label: str):
         """Launch ``batch``, walking the degradation ladder on failure."""
@@ -278,35 +259,16 @@ class FusionScheduler:
         """Ladder rung ③: launch one request and wait it out.
 
         Retries with capped exponential backoff until the launch
-        sticks, then blocks until the request completes — the GPU-Sync
-        semantics the paper's framework falls back to when fusion
-        cannot make progress.
+        sticks (:func:`~repro.schemes.base.launch_with_retries`), then
+        blocks until the request completes — the GPU-Sync semantics the
+        paper's framework falls back to when fusion cannot make
+        progress.
         """
-        arch = self.site.device.arch
-        faults = self.sim.faults
         self.stats.sync_fallbacks += 1
-        backoff = arch.kernel_launch_overhead
-        attempts = 0
-        while True:
-            start = self.sim.now
-            yield self.sim.timeout(arch.kernel_launch_overhead)
-            self.trace.charge(Category.LAUNCH, start, self.sim.now, label="degraded")
-            if faults is None or not faults.launch_fails():
-                break
-            self.stats.launch_failures += 1
-            attempts += 1
-            if attempts >= MAX_LAUNCH_ATTEMPTS:
-                raise FaultError(
-                    f"degraded launch of request uid={request.uid} still "
-                    f"failing after {attempts} attempts"
-                )
-            start = self.sim.now
-            yield self.sim.timeout(backoff)
-            self.trace.charge(Category.SYNC, start, self.sim.now, label="backoff")
-            backoff = min(
-                backoff * 2.0,
-                LAUNCH_BACKOFF_CAP_FACTOR * arch.kernel_launch_overhead,
-            )
+        self.stats.launch_failures += yield from launch_with_retries(
+            self.sim, self.trace, self.site.device.arch.kernel_launch_overhead,
+            "degraded", f"degraded launch of request uid={request.uid}",
+        )
         self._commit_launch([request])
         start = self.sim.now
         yield request.done_event
@@ -325,9 +287,9 @@ class FusionScheduler:
             return
         arch = self.site.device.arch
         deadline = (
-            self.deadline_factor
+            DEADLINE_FACTOR
             * max(plan.total_duration, arch.kernel_launch_overhead)
-            + self.deadline_slack
+            + DEADLINE_SLACK
         )
 
         def watchdog():

@@ -20,7 +20,7 @@ from .constructors import (
 )
 from .introspect import describe, envelope
 from .layout import DataLayout, coalesce_blocks
-from .pack import Packer, as_byte_view, pack_bytes, unpack_bytes
+from .pack import as_byte_view, pack_bytes, unpack_bytes
 from .primitives import (
     BYTE,
     CHAR,
@@ -55,7 +55,6 @@ __all__ = [
     "Subarray",
     "Resized",
     "pack_bytes",
-    "Packer",
     "unpack_bytes",
     "as_byte_view",
     "BYTE",

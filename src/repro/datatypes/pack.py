@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .layout import DataLayout
 
-__all__ = ["pack_bytes", "unpack_bytes", "as_byte_view", "Packer"]
+__all__ = ["pack_bytes", "unpack_bytes", "as_byte_view"]
 
 
 def as_byte_view(array: np.ndarray) -> np.ndarray:
@@ -119,67 +119,3 @@ def unpack_bytes(
             packed, 0, count, length, length
         )
     return dest
-
-
-class Packer:
-    """Incremental pack/unpack with MPI's ``position`` semantics.
-
-    ``MPI_Pack`` lets callers append several datatypes into one staging
-    buffer, threading a byte *position* through the calls; ``MPI_Unpack``
-    consumes the buffer the same way.  :class:`Packer` captures that
-    protocol::
-
-        packer = Packer(staging)
-        packer.pack(field_a, layout_a)
-        packer.pack(field_b, layout_b)          # appended after a
-        assert packer.position == layout_a.size + layout_b.size
-
-        reader = Packer(staging)
-        reader.unpack(layout_a, out_a)
-        reader.unpack(layout_b, out_b)
-
-    The same object can interleave pack and unpack (MPI allows it; the
-    position always advances by the consumed type's size).
-    """
-
-    def __init__(self, buffer: np.ndarray, position: int = 0):
-        if buffer.dtype != np.uint8 or buffer.ndim != 1:
-            raise TypeError("Packer buffer must be a 1-D uint8 array")
-        if not 0 <= position <= len(buffer):
-            raise ValueError(f"position {position} outside buffer of {len(buffer)}")
-        self.buffer = buffer
-        self.position = position
-
-    @property
-    def remaining(self) -> int:
-        """Bytes left after the current position."""
-        return len(self.buffer) - self.position
-
-    def pack(self, source: np.ndarray, layout: DataLayout, base_offset: int = 0) -> int:
-        """Append one datatype instance; returns the new position."""
-        if layout.size > self.remaining:
-            raise IndexError(
-                f"packing {layout.size} B at position {self.position} "
-                f"overflows buffer of {len(self.buffer)} B"
-            )
-        pack_bytes(
-            source, layout,
-            self.buffer[self.position : self.position + layout.size],
-            base_offset=base_offset,
-        )
-        self.position += layout.size
-        return self.position
-
-    def unpack(self, layout: DataLayout, dest: np.ndarray, base_offset: int = 0) -> int:
-        """Consume one datatype instance; returns the new position."""
-        if layout.size > self.remaining:
-            raise IndexError(
-                f"unpacking {layout.size} B at position {self.position} "
-                f"exceeds buffer of {len(self.buffer)} B"
-            )
-        unpack_bytes(
-            self.buffer[self.position : self.position + layout.size],
-            layout, dest, base_offset=base_offset,
-        )
-        self.position += layout.size
-        return self.position

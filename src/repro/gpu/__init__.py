@@ -1,7 +1,7 @@
 """Simulated GPU substrate.
 
-Architecture cost models, NumPy-backed device memory, CUDA-like streams
-and events, the pack/unpack kernel cost model with its functional data
+Architecture cost models, NumPy-backed device memory, CUDA-like
+streams, the pack/unpack kernel cost model with its functional data
 plane, and the cooperative-group partitioner used by fused kernels.
 """
 
@@ -25,7 +25,7 @@ from .kernels import (
     make_unpack_op,
 )
 from .memory import BufferPool, DeviceMemory, GPUBuffer, OutOfMemoryError, host_alloc
-from .stream import CudaEvent, ExecutionEngine, Stream
+from .stream import ExecutionEngine, Stream
 
 __all__ = [
     "GPUArchitecture",
@@ -43,7 +43,6 @@ __all__ = [
     "BufferPool",
     "Stream",
     "ExecutionEngine",
-    "CudaEvent",
     "KernelOp",
     "OpKind",
     "kernel_compute_time",

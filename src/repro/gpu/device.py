@@ -17,14 +17,14 @@ it once per batch.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Optional
 
 from ..datatypes.layout import DataLayout
 from ..sim.engine import Simulator
 from .archs import GPUArchitecture, TESLA_V100
 from .kernels import KernelOp, make_direct_ipc_op, make_pack_op, make_unpack_op
 from .memory import DeviceMemory, GPUBuffer
-from .stream import CudaEvent, ExecutionEngine, Stream
+from .stream import ExecutionEngine, Stream
 
 __all__ = ["GPUDevice"]
 
@@ -53,9 +53,9 @@ class GPUDevice:
         #: device-wide execution serialization shared by all streams
         self.engine = ExecutionEngine()
         self.default_stream = Stream(sim, name=f"{self.name}:s0", engine=self.engine)
-        self._streams: List[Stream] = [self.default_stream]
+        self._stream_count = 1
 
-    # -- streams / events ---------------------------------------------------
+    # -- streams ----------------------------------------------------------------
     def create_stream(self, name: str = "") -> Stream:
         """Create an additional stream (the multi-stream GPU-Async path).
 
@@ -65,20 +65,11 @@ class GPUDevice:
         """
         stream = Stream(
             self.sim,
-            name=name or f"{self.name}:s{len(self._streams)}",
+            name=name or f"{self.name}:s{self._stream_count}",
             engine=self.engine,
         )
-        self._streams.append(stream)
+        self._stream_count += 1
         return stream
-
-    def create_event(self, name: str = "") -> CudaEvent:
-        """Create a CUDA-style event."""
-        return CudaEvent(self.sim, name=name)
-
-    @property
-    def streams(self) -> tuple:
-        """All streams created on this device."""
-        return tuple(self._streams)
 
     # -- memory ---------------------------------------------------------------
     def alloc(

@@ -287,6 +287,10 @@ def host_alloc(nbytes: int, name: str = "", fill: Optional[int] = None) -> GPUBu
     return GPUBuffer(nbytes, space="host", name=name, fill=fill)
 
 
+#: idle buffers a :class:`BufferPool` bucket keeps; releases beyond it free
+MAX_CACHED_PER_BUCKET = 64
+
+
 class BufferPool:
     """Size-bucketed pool of reusable staging buffers.
 
@@ -306,11 +310,9 @@ class BufferPool:
         self,
         memory: Optional[DeviceMemory] = None,
         *,
-        max_cached_per_bucket: int = 64,
         functional: bool = True,
     ):
         self.memory = memory
-        self.max_cached_per_bucket = max_cached_per_bucket
         self.functional = functional
         self._buckets: dict[int, list[GPUBuffer]] = {}
         self.hits = 0
@@ -362,7 +364,7 @@ class BufferPool:
                 f"buffer of {buffer.nbytes} B did not come from this pool"
             )
         cached = self._buckets.setdefault(bucket, [])
-        if len(cached) >= self.max_cached_per_bucket:
+        if len(cached) >= MAX_CACHED_PER_BUCKET:
             buffer.free()
         else:
             cached.append(buffer)

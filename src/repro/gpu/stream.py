@@ -1,15 +1,12 @@
-"""CUDA-like streams and events on the simulated clock.
+"""CUDA-like streams on the simulated clock.
 
 A :class:`Stream` is an in-order execution queue: operations enqueued
 on it run back-to-back on the GPU, each completing at
 ``max(now, stream tail) + duration``.  Enqueuing is free on the GPU
 side — the CPU-side launch overhead is paid by the caller (that split
-is the accounting the paper's analysis rests on).
-
-A :class:`CudaEvent` mirrors ``cudaEvent_t``: it is *recorded* on a
-stream and becomes ready when all work enqueued before the record has
-completed; ``query()`` is the non-blocking poll the GPU-Async baseline
-[23] spends its "Scheduling"/"Sync." budget on.
+is the accounting the paper's analysis rests on).  The completion
+event an enqueue returns is what the GPU-Async baseline [23] polls in
+place of a ``cudaEvent_t``.
 
 Operations carry their functional ``apply`` thunk, which executes at
 the operation's simulated completion time, so the byte state of device
@@ -24,7 +21,7 @@ from typing import Callable, Optional
 from ..sim.engine import Event, Simulator
 from .kernels import KernelOp
 
-__all__ = ["ExecutionEngine", "Stream", "CudaEvent"]
+__all__ = ["ExecutionEngine", "Stream"]
 
 
 class ExecutionEngine:
@@ -124,54 +121,3 @@ class Stream:
     def barrier(self) -> Event:
         """Event firing when all currently enqueued work has completed."""
         return self.enqueue_callable(0.0)
-
-
-class CudaEvent:
-    """A ``cudaEvent_t`` look-alike for the GPU-Async baseline."""
-
-    __slots__ = ("sim", "event_id", "name", "_ready_at", "_sim_event")
-
-    _ids = itertools.count()
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.event_id = next(CudaEvent._ids)
-        self.name = name or f"cuevent{self.event_id}"
-        self._ready_at: Optional[float] = None
-        self._sim_event: Optional[Event] = None
-
-    @property
-    def recorded(self) -> bool:
-        """True once :meth:`record` has been called."""
-        return self._ready_at is not None
-
-    @property
-    def ready_at(self) -> float:
-        """Simulation time at which the event becomes ready."""
-        if self._ready_at is None:
-            raise RuntimeError(f"{self.name} has not been recorded")
-        return self._ready_at
-
-    def record(self, stream: Stream) -> None:
-        """Mark completion of all work currently enqueued on ``stream``.
-
-        (The CPU-side ``cudaEventRecord`` cost is charged by the caller;
-        this captures only the dependency.)
-        """
-        self._ready_at = stream.tail
-        self._sim_event = None
-
-    def query(self) -> bool:
-        """Non-blocking readiness poll (``cudaEventQuery``)."""
-        if self._ready_at is None:
-            return False
-        return self.sim.now >= self._ready_at
-
-    def wait(self) -> Event:
-        """Simulator event that fires when this CUDA event is ready."""
-        if self._ready_at is None:
-            raise RuntimeError(f"cannot wait on unrecorded {self.name}")
-        if self._sim_event is None:
-            delay = max(0.0, self._ready_at - self.sim.now)
-            self._sim_event = self.sim.timeout(delay)
-        return self._sim_event

@@ -35,6 +35,7 @@ from ..datatypes.layout import DataLayout
 from ..datatypes.pack import unpack_bytes
 from ..gpu.memory import BufferPool, GPUBuffer
 from ..net.topology import Cluster, RankSite
+from ..schemes import base as schemes_base
 from ..schemes.base import PackingScheme
 from ..sim.engine import CompletionWatch, Event, Simulator
 from ..sim.trace import Category, Trace
@@ -60,6 +61,10 @@ __all__ = ["Runtime", "Rank"]
 SchemeFactory = Callable[[RankSite, Trace], PackingScheme]
 TypeArg = Union[Datatype, DataLayout]
 
+#: CPU cost of one layout extraction: base + per-block walk
+FLATTEN_BASE_COST = 5e-7
+FLATTEN_BLOCK_COST = 4e-9
+
 
 class Runtime:
     """One MPI job: a cluster plus a rank per process."""
@@ -83,14 +88,10 @@ class Runtime:
             if protocol.eager_threshold is None
             else protocol.eager_threshold
         )
-        self.poll_interval = protocol.poll_interval
         #: datatype layout cache of [24]: when disabled, every message
-        #: pays the flatten cost below (the Table I "Layout Cache"
-        #: column made measurable; see the cache ablation benchmark)
+        #: pays the flatten cost (the Table I "Layout Cache" column made
+        #: measurable; see the cache ablation benchmark)
         self.layout_cache_enabled = protocol.layout_cache_enabled
-        #: CPU cost of one layout extraction: base + per-block walk
-        self.flatten_base_cost = protocol.flatten_base_cost
-        self.flatten_block_cost = protocol.flatten_block_cost
         #: messages at/above this use the host-staged chunked pipeline
         #: instead of GPUDirect rendezvous (None = never; the classic
         #: MVAPICH large-message path for PCIe-limited systems)
@@ -225,6 +226,7 @@ class Runtime:
                     DataLayout.contiguous(nbytes), rreq.user_offset
                 )
                 unpack_bytes(payload, store_layout, store, base_offset=offset)
+                record.payload = None
             rreq._complete()
             return
         origin = getattr(rreq, "origin_datatype", None)
@@ -237,6 +239,7 @@ class Runtime:
         )
         if functional:
             staging.data[:nbytes] = payload
+            record.payload = payload = None
         rreq.staging = staging
         op = rank.device.unpack_op(
             staging,
@@ -380,10 +383,7 @@ class Rank:
         layout = cache.layout(datatype, count)
         if self.runtime.layout_cache_enabled:
             cache.insert(key, layout)
-        cost = (
-            self.runtime.flatten_base_cost
-            + layout.num_blocks * self.runtime.flatten_block_cost
-        )
+        cost = FLATTEN_BASE_COST + layout.num_blocks * FLATTEN_BLOCK_COST
         start = self.sim.now
         yield self.sim.timeout(cost)
         self.trace.charge(Category.SCHED, start, self.sim.now, label="flatten")
@@ -526,7 +526,7 @@ class Rank:
                 )
             if watch.remaining == 0:
                 return
-            yield watch.sleep(self.runtime.poll_interval, self._idle)
+            yield watch.sleep(schemes_base.POLL_INTERVAL, self._idle)
 
     def _idle(self) -> bool:
         """Whether a progress poll now would be a no-op: the CPU is free

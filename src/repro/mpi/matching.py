@@ -97,16 +97,6 @@ class MatchingEngine:
         self.unexpected_peak = 0
 
     # -- queries -------------------------------------------------------------
-    @property
-    def posted_count(self) -> int:
-        """Currently posted-but-unmatched receives."""
-        return len(self._posted)
-
-    @property
-    def unexpected_count(self) -> int:
-        """Currently queued unexpected messages."""
-        return len(self._unexpected)
-
     @staticmethod
     def _matches(request: RecvRequest, record: MessageRecord) -> bool:
         src_ok = request.peer in (ANY_SOURCE, record.source)

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..datatypes.pack import pack_bytes
 from ..net.transfer import rdma_read, rdma_write
+from ..schemes import base as schemes_base
 from ..sim.engine import Event, Process
 from ..sim.faults import FaultError
 from .matching import MessageRecord
@@ -106,7 +107,7 @@ def arm_control_watchdog(
         return None
     base_rto = (
         4.0 * runtime.cluster.control_latency(record.source, record.dest)
-        + runtime.poll_interval
+        + schemes_base.POLL_INTERVAL
     )
 
     def watchdog() -> Generator[Event, None, None]:

@@ -120,33 +120,12 @@ class Link:
         start = sim.now
         port = self._port(direction)
         faults = sim.faults
-        if faults is None and sim.noise is None:
-            # Closed-form fast path: with no fault plan and no noise the
-            # generic loop below always runs exactly one attempt with no
-            # flap wait and no retransmission, i.e. it degenerates to
-            # request → timeout → release.  Emitting those same events
-            # directly keeps the virtual-time trace identical while
-            # skipping the per-chunk bookkeeping that dominates the
-            # no-fault sweeps.
-            yield port.request()
-            try:
-                yield sim.timeout(self.spec.transfer_time(nbytes))
-            finally:
-                port.release()
-            self.bytes_carried += nbytes
-            self.transfer_count += 1
-            obs = sim.obs
-            if obs.enabled:
-                obs.span(
-                    "link", "transfer", start, sim.now,
-                    track=self.name, nbytes=nbytes,
-                )
-            return sim.now - start
+        noise = sim.noise
         backoff = self.spec.latency
         attempts = 0
         while True:
             failed = False
-            attempt_start = self.sim.now
+            attempt_start = sim.now
             yield port.request()
             try:
                 if faults is not None:
@@ -154,14 +133,14 @@ class Link:
                     if downtime > 0:
                         # Link flapped: hold the port while it is dark —
                         # nothing else can inject either.
-                        yield self.sim.timeout(downtime)
+                        yield sim.timeout(downtime)
                 duration = self.spec.transfer_time(nbytes)
-                if self.sim.noise is not None:
-                    duration *= self.sim.noise.factor("net")
+                if noise is not None:
+                    duration *= noise.factor("net")
                 if faults is not None:
                     duration *= faults.latency_multiplier(self.name)
                     failed = faults.transfer_fails(self.name)
-                yield self.sim.timeout(duration)
+                yield sim.timeout(duration)
             finally:
                 port.release()
             if not failed:
@@ -174,19 +153,18 @@ class Link:
                     f"{self.name}: {attempts} failed transmission attempts "
                     f"for {nbytes} B — fault plan leaves no headroom"
                 )
-            yield self.sim.timeout(backoff)
+            yield sim.timeout(backoff)
             backoff = min(backoff * 2.0, BACKOFF_CAP_FACTOR * self.spec.latency)
-            lost = self.sim.now - attempt_start
-            self.fault_delay += lost
+            self.fault_delay += sim.now - attempt_start
         self.bytes_carried += nbytes
         self.transfer_count += 1
-        obs = self.sim.obs
+        obs = sim.obs
         if obs.enabled:
             obs.span(
-                "link", "transfer", start, self.sim.now,
+                "link", "transfer", start, sim.now,
                 track=self.name, nbytes=nbytes,
             )
-        return self.sim.now - start
+        return sim.now - start
 
     def control_delay(self) -> float:
         """One-way delay of a small control packet (RTS/CTS)."""

@@ -45,8 +45,6 @@ class SystemConfig:
     gpu_gpu: LinkSpec
     #: inter-node fabric (per-rank effective, GPUDirect-RDMA capable)
     internode: LinkSpec
-    #: GDRCopy kernel module available (required by CPU-GPU-Hybrid [24])
-    has_gdrcopy: bool = True
     #: per-message software overhead of posting a network operation, s
     net_post_overhead: float = us(0.7)
     #: eager/rendezvous switch-over point of the MPI runtime, bytes
@@ -70,7 +68,6 @@ LASSEN = SystemConfig(
     cpu_gpu=LinkSpec("NVLink-2 (CPU-GPU)", bandwidth=75 * GB, latency=us(1.0)),
     gpu_gpu=LinkSpec("NVLink-2 (GPU-GPU)", bandwidth=75 * GB, latency=us(1.0)),
     internode=LinkSpec("2x IB EDR", bandwidth=25 * GB, latency=us(1.3)),
-    has_gdrcopy=True,
 )
 
 #: ABCI — Xeon + V100, PCIe Gen3 to the CPU, NVLink-2 between GPUs.
@@ -87,7 +84,6 @@ ABCI = SystemConfig(
     cpu_gpu=LinkSpec("PCIe Gen3 x16", bandwidth=32 * GB, latency=us(1.8)),
     gpu_gpu=LinkSpec("NVLink-2 (GPU-GPU)", bandwidth=50 * GB, latency=us(1.0)),
     internode=LinkSpec("2x IB EDR via PCIe", bandwidth=12 * GB, latency=us(2.5)),
-    has_gdrcopy=True,
     # The PCIe path adds per-message cost on the host side as well.
     net_post_overhead=us(0.9),
 )

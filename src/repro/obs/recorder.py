@@ -97,10 +97,6 @@ class Recorder:
             )
         )
 
-    def clear(self) -> None:
-        """Drop every recorded event."""
-        self.events.clear()
-
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
         return len(self.events)

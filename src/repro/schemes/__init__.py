@@ -97,9 +97,12 @@ def _validate_scheme_kwargs(name: str, ctor: Callable, kwargs: Dict[str, Any]) -
 def _fusion_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme]:
     from ..core.framework import KernelFusionScheme
     from ..core.fusion_policy import FusionPolicy
+    from ..core.request_list import REQUEST_LIST_CAPACITY
 
     policy = FusionPolicy(**cfg.fusion.policy_kwargs())
-    capacity = cfg.fusion.capacity if cfg.fusion.capacity is not None else 256
+    capacity = (
+        cfg.fusion.capacity if cfg.fusion.capacity is not None else REQUEST_LIST_CAPACITY
+    )
     options = dict(cfg.options)
     _validate_scheme_kwargs(cfg.name, KernelFusionScheme, options)
 

@@ -33,17 +33,60 @@ from typing import Any, Generator, List, Optional, Sequence
 
 from ..gpu.kernels import KernelOp, OpKind
 from ..net.topology import RankSite
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Event, Simulator, us
 from ..sim.faults import FaultError
 from ..sim.trace import Category, Trace
 
-__all__ = ["OpHandle", "PackingScheme", "SchemeCapabilities"]
+__all__ = [
+    "OpHandle",
+    "PackingScheme",
+    "SchemeCapabilities",
+    "POLL_INTERVAL",
+    "launch_with_retries",
+]
 
-#: hard cap on per-operation launch retries — diagnostic backstop,
+#: the progress engine's poll period (§IV-A2): ``Rank.waitall``'s wake
+#: spacing, the control watchdog's base RTO term, and the polled
+#: schemes' completion discovery all read it.  Readers look it up on
+#: this module at use time, so patching it here moves all of them.
+POLL_INTERVAL = us(1.0)
+#: hard cap on launch attempts of one kernel — diagnostic backstop,
 #: unreachable for valid fault specs (failure probability <= 0.9)
 MAX_LAUNCH_ATTEMPTS = 10_000
 #: launch-retry backoff ceiling, in multiples of the launch overhead
 LAUNCH_BACKOFF_CAP_FACTOR = 64
+
+
+def launch_with_retries(
+    sim: Simulator, trace: Trace, overhead: float, label: str, what: str
+) -> Generator[Event, Any, int]:
+    """Pay one kernel-launch driver call, surviving injected failures.
+
+    Charges ``overhead`` to ``LAUNCH``; while an attached
+    :class:`~repro.sim.faults.FaultPlan` fails the launch, backs off
+    (capped exponential, charged to ``SYNC``) and launches again.
+    Returns the number of failed attempts; without a plan that is 0
+    after exactly one ``LAUNCH`` charge.  ``what`` names the launcher
+    in the :class:`~repro.sim.faults.FaultError` of the backstop.
+    """
+    faults = sim.faults
+    backoff = overhead
+    failures = 0
+    while True:
+        start = sim.now
+        yield sim.timeout(overhead)
+        trace.charge(Category.LAUNCH, start, sim.now, label=label)
+        if faults is None or not faults.launch_fails():
+            return failures
+        failures += 1
+        if failures >= MAX_LAUNCH_ATTEMPTS:
+            raise FaultError(
+                f"{what}: kernel launch still failing after {failures} attempts"
+            )
+        start = sim.now
+        yield sim.timeout(backoff)
+        trace.charge(Category.SYNC, start, sim.now, label=f"{label}:backoff")
+        backoff = min(backoff * 2.0, LAUNCH_BACKOFF_CAP_FACTOR * overhead)
 
 
 @dataclass(frozen=True)
@@ -182,38 +225,13 @@ class PackingScheme(ABC):
             self.trace.charge(category, start, self.sim.now, label=label)
 
     def _launch_overhead(self, label: str = "") -> SchemeGen:
-        """Pay one kernel-launch driver call, surviving injected failures.
-
-        Under an attached :class:`~repro.sim.faults.FaultPlan` a launch
-        can fail at the driver; the scheme retries it with capped
-        exponential backoff (retries counted in
-        :attr:`launch_retries`, backoff charged to ``SYNC``).  Without a
-        plan this is exactly one ``LAUNCH`` charge — the clean timeline
-        is untouched.
-        """
-        arch = self.site.device.arch
-        faults = self.sim.faults
+        """Pay one kernel-launch driver call (:func:`launch_with_retries`),
+        counting injected failures in :attr:`launch_retries`."""
         self.kernel_launches += 1
-        yield from self._charge(Category.LAUNCH, arch.kernel_launch_overhead, label)
-        if faults is None:
-            return
-        backoff = arch.kernel_launch_overhead
-        attempts = 0
-        while faults.launch_fails():
-            self.launch_retries += 1
-            attempts += 1
-            if attempts >= MAX_LAUNCH_ATTEMPTS:
-                raise FaultError(
-                    f"{self.name}: kernel launch still failing after "
-                    f"{attempts} attempts"
-                )
-            yield from self._charge(Category.SYNC, backoff, f"{label}:backoff")
-            backoff = min(
-                backoff * 2.0, LAUNCH_BACKOFF_CAP_FACTOR * arch.kernel_launch_overhead
-            )
-            yield from self._charge(
-                Category.LAUNCH, arch.kernel_launch_overhead, label
-            )
+        self.launch_retries += yield from launch_with_retries(
+            self.sim, self.trace, self.site.device.arch.kernel_launch_overhead,
+            label, self.name,
+        )
 
     def _discovered(self, done: Event, extra_delay) -> Event:
         """Event firing when the *progress engine notices* completion.

@@ -7,7 +7,8 @@ between packing kernels (and with communication) becomes possible, but
 every operation still pays:
 
 * a full kernel launch (``LAUNCH``),
-* an event record (``SCHED``),
+* an event record (``SCHED``; only its CPU cost is modelled — the
+  completion the queries look for is the kernel's own event),
 * repeated event queries while the progress engine waits (``SYNC``).
 
 The paper's key observation (§V-B) is that on modern GPUs the pack
@@ -22,13 +23,17 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..gpu.kernels import KernelOp
-from ..gpu.stream import CudaEvent, Stream
+from ..gpu.stream import Stream
 from ..net.topology import RankSite
-from ..sim.engine import Event, us
+from ..sim.engine import Event
 from ..sim.trace import Category, Trace
+from . import base
 from .base import OpHandle, PackingScheme, SchemeCapabilities, SchemeGen
 
 __all__ = ["GPUAsyncScheme"]
+
+#: CUDA streams the operations are spread over, round-robin
+NUM_STREAMS = 4
 
 
 class GPUAsyncScheme(PackingScheme):
@@ -47,8 +52,6 @@ class GPUAsyncScheme(PackingScheme):
         site: RankSite,
         trace: Trace | None = None,
         *,
-        num_streams: int = 4,
-        query_interval: float = us(1.0),
         pipeline_chunks: int = 2,
     ):
         super().__init__(site, trace)
@@ -56,9 +59,8 @@ class GPUAsyncScheme(PackingScheme):
             raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
         device = site.device
         self.streams: List[Stream] = [device.default_stream] + [
-            device.create_stream() for _ in range(max(0, num_streams - 1))
+            device.create_stream() for _ in range(NUM_STREAMS - 1)
         ]
-        self.query_interval = query_interval
         #: chunks each operation is pipelined into (each chunk = one
         #: kernel launch + one event record, per the design of [23])
         self.pipeline_chunks = pipeline_chunks
@@ -95,8 +97,7 @@ class GPUAsyncScheme(PackingScheme):
             else:
                 # Only the last chunk's completion is ever awaited.
                 stream.occupy(duration)
-            event = CudaEvent(self.sim, name=f"evt:{label}#{chunk}")
-            event.record(stream)
+            # cudaEventRecord's driver cost.
             yield from self._charge(
                 Category.SCHED, arch.event_record_overhead, f"{label}#{chunk}"
             )
@@ -148,6 +149,6 @@ class GPUAsyncScheme(PackingScheme):
             start = self.sim.now
             # Wake when any underlying kernel finishes or a tick passes.
             watch = [done for done, _vis in self._undiscovered]
-            watch.append(self.sim.timeout(self.query_interval))
+            watch.append(self.sim.timeout(base.POLL_INTERVAL))
             yield self.sim.any_of(watch)
             self.trace.charge(Category.PACK, start, self.sim.now, label="wait")

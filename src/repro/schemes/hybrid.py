@@ -14,8 +14,8 @@ layout cache and *adaptively* picks, per operation:
 The crossover mirrors [24]: CPU path while the per-byte and per-block
 host costs stay below the fixed GPU driver cost, kernels beyond.  The
 scheme requires the GDRCopy kernel module (Table I's footnote — "may
-not be available in all HPC systems"); construct with
-``system.has_gdrcopy`` to model machines without it.
+not be available in all HPC systems"); both modelled systems, Lassen
+and ABCI, have it.
 """
 
 from __future__ import annotations
@@ -42,31 +42,22 @@ class CPUGPUHybridScheme(PackingScheme):
         requires_gdrcopy=True,
     )
 
-    def __init__(
-        self,
-        site: RankSite,
-        trace: Trace | None = None,
-        *,
-        cpu_path_max_bytes: int = 32 * 1024,
-        cpu_path_max_blocks: int = 256,
-        gdrcopy_available: bool = True,
-        software_overhead: float = us(0.8),
-    ):
+    #: the CPU path takes operations of at most this many bytes …
+    cpu_path_max_bytes = 32 * 1024
+    #: … and at most this many blocks
+    cpu_path_max_blocks = 256
+    #: per-operation adaptive-decision + cache bookkeeping; the
+    #: MVAPICH2-GDR model raises this to full production-stack cost
+    software_overhead = us(0.8)
+
+    def __init__(self, site: RankSite, trace: Trace | None = None):
         super().__init__(site, trace)
-        self.cpu_path_max_bytes = cpu_path_max_bytes
-        self.cpu_path_max_blocks = cpu_path_max_blocks
-        self.gdrcopy_available = gdrcopy_available
-        #: per-operation adaptive-decision + cache bookkeeping; the
-        #: MVAPICH2-GDR model raises this to full production-stack cost
-        self.software_overhead = software_overhead
         self.fallback = GPUSyncScheme(site, self.trace)
         #: decision counters reported by the ablation benchmarks
         self.cpu_path_count = 0
         self.gpu_path_count = 0
 
     def _use_cpu_path(self, op: KernelOp) -> bool:
-        if not self.gdrcopy_available:
-            return False
         return (
             op.nbytes <= self.cpu_path_max_bytes
             and op.num_blocks <= self.cpu_path_max_blocks
@@ -81,8 +72,7 @@ class CPUGPUHybridScheme(PackingScheme):
         )
 
     def submit(self, op: KernelOp, label: str = "") -> SchemeGen:
-        if self.software_overhead > 0:
-            yield from self._charge(Category.SCHED, self.software_overhead, label)
+        yield from self._charge(Category.SCHED, self.software_overhead, label)
         if self._use_cpu_path(op):
             self.cpu_path_count += 1
             # Host-driven copy: pure CPU time, no GPU driver involvement.

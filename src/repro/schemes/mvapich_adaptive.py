@@ -13,9 +13,7 @@ from the leaner research prototype of [24] in the paper's measurements
 
 from __future__ import annotations
 
-from ..net.topology import RankSite
 from ..sim.engine import us
-from ..sim.trace import Trace
 from .base import SchemeCapabilities
 from .hybrid import CPUGPUHybridScheme
 
@@ -33,22 +31,5 @@ class MVAPICHAdaptiveScheme(CPUGPUHybridScheme):
         overlap="medium",
         requires_gdrcopy=True,
     )
-
-    def __init__(
-        self,
-        site: RankSite,
-        trace: Trace | None = None,
-        *,
-        cpu_path_max_bytes: int = 64 * 1024,
-        cpu_path_max_blocks: int = 256,
-        gdrcopy_available: bool = True,
-        software_overhead: float = us(1.5),
-    ):
-        super().__init__(
-            site,
-            trace,
-            cpu_path_max_bytes=cpu_path_max_bytes,
-            cpu_path_max_blocks=cpu_path_max_blocks,
-            gdrcopy_available=gdrcopy_available,
-            software_overhead=software_overhead,
-        )
+    cpu_path_max_bytes = 64 * 1024
+    software_overhead = us(1.5)

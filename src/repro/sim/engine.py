@@ -46,10 +46,9 @@ allocation-lean:
 * no calendar entry is spent on bookkeeping no one observes
   (docs/performance.md, "Per-message continuations").
 
-Clients take closed-form shortcuts where the general path would emit
-the same calendar events (e.g. :meth:`repro.net.link.Link.transmit`
-with no fault plan and no noise); the committed figure artifacts pin
-their virtual time.
+Clients run fault-free and faulty simulations through one code path
+(e.g. the retry loop of :meth:`repro.net.link.Link.transmit`), and the
+committed figure artifacts pin its virtual time.
 
 Units
 -----
@@ -360,7 +359,7 @@ class CompletionWatch:
     the timer re-arms at the first poll tick at or after the earliest
     calendar entry that is not itself an idle poll timer (never past a
     ``run(until=t)`` horizon).  Ticks are generated by the same
-    repeated ``t += poll_interval`` additions the unskipped chain
+    repeated ``t += interval`` additions the unskipped chain
     performs, so every later event keeps its time and order
     (docs/performance.md, "Idle polls").  :attr:`skips` records each
     skipped span; :meth:`skipped_ticks` lists the polls it elided.
@@ -427,19 +426,19 @@ class CompletionWatch:
         return idle is not None and idle()
 
     def sleep(
-        self, poll_interval: float, idle: Optional[Callable[[], bool]] = None
+        self, interval: float, idle: Optional[Callable[[], bool]] = None
     ) -> Event:
-        """Arm a wake for the next completion or ``poll_interval``.
+        """Arm a wake for the next completion or one poll ``interval``.
 
         ``idle`` says whether a poll at the current instant would
         charge no simulated time and change no state; while it holds,
         timer ticks skip ahead instead of waking the sleeper.
         """
-        self._interval = poll_interval
+        self._interval = interval
         # a zero interval has no later tick to skip to
-        self._idle = idle if poll_interval > 0 else None
+        self._idle = idle if interval > 0 else None
         self._timer = timer = _PollTimer(self)
-        self.sim._schedule_at(self.sim._now + poll_interval, timer)
+        self.sim._schedule_at(self.sim._now + interval, timer)
         self._wake = wake = Event(self.sim)
         return wake
 

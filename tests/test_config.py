@@ -31,12 +31,12 @@ from repro.config import (
 
 KiB = 1024
 
-#: sha256 of the documented default config under ``repro.config/v2``.
+#: sha256 of the documented default config under ``repro.config/v3``.
 #: This pin fails loudly when the canonical form drifts — a deliberate
 #: schema change must bump CONFIG_SCHEMA and update this value (which
 #: also invalidates every sweep-cache entry, as it must).
 GOLDEN_DEFAULT_HASH = (
-    "7c72e0dfc2a6d1ee5736b57cef6997424337783b8ab7de326f55c01ae9e95476"
+    "abed0f2563d32480074983916c0b9d5b98e41601b75d3a8c6e583573f1d4b827"
 )
 
 
@@ -58,7 +58,7 @@ def test_nondefault_round_trips_through_json():
             name="Proposed-Tuned",
             label="Proposed-Tuned",
             fusion=FusionCfg(threshold_bytes=512 * KiB, capacity=128),
-            options={"poll_interval": 2e-6},
+            options={"idle_linger": 2e-6},
         ),
         protocol=ProtocolCfg(rendezvous="rget", eager_threshold=8 * KiB),
         faults=FaultsCfg(preset="light", spec={"control_drop": 0.5}, seed=7),
@@ -121,9 +121,9 @@ def test_with_overrides_rejects_replacing_a_section_with_a_scalar():
 
 def test_with_overrides_allows_new_keys_in_freeform_mappings():
     cfg = ExperimentConfig.default().with_overrides(
-        {"scheme.options.poll_interval": 2e-6}
+        {"scheme.options.idle_linger": 2e-6}
     )
-    assert cfg.scheme.options == {"poll_interval": 2e-6}
+    assert cfg.scheme.options == {"idle_linger": 2e-6}
     cfg = ExperimentConfig.default().with_overrides(
         {"faults.spec": {"control_drop": 0.25}}
     )
@@ -152,7 +152,12 @@ def test_with_overrides_revalidates():
         (lambda: NoiseCfg(cv=-0.1), "noise.cv"),
         (lambda: FaultsCfg(preset="apocalypse"), "unknown fault preset"),
         (lambda: FaultsCfg(spec={"gremlins": 1}), "unknown fault spec field"),
-        (lambda: FusionCfg(max_batch_requests=0), "max_batch_requests"),
+        (
+            lambda: ExperimentConfig.from_dict(
+                {"scheme": {"fusion": {"max_batch_requests": 0}}}
+            ),
+            "max_batch_requests",
+        ),
         (lambda: SchemeCfg(name=""), "scheme.name"),
     ],
 )
@@ -190,8 +195,8 @@ def test_bad_value_is_a_value_error_naming_its_path(path, value):
 
 def test_integral_number_hashes_like_its_float():
     base = ExperimentConfig.default()
-    as_int = base.with_overrides({"noise.cv": 1, "protocol.flatten_base_cost": 0})
-    as_float = base.with_overrides({"noise.cv": 1.0, "protocol.flatten_base_cost": 0.0})
+    as_int = base.with_overrides({"noise.cv": 1})
+    as_float = base.with_overrides({"noise.cv": 1.0})
     assert as_int == as_float
     assert as_int.content_hash() == as_float.content_hash()
 

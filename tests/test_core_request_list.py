@@ -34,7 +34,7 @@ def test_enqueue_full_returns_none(env):
     rl = CircularRequestList(sim, capacity=2)
     assert rl.enqueue(_op(dev)) is not None
     assert rl.enqueue(_op(dev)) is not None
-    assert rl.is_full
+    assert rl.occupancy == rl.capacity
     assert rl.enqueue(_op(dev)) is None
     assert rl.rejections == 1
 
@@ -44,7 +44,7 @@ def test_pending_fifo_order(env):
     rl = CircularRequestList(sim, capacity=8)
     reqs = [rl.enqueue(_op(dev)) for _ in range(4)]
     assert [r.uid for r in rl.pending()] == [r.uid for r in reqs]
-    assert rl.pending_bytes() == sum(r.op.nbytes for r in reqs)
+    assert [r.op.nbytes for r in rl.pending()] == [r.op.nbytes for r in reqs]
 
 
 def test_pending_list_is_maintained_across_partial_launches(env):
@@ -54,7 +54,7 @@ def test_pending_list_is_maintained_across_partial_launches(env):
     rl.mark_busy([b])
     assert rl.pending() == [a, c]
     assert rl.pending_count == 2
-    assert rl.pending_bytes() == 400
+    assert sum(r.op.nbytes for r in rl.pending()) == 400
     rl.pending().clear()  # a copy: the ring's own list is untouched
     d = rl.enqueue(_op(dev, 400))
     assert rl.pending() == [a, c, d]
@@ -162,7 +162,7 @@ def test_ring_invariants_under_random_operations(script, capacity):
     seen_uids = set()
     for action in script:
         if action == "enq":
-            was_full = rl.is_full
+            was_full = rl.occupancy == rl.capacity
             req = rl.enqueue(_op(dev))
             assert (req is None) == was_full
             if req is not None:

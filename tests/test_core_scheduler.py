@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import FusionPolicy, FusionScheduler, ModelBasedPolicy, launch_fused_kernel
 from repro.core.request_list import CircularRequestList
+from repro.core.scheduler import ENQUEUE_OVERHEAD
 from repro.datatypes import DataLayout
 from repro.gpu import TESLA_V100
 from repro.net import Cluster, LASSEN
@@ -162,7 +163,7 @@ def test_scheduler_enqueue_charges_sched_bucket(env):
     trace = Trace(sim)
     sched = FusionScheduler(site, trace, FusionPolicy(threshold_bytes=1 << 30))
     _drive(sim, sched.enqueue(_op(site)[0]))
-    assert trace.total(Category.SCHED) == pytest.approx(sched.enqueue_overhead)
+    assert trace.total(Category.SCHED) == pytest.approx(ENQUEUE_OVERHEAD)
 
 
 def test_scheduler_threshold_triggers_launch(env):

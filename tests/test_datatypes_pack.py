@@ -119,69 +119,3 @@ def test_indexed_roundtrip_typed_data():
     out = np.zeros_like(field)
     unpack_bytes(packed, lay, as_byte_view(out))
     assert np.array_equal(out, field)
-
-
-# -- incremental Packer (MPI position semantics) ---------------------------------
-
-
-def test_packer_appends_sequentially():
-    from repro.datatypes import Packer, DataLayout
-
-    staging = np.zeros(16, dtype=np.uint8)
-    a = DataLayout([0], [4])
-    b = DataLayout([2, 8], [2, 2])
-    src = np.arange(16, dtype=np.uint8)
-    p = Packer(staging)
-    assert p.pack(src, a) == 4
-    assert p.pack(src, b) == 8
-    assert list(staging[:8]) == [0, 1, 2, 3, 2, 3, 8, 9]
-
-
-def test_packer_unpack_roundtrip():
-    from repro.datatypes import Packer, DataLayout
-
-    a = DataLayout([0, 10], [4, 4])
-    b = DataLayout([4], [8])
-    src = _buffer(32, seed=5)
-    staging = np.zeros(64, dtype=np.uint8)
-    w = Packer(staging)
-    w.pack(src, a)
-    w.pack(src, b)
-    total = w.position
-    out = np.zeros_like(src)
-    r = Packer(staging)
-    r.unpack(a, out)
-    r.unpack(b, out)
-    assert r.position == total
-    for lay in (a, b):
-        idx = lay.gather_index()
-        assert np.array_equal(out[idx], src[idx])
-
-
-def test_packer_overflow_rejected():
-    from repro.datatypes import Packer, DataLayout
-
-    p = Packer(np.zeros(4, dtype=np.uint8))
-    with pytest.raises(IndexError):
-        p.pack(np.zeros(16, dtype=np.uint8), DataLayout([0], [8]))
-    with pytest.raises(IndexError):
-        p.unpack(DataLayout([0], [8]), np.zeros(16, dtype=np.uint8))
-
-
-def test_packer_validation():
-    from repro.datatypes import Packer
-
-    with pytest.raises(TypeError):
-        Packer(np.zeros(4, dtype=np.float32))
-    with pytest.raises(ValueError):
-        Packer(np.zeros(4, dtype=np.uint8), position=5)
-
-
-def test_packer_resume_at_position():
-    from repro.datatypes import Packer, DataLayout
-
-    staging = np.zeros(16, dtype=np.uint8)
-    src = np.arange(16, dtype=np.uint8)
-    Packer(staging, position=8).pack(src, DataLayout([0], [4]))
-    assert list(staging[8:12]) == [0, 1, 2, 3]
-    assert not staging[:8].any()

@@ -135,11 +135,12 @@ def test_pool_dry_mode_skips_zeroing_and_marks_buffers():
     assert a.functional is False
 
 
-def test_pool_cap_frees_extras():
-    from repro.gpu import BufferPool
+def test_pool_cap_frees_extras(monkeypatch):
+    from repro.gpu import BufferPool, memory
 
+    monkeypatch.setattr(memory, "MAX_CACHED_PER_BUCKET", 1)
     mem = DeviceMemory(1 << 20)
-    pool = BufferPool(mem, max_cached_per_bucket=1)
+    pool = BufferPool(mem)
     a, b = pool.acquire(64), pool.acquire(64)
     pool.release(a)
     allocated = mem.allocated

@@ -1,8 +1,8 @@
-"""Unit tests for streams, CUDA events, and the device engine."""
+"""Unit tests for streams and the device engine."""
 
 import pytest
 
-from repro.gpu import CudaEvent, ExecutionEngine, GPUDevice, Stream, TESLA_V100
+from repro.gpu import ExecutionEngine, GPUDevice, Stream, TESLA_V100
 from repro.sim import Simulator, us
 
 
@@ -134,37 +134,3 @@ def test_device_streams_share_engine():
     done = extra.enqueue_callable(us(4))
     sim.run(done)
     assert sim.now == pytest.approx(us(8))
-
-
-def test_cuda_event_record_and_query():
-    sim = Simulator()
-    s = _noop_stream(sim)
-    s.enqueue_callable(us(6))
-    ev = CudaEvent(sim)
-    assert not ev.recorded
-    ev.record(s)
-    assert ev.recorded
-    assert not ev.query()
-    sim.run(ev.wait())
-    assert ev.query()
-    assert sim.now == pytest.approx(us(6))
-
-
-def test_cuda_event_unrecorded_errors():
-    sim = Simulator()
-    ev = CudaEvent(sim)
-    with pytest.raises(RuntimeError):
-        _ = ev.ready_at
-    with pytest.raises(RuntimeError):
-        ev.wait()
-
-
-def test_cuda_event_captures_stream_tail_at_record():
-    sim = Simulator()
-    s = _noop_stream(sim)
-    s.enqueue_callable(us(3))
-    ev = CudaEvent(sim)
-    ev.record(s)
-    s.enqueue_callable(us(100))  # after the record: not covered
-    sim.run(ev.wait())
-    assert sim.now == pytest.approx(us(3))

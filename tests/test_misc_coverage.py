@@ -45,14 +45,11 @@ def test_pcie_variant_slower_driver():
 # -- device facade ------------------------------------------------------------------
 
 
-def test_device_stream_and_event_factories():
+def test_device_stream_factory():
     sim = Simulator()
     dev = GPUDevice(sim, TESLA_V100)
-    s1 = dev.create_stream("extra")
-    assert s1.name == "extra"
-    assert len(dev.streams) == 2
-    ev = dev.create_event("e")
-    assert not ev.recorded
+    assert dev.create_stream("extra").name == "extra"
+    assert dev.create_stream().name == f"{dev.name}:s2"
     assert repr(dev).startswith("<GPUDevice")
 
 

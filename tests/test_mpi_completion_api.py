@@ -5,12 +5,14 @@ from collections import Counter
 
 import pytest
 
-from repro.datatypes import DOUBLE, Vector
+from repro.core import KernelFusionScheme, framework
+from repro.datatypes import DOUBLE, DataLayout, Vector
 from repro.mpi import Runtime, communicator
 from repro.mpi.request import Request
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim import CompletionWatch, Event, Simulator
+from repro.schemes import base as schemes_base
+from repro.sim import CompletionWatch, Event, Simulator, Trace, us
 
 
 def _bulk_exchange(monkeypatch, scheme, nbuf=16):
@@ -148,12 +150,43 @@ def _wait_with_tick(tick_us, complete_at_us):
     Returns the iteration start times and the return time (µs)."""
     sim = Simulator()
     rt = Runtime(sim, Cluster(sim, LASSEN, nodes=2), SCHEME_REGISTRY["GPU-Sync"])
-    assert rt.poll_interval == pytest.approx(1e-6)
     rank = rt.rank(0)
     rank.scheme = scheme = _TimedTick(sim, tick_us * 1e-6)
     reqs = [_Req(sim, t * 1e-6) for t in complete_at_us]
     sim.run(sim.process(rank.waitall(reqs)))
     return scheme.ticks, round(sim.now * 1e6, 6)
+
+
+def test_one_poll_constant_drives_waitall_and_fusion_discovery(monkeypatch):
+    """The progress engine has one poll period: patching it moves both
+    the waitall wake spacing and the fusion scheme's discovery delay."""
+    monkeypatch.setattr(schemes_base, "POLL_INTERVAL", us(3.0))
+    # 0.5 µs ticks, each followed by a 3 µs sleep, until the request
+    # lands at 10 µs and wakes the last iteration early.
+    ticks, end = _wait_with_tick(0.5, [10.0])
+    assert ticks == [0.0, 3.5, 7.0, 10.0]
+    assert end == 10.5
+
+    sim = Simulator()
+    site = Cluster(sim, LASSEN, nodes=1).site(0)
+    scheme = KernelFusionScheme(site, Trace(sim))
+    dev = site.device
+    op = dev.pack_op(dev.alloc(96), DataLayout([0, 64], [16, 16]), dev.alloc(32))
+    seen = {}
+
+    def proc():
+        handle = yield from scheme.submit(op)
+        request = scheme.scheduler.request_list.lookup(handle.uid)
+        request.done_event.add_callback(lambda _ev: seen.setdefault("done", sim.now))
+        yield from scheme.scheduler.flush()
+        yield handle.done_event
+        seen["visible"] = sim.now
+
+    sim.run(sim.process(proc()))
+    # Half a poll period plus one response-flag read after completion.
+    assert seen["visible"] - seen["done"] == pytest.approx(
+        0.5 * us(3.0) + framework.FLAG_POLL_COST
+    )
 
 
 def test_completion_during_tick_causes_no_extra_wake():

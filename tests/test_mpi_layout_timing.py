@@ -48,7 +48,9 @@ def test_first_use_charges_flatten_cost():
     dt = Vector(128, 2, 5, DOUBLE).commit()
     t0 = sim.now
     lay = _drive(sim, rank.resolve_layout_timed(dt, 1))
-    expected = rt.flatten_base_cost + lay.num_blocks * rt.flatten_block_cost
+    expected = (
+        communicator.FLATTEN_BASE_COST + lay.num_blocks * communicator.FLATTEN_BLOCK_COST
+    )
     assert sim.now - t0 == pytest.approx(expected)
     assert _flattens(sim) == 1
 

@@ -30,7 +30,7 @@ def test_posted_receive_matches_envelope():
     result = eng.deliver_envelope(_record(sim))
     assert result is not None and result.expected
     assert result.request is rreq
-    assert eng.posted_count == 0
+    assert not eng._posted
 
 
 def test_unexpected_message_queued_then_matched():
@@ -38,11 +38,11 @@ def test_unexpected_message_queued_then_matched():
     eng = MatchingEngine(1)
     rec = _record(sim)
     assert eng.deliver_envelope(rec) is None
-    assert eng.unexpected_count == 1
+    assert len(eng._unexpected) == 1
     result = eng.post_receive(_rreq(sim))
     assert result is not None and not result.expected
     assert result.record is rec
-    assert eng.unexpected_count == 0
+    assert not eng._unexpected
 
 
 def test_tag_mismatch_does_not_match():
@@ -50,7 +50,7 @@ def test_tag_mismatch_does_not_match():
     eng = MatchingEngine(1)
     eng.post_receive(_rreq(sim, tag=5))
     assert eng.deliver_envelope(_record(sim, tag=7)) is None
-    assert eng.posted_count == 1 and eng.unexpected_count == 1
+    assert len(eng._posted) == 1 and len(eng._unexpected) == 1
 
 
 def test_source_mismatch_does_not_match():

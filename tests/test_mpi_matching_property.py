@@ -102,5 +102,5 @@ def test_matching_agrees_with_oracle(actions, src_wild, tag_wild):
                 )
 
     assert real_pairs == oracle.pairs
-    assert engine.posted_count == len(oracle.posted)
-    assert engine.unexpected_count == len(oracle.unexpected)
+    assert len(engine._posted) == len(oracle.posted)
+    assert len(engine._unexpected) == len(oracle.unexpected)

@@ -115,7 +115,7 @@ def test_unexpected_messages_delivered():
 
     def receiver():
         yield sim.timeout(1e-3)  # long after the eager payload landed
-        assert r1.matching.unexpected_count == 1
+        assert len(r1.matching._unexpected) == 1
         req = r1.irecv(rbuf, dt, 1, source=0, tag=9)
         yield from r1.waitall([req])
 

@@ -65,8 +65,8 @@ def _transmit_trace(faults):
 
 
 def test_link_closed_form_matches_fault_loop():
-    """With no plan, ``transmit`` takes its closed form; an all-zero
-    plan takes the retry loop.  Both must emit the same timeline."""
+    """An all-zero plan costs nothing: ``transmit`` emits the same
+    timeline with it as with no plan attached."""
     closed = _transmit_trace(None)
     looped = _transmit_trace(FaultPlan(seed=0))
     assert closed == looped
@@ -96,7 +96,6 @@ def test_table2_lassen_numbers():
     assert LASSEN.gpu_gpu.bandwidth == pytest.approx(75 * GB)
     assert LASSEN.gpus_per_node == 4
     assert LASSEN.gpu_arch.name == "Tesla V100"
-    assert LASSEN.has_gdrcopy
 
 
 def test_table2_abci_numbers():

@@ -49,13 +49,6 @@ def test_chrome_trace_round_trip(tmp_path):
     assert any(e.get("args", {}).get("uid") == 7 for e in spans)
 
 
-def test_clear_empties_stream():
-    rec = _sample()
-    rec.clear()
-    assert len(rec) == 0
-    assert rec.tracks() == []
-
-
 def test_null_recorder_is_a_no_op():
     rec = NullRecorder()
     rec.span("x", "s", 0.0, 1.0)

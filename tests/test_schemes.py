@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import FusionCfg, SchemeCfg
 from repro.core import FusionPolicy, KernelFusionScheme
+from repro.core.scheduler import ENQUEUE_OVERHEAD
 from repro.datatypes import DOUBLE, DataLayout, Vector
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
@@ -194,14 +195,6 @@ def test_hybrid_gpu_path_for_sparse(env):
     assert scheme.gpu_path_count == 1 and scheme.cpu_path_count == 0
 
 
-def test_hybrid_without_gdrcopy_always_gpu(env):
-    sim, site = env
-    scheme = CPUGPUHybridScheme(site, Trace(sim), gdrcopy_available=False)
-    op, *_ = _dense_op(site)
-    _submit(sim, scheme, op)
-    assert scheme.gpu_path_count == 1
-
-
 def test_hybrid_host_copy_time_formula(env):
     _sim, site = env
     scheme = CPUGPUHybridScheme(site, Trace(site.device.sim))
@@ -268,7 +261,7 @@ def test_fusion_submit_is_cheap_and_deferred(env):
 
     sim.run(sim.process(proc()))
     assert not out["done"]
-    assert out["t"] == pytest.approx(scheme.scheduler.enqueue_overhead)
+    assert out["t"] == pytest.approx(ENQUEUE_OVERHEAD)
     assert trace.total(Category.LAUNCH) == pytest.approx(
         site.device.arch.kernel_launch_overhead
     )
@@ -345,9 +338,11 @@ def test_registry_contains_all_schemes():
 
 def test_make_scheme_factory_with_overrides(env):
     _sim, site = env
-    factory = make_scheme_factory(SchemeCfg(name="GPU-Async", options={"num_streams": 2}))
+    factory = make_scheme_factory(
+        SchemeCfg(name="GPU-Async", options={"pipeline_chunks": 3})
+    )
     scheme = factory(site, Trace(site.device.sim))
-    assert len(scheme.streams) == 2
+    assert scheme.pipeline_chunks == 3
 
 
 def test_make_scheme_factory_fusion_override_builds_fusion_scheme(env):

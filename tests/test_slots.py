@@ -14,7 +14,7 @@ from repro.core.request_list import CircularRequestList, FusionRequest
 from repro.datatypes.layout import DataLayout
 from repro.gpu.kernels import OpKind
 from repro.gpu.memory import GPUBuffer
-from repro.gpu.stream import CudaEvent, ExecutionEngine, Stream
+from repro.gpu.stream import ExecutionEngine, Stream
 from repro.net.link import Link, LinkSpec
 from repro.sim.engine import AllOf, AnyOf, CompletionWatch, Event, Process, Simulator, Timeout
 from repro.sim.resources import Resource
@@ -44,7 +44,6 @@ def _instances():
         Link(sim, LinkSpec("l", bandwidth=1e9, latency=1e-6)),
         ExecutionEngine(),
         Stream(sim),
-        CudaEvent(sim),
         buf,
         layout,
         ring,
@@ -73,7 +72,7 @@ def test_slotted_classes_reject_adhoc_attributes():
 EXPECTED_SLOTTED = [
     Event, Timeout, Process, AllOf, AnyOf, CompletionWatch,
     Resource,
-    Link, ExecutionEngine, Stream, CudaEvent,
+    Link, ExecutionEngine, Stream,
     GPUBuffer, DataLayout, CircularRequestList, FusionRequest,
 ]
 
