@@ -246,20 +246,21 @@ def _fill_random(buffers, layout: DataLayout, rng: np.random.Generator) -> None:
     """Randomise the layout's bytes of each buffer; the rest stay zero.
 
     Only payload bytes are ever sent or verified, so filling the whole
-    extent would cost (and fault in) memory no check ever reads.
+    extent would cost (and fault in) memory no check ever reads.  The
+    bytes are full-range 64-bit draws viewed as bytes, a third of the
+    cost of drawing bytes one by one.
     """
+    words = -(-layout.size // 8)
     for buf in buffers:
         store, store_layout, offset = buf.address(layout)
-        unpack_bytes(
-            rng.integers(0, 256, layout.size, dtype=np.uint8), store_layout, store,
-            base_offset=offset,
-        )
+        draws = rng.integers(0, 2**64, words, dtype=np.uint64)
+        unpack_bytes(draws.view(np.uint8), store_layout, store, base_offset=offset)
 
 
-def _payload(buf, layout: DataLayout) -> np.ndarray:
-    """The layout's bytes of ``buf``, packed."""
+def _payload(buf, layout: DataLayout, out: np.ndarray) -> np.ndarray:
+    """The layout's bytes of ``buf``, packed into ``out``."""
     store, store_layout, offset = buf.address(layout)
-    return pack_bytes(store, store_layout, base_offset=offset)
+    return pack_bytes(store, store_layout, out, base_offset=offset)
 
 
 def run_bulk_exchange(
@@ -415,13 +416,23 @@ def run_bulk_exchange(
     result.work, result.recovery = _read_counters(sim, runtime, faults, obs)
 
     if verify:
+        # Two arrays for the whole check: a fresh pair per buffer would
+        # fault in a payload's worth of pages each time.
+        got, sent = (np.empty(layout.size, dtype=np.uint8) for _ in range(2))
         for me, peer in ((0, 1), (1, 0)):
             for sbuf, rbuf in zip(send_bufs[peer], recv_bufs[me]):
-                if not np.array_equal(_payload(rbuf, layout), _payload(sbuf, layout)):
+                if not np.array_equal(_payload(rbuf, layout, got), _payload(sbuf, layout, sent)):
                     raise AssertionError(
                         f"data corruption: {result.scheme} on {spec.name} "
                         f"(rank {me}, {spec.summary()})"
                     )
+    # Free the stores now: the finished run's objects refer to each
+    # other, so they would otherwise wait for the cyclic collector.
+    for bufs in (*send_bufs.values(), *recv_bufs.values()):
+        for buf in bufs:
+            buf.free()
+    for rank in ranks:
+        rank.staging_pool.trim()
 
     # Per-category totals: average over ranks, then per iteration.
     per_rank = [r.trace.breakdown() for r in ranks]

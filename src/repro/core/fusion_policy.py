@@ -14,7 +14,7 @@ and it is *over-fused* (communication delayed past the overlap window).
 Around **512 KB** of pooled data was best on both test systems.
 
 :class:`FusionPolicy` implements that heuristic plus a request-count
-cap (the fused grid serves at most ``max_batch_requests`` groups) and
+cap (the fused grid serves at most :data:`MAX_BATCH_REQUESTS` groups) and
 an optional model-based mode (the paper's stated future work): launch
 when the *estimated fused execution time* exceeds a multiple of the
 launch overhead, computed from the cost model instead of a byte count.
@@ -28,9 +28,16 @@ from typing import Optional, Sequence
 from ..gpu.archs import GPUArchitecture
 from ..gpu.kernels import KernelOp, kernel_compute_time
 
-__all__ = ["FusionPolicy", "ModelBasedPolicy"]
+__all__ = ["MAX_BATCH_REQUESTS", "MIN_BATCH_REQUESTS", "FusionPolicy", "ModelBasedPolicy"]
 
 KiB = 1024
+
+#: launch when this many requests are pending regardless of bytes
+#: (bounds the fused grid's partition count)
+MAX_BATCH_REQUESTS = 64
+#: never auto-launch below this many pending requests: a single request
+#: big enough to beat the threshold is worth launching on its own
+MIN_BATCH_REQUESTS = 1
 
 
 @dataclass
@@ -38,30 +45,20 @@ class FusionPolicy:
     """Threshold heuristic of §IV-C.
 
     ``threshold_bytes`` — launch when pooled pending payload reaches
-    this (the Fig. 8 sweep axis; paper default ~512 KB).
-    ``max_batch_requests`` — launch when this many requests are pending
-    regardless of bytes (bounds the fused grid's partition count).
-    ``min_batch_requests`` — never auto-launch below this count
-    (default 1: a single request big enough to beat the threshold is
-    worth launching on its own; raise it to force batching in
-    ablations).
+    this (the Fig. 8 sweep axis; paper default ~512 KB).  The request
+    count bounds :data:`MAX_BATCH_REQUESTS` and :data:`MIN_BATCH_REQUESTS`
+    apply around it.
     """
 
     threshold_bytes: int = 512 * KiB
-    max_batch_requests: int = 64
-    min_batch_requests: int = 1
 
     def should_launch(self, pending: Sequence[KernelOp]) -> bool:
         """Scenario-2 decision: is the pending batch worth a launch now?"""
-        if len(pending) >= self.max_batch_requests:
+        if len(pending) >= MAX_BATCH_REQUESTS:
             return True
-        if len(pending) < self.min_batch_requests:
+        if len(pending) < MIN_BATCH_REQUESTS:
             return False
         return sum(op.nbytes for op in pending) >= self.threshold_bytes
-
-    def describe(self) -> str:
-        """Summary string for benchmark headers."""
-        return f"threshold={self.threshold_bytes // KiB}KB, max_batch={self.max_batch_requests}"
 
 
 @dataclass
@@ -82,9 +79,9 @@ class ModelBasedPolicy(FusionPolicy):
     def should_launch(self, pending: Sequence[KernelOp]) -> bool:
         if self.arch is None:
             raise ValueError("ModelBasedPolicy requires an architecture")
-        if len(pending) >= self.max_batch_requests:
+        if len(pending) >= MAX_BATCH_REQUESTS:
             return True
-        if len(pending) < self.min_batch_requests:
+        if len(pending) < MIN_BATCH_REQUESTS:
             return False
         total_bytes = sum(op.nbytes for op in pending)
         total_blocks = sum(op.num_blocks for op in pending)

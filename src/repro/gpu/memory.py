@@ -99,7 +99,7 @@ class GPUBuffer:
     """
 
     __slots__ = (
-        "_data", "_runs", "_image", "_layout", "_nbytes", "_fill",
+        "_data", "_runs", "_image", "_layout", "_nbytes", "_fill", "_freed",
         "space", "owner", "buffer_id", "name", "functional",
     )
 
@@ -130,6 +130,8 @@ class GPUBuffer:
         self._layout = layout
         self._nbytes = nbytes
         self._fill = fill
+        #: True once :meth:`free` dropped the store
+        self._freed = False
         self.space: Space = space
         self.owner = owner
         self.buffer_id = next(GPUBuffer._ids)
@@ -140,6 +142,8 @@ class GPUBuffer:
     def _store(self) -> np.ndarray:
         store = self._data
         if store is None:
+            if self._freed:
+                raise ValueError(f"{self.name} was freed: it has no bytes to reach")
             size, layout = self._nbytes, self._layout
             if layout is not None:
                 starts, stops, run = _guard_runs(layout, size)
@@ -219,10 +223,17 @@ class GPUBuffer:
         return self.data.view(dtype)
 
     def free(self) -> None:
-        """Return the bytes to the owning allocator (if any)."""
+        """Return the bytes to the owning allocator (if any) and drop the
+        store, so no reference cycle through this buffer keeps it alive.
+
+        A freed buffer raises ``ValueError`` from :attr:`data` and
+        :meth:`address`.
+        """
         if self.owner is not None:
             self.owner._release(self)
             self.owner = None
+        self._freed = True
+        self._data = self._runs = self._image = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GPUBuffer {self.name} {self.nbytes}B {self.space}>"

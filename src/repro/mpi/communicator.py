@@ -28,6 +28,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Generator, Iterable, List, Optional, Union
 
+import numpy as np
+
 from ..config import ProtocolCfg
 from ..datatypes.base import Datatype
 from ..datatypes.cache import LayoutCache
@@ -194,11 +196,50 @@ class Runtime:
             )
             self._start_unpack(rank, rreq, record)
         elif record.protocol == EAGER:
+            # An eager payload is already here: land its packed copy.
+            self._land_payload(record, record.payload)
             self._start_unpack(rank, rreq, record)
         elif record.protocol == DIRECT:
             self.sim.process(self._receiver_direct(rank, rreq), name=f"ipc:msg{record.seq}")
         else:  # pragma: no cover - protocol set is closed
             raise AssertionError(f"unknown protocol {record.protocol!r}")
+
+    def _land_payload(self, record: MessageRecord, packed: Optional[np.ndarray]) -> None:
+        """Put a message's packed bytes where its receive reads them.
+
+        Called when the message's transfer ends, with the sender's
+        packed bytes read in place.  A matched non-contiguous receive
+        gets its staging from the receiving rank's pool, sized for the
+        whole layout so the pool zeroes the tail a shorter message
+        leaves unwritten, and the bytes go straight into it.  A matched
+        contiguous receive gets only the bytes that arrived, written
+        into its user buffer.  An eager message is not matched yet when
+        its payload arrives, since its envelope travels with it: it
+        keeps one packed copy in ``record.payload``, which
+        :meth:`_on_match` lands through this same method.  ``packed``
+        is ``None`` in dry mode: staging is still acquired, but no byte
+        moves.
+        """
+        rreq = record.matched
+        if rreq is None:
+            record.payload = None if packed is None else packed.copy()
+            return
+        record.payload = None
+        nbytes = record.nbytes
+        assert packed is None or len(packed) == nbytes
+        if rreq.layout.is_contiguous:
+            if packed is not None:
+                store, store_layout, offset = rreq.user_buffer.address(
+                    DataLayout.contiguous(nbytes), rreq.user_offset
+                )
+                unpack_bytes(packed, store_layout, store, base_offset=offset)
+            return
+        staging = self.ranks[record.dest].staging_pool.acquire(
+            rreq.layout.size, name=f"rstage:req{rreq.req_id}"
+        )
+        if packed is not None:
+            staging.data[:nbytes] = packed
+        rreq.staging = staging
 
     def _start_unpack(self, rank: "Rank", rreq: RecvRequest, record: MessageRecord) -> None:
         """Spawn the unpack process, started by the payload's arrival
@@ -210,37 +251,20 @@ class Runtime:
         )
 
     def _receiver_unpack(self, rank: "Rank", rreq: RecvRequest) -> Generator:
-        """Deliver payload into the user buffer (the §IV-B2 callback)."""
+        """Unpack the landed payload into the user buffer (the §IV-B2
+        callback).  :meth:`_land_payload` already put a contiguous
+        receive's bytes in place and a non-contiguous one's in staging."""
         record = rreq.record
         assert record is not None
         yield record.payload_ready
-        nbytes = record.nbytes
-        payload = record.payload
-        functional = rreq.user_buffer.functional
-        assert not functional or (payload is not None and len(payload) == nbytes)
         if rreq.layout.is_contiguous:
-            if functional:
-                # Only the bytes that arrived: a message may be shorter
-                # than its receive.
-                store, store_layout, offset = rreq.user_buffer.address(
-                    DataLayout.contiguous(nbytes), rreq.user_offset
-                )
-                unpack_bytes(payload, store_layout, store, base_offset=offset)
-                record.payload = None
             rreq._complete()
             return
         origin = getattr(rreq, "origin_datatype", None)
         if origin is not None and not isinstance(origin, DataLayout):
             yield from rank.resolve_layout_timed(origin)
-        # Sized for what the unpack reads, the whole layout, so the pool
-        # zeroes the tail a shorter message leaves unwritten.
-        staging = rank.staging_pool.acquire(
-            rreq.layout.size, name=f"rstage:req{rreq.req_id}"
-        )
-        if functional:
-            staging.data[:nbytes] = payload
-            record.payload = payload = None
-        rreq.staging = staging
+        staging = rreq.staging
+        assert staging is not None
         op = rank.device.unpack_op(
             staging,
             rreq.layout,

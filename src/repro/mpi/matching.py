@@ -38,8 +38,10 @@ class MessageRecord:
     """Receiver-side state of one incoming message.
 
     Created when the envelope (eager header or rendezvous RTS) arrives.
-    ``payload`` is filled by the wire-transfer process; ``cts_sent`` and
-    ``payload_ready`` are the protocol rendezvous points.
+    ``cts_event`` and ``payload_ready`` are the protocol rendezvous
+    points.  A message's bytes land in its receive's memory when the
+    transfer ends; ``payload`` holds a packed copy only while an eager
+    message waits for its match.
     """
 
     seq: int
@@ -49,7 +51,7 @@ class MessageRecord:
     nbytes: int
     protocol: str
     sim: Simulator
-    #: packed payload bytes once they land on the receiver
+    #: packed copy of an eager payload that arrived before its match
     payload: Optional[np.ndarray] = None
     #: fires when the receiver has matched + sent clear-to-send (RPUT)
     cts_event: Event = None  # type: ignore[assignment]

@@ -23,7 +23,10 @@ continuations"):
 Protocol processes never charge CPU-bucket costs themselves (control
 packets ride the NIC); CPU costs live in the schemes.  Byte movement
 happens at simulated completion instants, keeping memory state
-consistent with the clock.
+consistent with the clock: when a write (eager, RPUT, pipeline) or a
+read (RGET) ends, :meth:`Runtime._land_payload` copies the sender's
+packed bytes, read in place, straight into the memory the receive
+reads.  No copy is taken at write start and none rides the wire.
 
 Fault tolerance
 ---------------
@@ -44,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
+import numpy as np
 
-from ..datatypes.pack import pack_bytes
 from ..net.transfer import rdma_read, rdma_write
 from ..schemes import base as schemes_base
 from ..sim.engine import Event, Process
@@ -153,20 +156,22 @@ def _note_rts(rank: "Rank", record: MessageRecord) -> None:
         )
 
 
-def _snapshot_payload(sreq: SendRequest):
-    """Copy the packed bytes out of the sender's staging at wire time.
+def _wire_bytes(sreq: SendRequest) -> Optional[np.ndarray]:
+    """The sender's packed bytes, in place: a view, never a copy.
 
-    Returns ``None`` in dry (non-functional) mode — timing is identical
-    and the receiver skips the byte copies.
+    Valid until the send staging is released, so the transfer's end
+    lands them at once.  ``None`` in dry (non-functional) mode: timing
+    is identical and no byte moves.
     """
-    nbytes = sreq.layout.size
     if not sreq.user_buffer.functional:
         return None
+    nbytes = sreq.layout.size
     if sreq.staging is not None:
-        return sreq.staging.data[:nbytes].copy()
+        return sreq.staging.data[:nbytes]
     # Contiguous send: the user buffer region is the packed form.
     store, store_layout, offset = sreq.user_buffer.address(sreq.layout, sreq.user_offset)
-    return pack_bytes(store, store_layout, base_offset=offset)
+    start = offset + int(store_layout.offsets[0])
+    return store[start : start + nbytes]
 
 
 def _pack_done_event(rank: "Rank", sreq: SendRequest) -> Event:
@@ -183,9 +188,8 @@ def sender_eager(
 ) -> Generator[Event, None, None]:
     """Eager protocol, sender side: pack → (envelope+payload) → done."""
     yield _pack_done_event(rank, sreq)
-    snapshot = _snapshot_payload(sreq)
     yield from rdma_write(runtime.cluster, sreq.rank, sreq.peer, sreq.nbytes)
-    record.payload = snapshot
+    runtime._land_payload(record, _wire_bytes(sreq))
     record.payload_ready.succeed()
     runtime._deliver_envelope(record, delay=0.0)
     runtime._release_send_staging(sreq)
@@ -201,9 +205,8 @@ def sender_rput(
     arm_control_watchdog(runtime, rank, record, record.cts_event)
     pack_done = _pack_done_event(rank, sreq)
     yield rank.sim.all_of([pack_done, record.cts_event])
-    snapshot = _snapshot_payload(sreq)
     yield from rdma_write(runtime.cluster, sreq.rank, sreq.peer, sreq.nbytes)
-    record.payload = snapshot
+    runtime._land_payload(record, _wire_bytes(sreq))
     # The receiver learns of completion via the FIN packet.
     record.payload_ready.succeed(delay=runtime.cluster.control_latency(sreq.rank, sreq.peer))
     runtime._release_send_staging(sreq)
@@ -257,7 +260,6 @@ def sender_pipeline(
     arm_control_watchdog(runtime, rank, record, record.cts_event)
     pack_done = _pack_done_event(rank, sreq)
     yield rank.sim.all_of([pack_done, record.cts_event])
-    snapshot = _snapshot_payload(sreq)
 
     sim = rank.sim
     cluster = runtime.cluster
@@ -277,7 +279,7 @@ def sender_pipeline(
         done_events.append(sim.process(chunk_flow(nbytes), name="pipe-chunk"))
     yield sim.all_of(done_events)
 
-    record.payload = snapshot
+    runtime._land_payload(record, _wire_bytes(sreq))
     record.payload_ready.succeed()
     runtime._release_send_staging(sreq)
     sreq._complete()
@@ -289,7 +291,7 @@ def receiver_pull_rget(
     """RGET receiver side: RDMA-READ the sender's packed buffer, FIN."""
     yield from rdma_read(runtime.cluster, rreq.rank, record.source, record.nbytes)
     sreq: SendRequest = record.sender_context  # set before RTS was sent
-    record.payload = _snapshot_payload(sreq)
+    runtime._land_payload(record, _wire_bytes(sreq))
     record.payload_ready.succeed()
     record.fin_event.succeed(
         delay=runtime.cluster.control_latency(rreq.rank, record.source)

@@ -71,7 +71,7 @@ class Request:
 
     def _complete(self) -> None:
         if not self.completion.triggered:
-            self.completion.succeed(self)
+            self.completion.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -9,9 +9,9 @@ protocols:
   CPU–GPU link (used by the hybrid scheme's host-packed sends).
 
 They advance the simulated clock only; the *byte* movement is performed
-by the caller at completion (the runtime copies packed bytes between
-simulated memories when the transfer event fires), keeping data state
-consistent with simulated time.
+by the caller at completion (the runtime lands the sender's packed
+bytes in the receive's memory when the transfer ends), keeping data
+state consistent with simulated time.
 
 All three helpers are failure-aware by construction: they ride
 :meth:`~repro.net.link.Link.transmit`, which (under an attached

@@ -157,35 +157,104 @@ def test_verification_detects_dropped_bytes(monkeypatch):
     assert_corruption_caught("specfem3D_cm")
 
 
+MILC_32 = NAS_MG.with_overrides(
+    {
+        "workload.name": "MILC",
+        "workload.dim": 32,
+        "workload.nbuffers": 2,
+        "harness.iterations": 1,
+        "harness.warmup": 0,
+    }
+)
+
+
 def test_wet_milc_buffers_back_their_layout_not_their_extent(monkeypatch):
     """MILC at dim 32 moves 786 KB per buffer out of a 25.1 MB extent;
-    each user buffer's store holds the payload plus its guard bytes."""
+    each user buffer's store holds the payload plus its guard bytes
+    (measured as the run frees it)."""
     from repro.gpu.device import GPUDevice
+    from repro.gpu.memory import GPUBuffer
 
-    backed = []
-    real_alloc = GPUDevice.alloc
+    backed = {}
+    stored = []
+    real_alloc, real_free = GPUDevice.alloc, GPUBuffer.free
 
     def recording_alloc(device, nbytes, *args, layout=None, **kwargs):
         buf = real_alloc(device, nbytes, *args, layout=layout, **kwargs)
         if layout is not None:
-            backed.append((buf, layout))
+            backed[buf] = layout
         return buf
 
+    def recording_free(buf):
+        if buf in backed:
+            stored.append(len(buf.address(backed[buf])[0]))
+        real_free(buf)
+
     monkeypatch.setattr(GPUDevice, "alloc", recording_alloc)
-    cfg = NAS_MG.with_overrides(
-        {
-            "workload.name": "MILC",
-            "workload.dim": 32,
-            "workload.nbuffers": 2,
-            "harness.iterations": 1,
-            "harness.warmup": 0,
-        }
-    )
-    run_bulk_exchange(cfg)  # verified: the stores carried every byte
+    monkeypatch.setattr(GPUBuffer, "free", recording_free)
+    run_bulk_exchange(MILC_32)  # verified: the stores carried every byte
     assert len(backed) == 8  # 2 ranks x 2 buffers x (send, receive)
-    for buf, layout in backed:
-        assert buf.nbytes == 25_142_016
-        assert len(buf.address(layout)[0]) <= 900_000
+    assert all(buf.nbytes == 25_142_016 for buf in backed)
+    assert len(stored) == 8 and max(stored) <= 900_000
+
+
+def test_wet_milc_rendezvous_records_never_hold_a_payload(monkeypatch):
+    """An RPUT message's bytes go from send staging straight into
+    receive staging when the write ends: no rendezvous record ever
+    holds a packed copy, matched or not."""
+    import repro.mpi.communicator as communicator
+    from repro.mpi.matching import MessageRecord
+
+    records, held = [], []
+
+    class WatchedRecord(MessageRecord):
+        def __post_init__(self):
+            super().__post_init__()
+            records.append(self)
+
+        def __setattr__(self, name, value):
+            if name == "payload" and value is not None and self.protocol != "eager":
+                held.append(self.seq)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(communicator, "MessageRecord", WatchedRecord)
+    run_bulk_exchange(MILC_32)
+    # 2 ranks x 2 buffers, plus the eager barrier tokens
+    assert sum(r.protocol == "rput" for r in records) == 4
+    assert held == []
+
+
+def test_finished_exchange_frees_its_stores_without_the_cyclic_collector(monkeypatch):
+    """Every store a wet run materialises is dead when it returns, with
+    the cyclic garbage collector off: the run frees its buffers and
+    trims its staging pools instead of leaving them to reference
+    cycles between its finished objects."""
+    import gc
+    import weakref
+
+    import repro.gpu.memory as memory
+
+    stores = []
+    real_zeroed = memory._zeroed
+
+    def recording_zeroed(nbytes, fill):
+        store = real_zeroed(nbytes, fill)
+        stores.append(weakref.ref(store))
+        return store
+
+    monkeypatch.setattr(memory, "_zeroed", recording_zeroed)
+    cfg = NAS_MG.with_overrides(
+        {"workload.dim": 64, "workload.nbuffers": 2, "harness.iterations": 1}
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        run_bulk_exchange(cfg)
+        alive = sum(ref() is not None for ref in stores)
+    finally:
+        gc.enable()
+    assert len(stores) > 8  # user buffers, staging and barrier tokens
+    assert alive == 0
 
 
 # -- report formatting -------------------------------------------------------------

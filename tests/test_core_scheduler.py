@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FusionPolicy, FusionScheduler, ModelBasedPolicy, launch_fused_kernel
+from repro.core import fusion_policy
 from repro.core.request_list import CircularRequestList
 from repro.core.scheduler import ENQUEUE_OVERHEAD
 from repro.datatypes import DataLayout
@@ -47,24 +48,27 @@ def _drive(sim, gen):
 # -- policy ----------------------------------------------------------------------
 
 
-def test_policy_threshold_bytes(env):
+def test_policy_threshold_bytes(env, monkeypatch):
     _sim, site = env
-    policy = FusionPolicy(threshold_bytes=16 * 1024, min_batch_requests=2)
+    monkeypatch.setattr(fusion_policy, "MIN_BATCH_REQUESTS", 2)
+    policy = FusionPolicy(threshold_bytes=16 * 1024)
     small = [_op(site, nbytes=4096)[0] for _ in range(2)]
     assert not policy.should_launch(small)
     big = [_op(site, nbytes=12 * 1024)[0] for _ in range(2)]
     assert policy.should_launch(big)
 
 
-def test_policy_min_batch(env):
+def test_policy_min_batch(env, monkeypatch):
     _sim, site = env
-    policy = FusionPolicy(threshold_bytes=1, min_batch_requests=2)
+    monkeypatch.setattr(fusion_policy, "MIN_BATCH_REQUESTS", 2)
+    policy = FusionPolicy(threshold_bytes=1)
     assert not policy.should_launch([_op(site)[0]])
 
 
-def test_policy_max_batch(env):
+def test_policy_max_batch(env, monkeypatch):
     _sim, site = env
-    policy = FusionPolicy(threshold_bytes=1 << 30, max_batch_requests=4)
+    monkeypatch.setattr(fusion_policy, "MAX_BATCH_REQUESTS", 4)
+    policy = FusionPolicy(threshold_bytes=1 << 30)
     ops = [_op(site, nbytes=64, blocks=1)[0] for _ in range(4)]
     assert policy.should_launch(ops)
 
@@ -166,11 +170,10 @@ def test_scheduler_enqueue_charges_sched_bucket(env):
     assert trace.total(Category.SCHED) == pytest.approx(ENQUEUE_OVERHEAD)
 
 
-def test_scheduler_threshold_triggers_launch(env):
+def test_scheduler_threshold_triggers_launch(env, monkeypatch):
     sim, site = env
-    sched = FusionScheduler(
-        site, Trace(sim), FusionPolicy(threshold_bytes=12 * 1024, min_batch_requests=2)
-    )
+    monkeypatch.setattr(fusion_policy, "MIN_BATCH_REQUESTS", 2)
+    sched = FusionScheduler(site, Trace(sim), FusionPolicy(threshold_bytes=12 * 1024))
     _drive(sim, sched.enqueue(_op(site, nbytes=8 * 1024)[0]))
     assert sched.stats.launches == 0
     _drive(sim, sched.enqueue(_op(site, nbytes=8 * 1024)[0]))

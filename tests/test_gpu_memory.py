@@ -55,6 +55,27 @@ def test_double_free_harmless():
     assert mem.allocated == 0
 
 
+@pytest.mark.parametrize("backing", [None, DataLayout([0, 512], [8, 8])])
+def test_freed_buffer_drops_its_store_and_refuses_access(backing):
+    """free() releases the bytes themselves, not just the ledger entry,
+    and a later access fails by name instead of handing out new zeros."""
+    import weakref
+
+    buf = DeviceMemory(1024).alloc(1024, fill=3, layout=backing)
+    layout = DataLayout([0], [8])
+    store = weakref.ref(buf.address(layout)[0])
+    buf.free()
+    assert store() is None
+    for access in (lambda: buf.data, lambda: buf.address(layout)):
+        with pytest.raises(ValueError, match="was freed"):
+            access()
+    host = host_alloc(16)
+    host.data[:] = 1
+    host.free()
+    with pytest.raises(ValueError, match="was freed"):
+        host.data
+
+
 def test_peak_tracking():
     mem = DeviceMemory(100)
     a = mem.alloc(60)

@@ -1,5 +1,6 @@
 """Protocol-level unit tests: eager / RPUT / RGET timing semantics."""
 
+import pytest
 
 from repro.config import ProtocolCfg
 from repro.datatypes import DOUBLE, Vector
@@ -49,6 +50,31 @@ def _one_way(sim, rt, dt, send_delay=0.0, recv_delay=0.0):
     sim.run(sim.all_of([p0, p1]))
     assert (rbuf.data[lay.gather_index()] == 7).all()
     return times
+
+
+@pytest.mark.parametrize("rendezvous", ["rput", "rget"])
+def test_receive_staging_holds_the_bytes_when_payload_ready_fires(rendezvous, monkeypatch):
+    """The transfer's end lands the packed bytes in receive staging, so
+    they are in place when the payload is announced."""
+    sim, rt = _setup(rendezvous=rendezvous)
+    landed = []
+    real_on_match = Runtime._on_match
+
+    def on_match(runtime, rank, result):
+        rreq = result.request
+
+        def check(_ev):
+            staging = rreq.staging
+            landed.append(None if staging is None else staging.data[: rreq.nbytes].copy())
+
+        result.record.payload_ready.add_callback(check)
+        real_on_match(runtime, rank, result)
+
+    monkeypatch.setattr(Runtime, "_on_match", on_match)
+    times = _one_way(sim, rt, BIG.commit())
+    assert times["sreq"].protocol == rendezvous
+    assert len(landed) == 1 and landed[0] is not None
+    assert len(landed[0]) == 32 * 1024 and (landed[0] == 7).all()
 
 
 def test_rput_cts_waits_for_match():
