@@ -329,7 +329,7 @@ def cmd_regress(args) -> int:
 
 def cmd_workloads(_args) -> int:
     for name in sorted(WORKLOADS):
-        spec = WORKLOADS[name](32 if name in ("MILC", "NAS_MG", "WRF", "NAS_LU_x", "NAS_LU_y") else 1000)
+        spec = WORKLOADS[name](32 if name in ("MILC", "NAS_MG") else 1000)
         print(f"{name:<14} {spec.layout_class:<7} e.g. {spec.summary()}")
     return 0
 

@@ -73,6 +73,13 @@ def _extent_from_blocks(layout_offsets: np.ndarray, layout_lengths: np.ndarray) 
     return ub - lb
 
 
+def _dense_run(base: Datatype) -> bool:
+    """Whether each instance of ``base`` is one non-empty dense run that
+    fills its extent, so ``n`` consecutive instances are one run of
+    ``n * base.size`` bytes."""
+    return base.size > 0 and base.extent == base.size and base.flatten().is_contiguous
+
+
 class _Derived(Datatype):
     """Shared plumbing for derived constructors.
 
@@ -229,7 +236,7 @@ class Indexed(_Derived):
         ext = self.base.extent
         parts_off = []
         parts_len = []
-        if base_flat.is_contiguous and ext == self.base.size:
+        if _dense_run(self.base):
             # Fast path (all paper workloads): each indexed block is one
             # dense run of blocklength * size bytes.
             keep = self.blocklengths > 0
@@ -277,7 +284,7 @@ class HIndexed(Indexed):
         base_flat = self.base.flatten()
         parts_off = []
         parts_len = []
-        if base_flat.is_contiguous and self.base.extent == self.base.size:
+        if _dense_run(self.base):
             keep = self.blocklengths > 0
             parts_off.append(self.displacements[keep])
             parts_len.append(self.blocklengths[keep] * self.base.size)
@@ -448,12 +455,11 @@ class Subarray(_Derived):
         elem_offsets = np.sort(np.asarray(elem_offsets, dtype=np.int64))
         run_elems = subsizes[-1]
 
-        base_flat = self.base.flatten()
-        if base_flat.is_contiguous and ext == self.base.size:
+        if _dense_run(self.base):
             offsets = elem_offsets * ext
             lengths = np.full(len(offsets), run_elems * self.base.size, dtype=np.int64)
             return DataLayout(offsets, lengths, extent=self._extent)
-        child = base_flat.replicate(run_elems)
+        child = self.base.flatten().replicate(run_elems)
         return _tile(child, elem_offsets * ext, extent=self._extent)
 
 

@@ -202,8 +202,13 @@ class DataLayout:
 
     @property
     def is_contiguous(self) -> bool:
-        """True when the layout is a single block starting at offset 0."""
-        return self.num_blocks == 1 and int(self.offsets[0]) == 0
+        """True when the layout's bytes are one dense run from offset 0.
+
+        An empty layout is trivially one: it moves no bytes, so a
+        message of it needs no staging and no kernel.
+        """
+        n = self.num_blocks
+        return n == 0 or (n == 1 and int(self.offsets[0]) == 0)
 
     @property
     def density(self) -> float:

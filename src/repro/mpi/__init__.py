@@ -1,7 +1,6 @@
 """MPI-like runtime: ranks, matching, protocols, progress."""
 
-from .cartesian import PROC_NULL, CartComm
-from .collectives import allreduce, alltoall, neighbor_alltoall
+from .collectives import allreduce
 from .communicator import Rank, Runtime
 from .matching import ANY_SOURCE, ANY_TAG, MatchingEngine, MessageRecord
 from .protocols import DIRECT, EAGER, PIPELINE, RGET, RPUT
@@ -10,11 +9,7 @@ from .request import RecvRequest, Request, SendRequest
 __all__ = [
     "Runtime",
     "Rank",
-    "alltoall",
     "allreduce",
-    "neighbor_alltoall",
-    "CartComm",
-    "PROC_NULL",
     "Request",
     "SendRequest",
     "RecvRequest",

@@ -1,130 +1,24 @@
-"""Collective operations over the point-to-point runtime.
+"""The one collective over the point-to-point runtime: :func:`allreduce`.
 
-The paper situates datatype fusion inside the broader GPU-collectives
-literature ([11]–[13]) and its bulk-transfer scenario — "multiple
-non-contiguous data transfers to multiple neighbors" — is exactly what
-a datatype-typed collective generates.  This module keeps the three
-collectives the examples and benchmarks run, implemented with the same
-nonblocking primitives an MPI library would lower them to:
-
-* :func:`alltoall` — personalized exchange of one datatype instance per
-  peer (the FFT-transpose pattern: every send is non-contiguous, and a
-  fusing runtime batches all ``P-1`` packing kernels);
-* :func:`neighbor_alltoall` — the halo-exchange collective: per-
-  neighbor send/recv datatypes (MPI's
-  ``MPI_Neighbor_alltoallw`` shape), used by the halo examples;
-* :func:`allreduce` — the small convergence-check reduction of
-  iterative solvers (``examples/jacobi2d.py``).
-
-All are generators to be driven inside a rank's simulation process,
-like every other CPU-consuming call.  Tags are drawn from a reserved
-high range so collectives never collide with application traffic.
+The small convergence-check reduction of iterative solvers
+(``examples/jacobi2d.py``), implemented with the same nonblocking
+primitives an MPI library would lower it to.  It is a generator to be
+driven inside a rank's simulation process, like every other
+CPU-consuming call.  Its tags are drawn from a reserved high range so
+they never collide with application traffic.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator
 
 from ..datatypes.layout import DataLayout
-from ..datatypes.pack import pack_bytes, unpack_bytes
-from ..gpu.memory import GPUBuffer
-from .communicator import Rank, TypeArg
-from .request import Request
+from .communicator import Rank
 
-__all__ = ["alltoall", "neighbor_alltoall", "allreduce"]
+__all__ = ["allreduce"]
 
 #: base tag of the reserved collective range
 _COLL_TAG = 1 << 20
-
-
-def alltoall(
-    rank: Rank,
-    sendbuf: GPUBuffer,
-    send_type: TypeArg,
-    recvbuf: GPUBuffer,
-    recv_type: TypeArg,
-    *,
-    tag_round: int = 0,
-) -> Generator:
-    """Personalized all-to-all: one ``send_type`` instance per peer.
-
-    Peer ``p``'s slice of ``sendbuf`` starts at ``p * extent`` (and
-    symmetrically for ``recvbuf``) — the MPI ``MPI_Alltoall`` layout
-    generalized to derived datatypes.  The rank's own slice is copied
-    through the local data path (no self-message).
-    """
-    runtime = rank.runtime
-    me = rank.rank_id
-    send_layout = rank.resolve_layout(send_type, 1)
-    recv_layout = rank.resolve_layout(recv_type, 1)
-    if send_layout.size != recv_layout.size:
-        raise ValueError(
-            f"alltoall type sizes disagree: send {send_layout.size} != "
-            f"recv {recv_layout.size}"
-        )
-    tag = _COLL_TAG + tag_round
-    requests: List[Request] = []
-    for peer in range(runtime.size):
-        if peer == me:
-            continue
-        requests.append(
-            rank.irecv(
-                recvbuf, recv_layout, 1, peer, tag=tag,
-                offset=peer * recv_layout.extent,
-            )
-        )
-    for peer in range(runtime.size):
-        if peer == me:
-            continue
-        sreq = yield from rank.isend(
-            sendbuf, send_layout, 1, peer, tag=tag,
-            offset=peer * send_layout.extent,
-        )
-        requests.append(sreq)
-    # Local slice: direct device copy (free of wire costs, like a real
-    # implementation's memcpy path).
-    if sendbuf.functional and recvbuf.functional:
-        store, layout, offset = sendbuf.address(send_layout, me * send_layout.extent)
-        packed = pack_bytes(store, layout, base_offset=offset)
-        store, layout, offset = recvbuf.address(recv_layout, me * recv_layout.extent)
-        unpack_bytes(packed, layout, store, base_offset=offset)
-    yield from rank.waitall(requests)
-
-
-def neighbor_alltoall(
-    rank: Rank,
-    buffer: GPUBuffer,
-    exchanges: Sequence[tuple],
-    *,
-    tag_round: int = 0,
-) -> Generator:
-    """Halo-exchange collective (``MPI_Neighbor_alltoallw`` shape).
-
-    ``exchanges`` entries are either
-
-    * ``(peer, send_type, recv_type)`` — positional pairing: the peer
-      must list its mirrored entry at the same index (fine for the
-      symmetric two-rank pattern), or
-    * ``(peer, send_type, recv_type, send_key, recv_key)`` — keyed
-      pairing: a send tagged ``send_key`` matches the peer's receive
-      posted with the same ``recv_key``
-      (:meth:`repro.mpi.cartesian.CartComm.neighbor_exchanges` emits
-      direction-derived keys so boundary ranks with shorter schedules
-      still pair correctly).
-    """
-    span = max(len(exchanges), 64)
-    tag0 = _COLL_TAG + (2 << 10) + tag_round * span
-    requests: List[Request] = []
-    for i, entry in enumerate(exchanges):
-        peer, _send_t, recv_t = entry[0], entry[1], entry[2]
-        recv_key = entry[4] if len(entry) == 5 else i
-        requests.append(rank.irecv(buffer, recv_t, 1, peer, tag=tag0 + recv_key))
-    for i, entry in enumerate(exchanges):
-        peer, send_t = entry[0], entry[1]
-        send_key = entry[3] if len(entry) == 5 else i
-        sreq = yield from rank.isend(buffer, send_t, 1, peer, tag=tag0 + send_key)
-        requests.append(sreq)
-    yield from rank.waitall(requests)
 
 
 def allreduce(

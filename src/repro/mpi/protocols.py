@@ -168,9 +168,10 @@ def _wire_bytes(sreq: SendRequest) -> Optional[np.ndarray]:
     nbytes = sreq.layout.size
     if sreq.staging is not None:
         return sreq.staging.data[:nbytes]
-    # Contiguous send: the user buffer region is the packed form.
+    # Contiguous send: the user buffer region is the packed form (an
+    # empty send has no region and reads nothing).
     store, store_layout, offset = sreq.user_buffer.address(sreq.layout, sreq.user_offset)
-    start = offset + int(store_layout.offsets[0])
+    start = offset + int(store_layout.offsets[0]) if nbytes else offset
     return store[start : start + nbytes]
 
 

@@ -5,13 +5,6 @@ Comb-style multi-dimensional halo-exchange schedules.
 """
 
 from .base import WORKLOADS, WorkloadSpec, register_workload
-from .extended import (
-    fft2d_transpose,
-    lammps_full,
-    nas_lu_x,
-    nas_lu_y,
-    wrf_xz_plane,
-)
 from .halo import HaloNeighbor, HaloSchedule, halo_2d, halo_3d
 from .milc import milc_su3_zdown
 from .nas_mg import nas_mg_face
@@ -30,9 +23,4 @@ __all__ = [
     "HaloNeighbor",
     "halo_2d",
     "halo_3d",
-    "wrf_xz_plane",
-    "nas_lu_x",
-    "nas_lu_y",
-    "fft2d_transpose",
-    "lammps_full",
 ]

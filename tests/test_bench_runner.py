@@ -1,5 +1,6 @@
 """Tests for the benchmark harness (runner + reports)."""
 
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -113,9 +114,10 @@ def test_scheme_factory_override_matches_config_named_run(scheme):
 
 def test_verification_detects_dropped_bytes(monkeypatch):
     """verify=True really checks: sabotage the data plane — drop every
-    byte, or pack from one byte off the layout — and the harness must
-    raise its corruption error, although fill and verification touch
-    only the layout's bytes."""
+    byte, pack from one byte off the layout, or pack the right bytes
+    rotated one place — and the harness must raise its corruption
+    error, although fill and verification touch only the layout's
+    bytes."""
     import repro.bench.runner as runner_mod
     import repro.gpu.kernels as kernels_mod
     from repro.net.topology import Cluster as RealCluster
@@ -150,11 +152,22 @@ def test_verification_detects_dropped_bytes(monkeypatch):
         # block is sent and the block's last payload byte is missed.
         return real_pack(source, layout, packed, base_offset=base_offset - 1)
 
-    monkeypatch.setattr(kernels_mod, "pack_bytes", off_by_one_pack)
-    # Both start past byte 0, so the shifted read stays in bounds: WRF
-    # takes the strided path, specfem3D_cm the gather path.
-    assert_corruption_caught("WRF")
-    assert_corruption_caught("specfem3D_cm")
+    with monkeypatch.context() as m:
+        m.setattr(kernels_mod, "pack_bytes", off_by_one_pack)
+        # specfem3D_cm starts past byte 0, so the shifted read stays in
+        # bounds; it takes the gather path.
+        assert_corruption_caught("specfem3D_cm")
+
+    def rotated_pack(source, layout, packed=None, base_offset=0):
+        # The right bytes in the wrong places: the packed payload is
+        # rotated one byte, which stays in bounds on any layout.
+        out = real_pack(source, layout, packed, base_offset=base_offset)
+        out[: layout.size] = np.roll(out[: layout.size], 1)
+        return out
+
+    monkeypatch.setattr(kernels_mod, "pack_bytes", rotated_pack)
+    # NAS_MG takes the strided path.
+    assert_corruption_caught("NAS_MG")
 
 
 MILC_32 = NAS_MG.with_overrides(

@@ -18,7 +18,7 @@ def test_parser_lists_all_commands():
 def test_workloads_command(capsys):
     assert main(["workloads"]) == 0
     out = capsys.readouterr().out
-    for name in ("specfem3D_oc", "specfem3D_cm", "MILC", "NAS_MG", "WRF"):
+    for name in ("specfem3D_oc", "specfem3D_cm", "MILC", "NAS_MG"):
         assert name in out
 
 

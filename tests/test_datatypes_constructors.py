@@ -207,6 +207,18 @@ def test_subarray_full_box_is_contiguous():
     assert t.flatten().is_contiguous
 
 
+@pytest.mark.parametrize("make", [
+    lambda base: Indexed([2, 1], [0, 3], base),
+    lambda base: HIndexed([2, 1], [0, 24], base),
+    lambda base: Subarray((4,), (2,), (1,), base),
+], ids=["indexed", "hindexed", "subarray"])
+def test_empty_base_flattens_to_an_empty_layout(make):
+    """An empty base is contiguous, but its instances are not one dense
+    run each: every constructor's layout of it is empty."""
+    lay = make(Contiguous(0, DOUBLE)).commit().flatten()
+    assert lay.num_blocks == 0 and lay.size == 0
+
+
 def test_subarray_f_order_swaps_contiguity():
     # In F order the FIRST dimension is contiguous.
     c = Subarray((4, 4), (4, 1), (0, 1), DOUBLE, order="C").commit()

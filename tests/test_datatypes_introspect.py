@@ -83,6 +83,6 @@ def test_describe_long_lists_elided():
 def test_describe_workload_types():
     from repro.workloads import WORKLOADS
 
-    for name in ("specfem3D_cm", "MILC", "NAS_MG", "WRF"):
+    for name in ("specfem3D_cm", "MILC", "NAS_MG"):
         text = describe(WORKLOADS[name](16 if name != "specfem3D_cm" else 100).datatype)
         assert "flattened:" in text

@@ -31,7 +31,9 @@ def test_contiguous_factory():
 
 
 def test_contiguous_zero():
-    assert DataLayout.contiguous(0).num_blocks == 0
+    empty = DataLayout.contiguous(0)
+    assert empty.num_blocks == 0
+    assert empty.is_contiguous  # moves no bytes, so needs no packing
     with pytest.raises(ValueError):
         DataLayout.contiguous(-1)
 

@@ -205,3 +205,37 @@ def test_wire_serialization_under_bulk():
     sim.run(sim.all_of([p0, p1]))
     wire_floor = n * lay.size / LASSEN.internode.bandwidth
     assert sim.now >= wire_floor
+
+
+@pytest.mark.parametrize("protocol", ["eager", "rput", "rget"])
+@pytest.mark.parametrize("scheme", sorted(SCHEME_REGISTRY))
+def test_zero_count_message_moves_only_the_envelope(scheme, protocol):
+    """MPI allows count 0: a zero-count derived-datatype pair completes
+    under every scheme and protocol with no staging and no kernel."""
+    sim, rt = _setup(scheme=scheme, rendezvous="rput" if protocol == "eager" else protocol)
+    if protocol != "eager":
+        # Zero bytes never exceed a non-negative eager threshold; only a
+        # negative one sends the empty message through rendezvous.
+        rt.eager_threshold = -1
+    dt = Vector(4, 1, 3, DOUBLE).commit()
+    r0, r1 = rt.rank(0), rt.rank(1)
+    sbuf = r0.device.alloc(dt.extent, fill=7)
+    rbuf = r1.device.alloc(dt.extent)
+    reqs = {}
+
+    def sender():
+        reqs["send"] = req = yield from r0.isend(sbuf, dt, 0, dest=1)
+        yield from r0.waitall([req])
+
+    def receiver():
+        reqs["recv"] = req = r1.irecv(rbuf, dt, 0, source=0)
+        yield from r1.waitall([req])
+
+    sim.run(sim.all_of([sim.process(sender()), sim.process(receiver())]))
+    assert reqs["send"].protocol == protocol
+    assert reqs["send"].done and reqs["recv"].done
+    assert reqs["recv"].nbytes == 0
+    for rank in (r0, r1):
+        assert rank.scheme.kernel_launches == 0
+        assert rank.staging_pool.hits == rank.staging_pool.misses == 0
+    assert not rbuf.data.any()

@@ -17,9 +17,8 @@ from repro.workloads import (
 
 
 def test_registry_has_core_four():
-    """The paper's four evaluated workloads are always registered
-    (extended future-work workloads come on top)."""
-    assert {"specfem3D_oc", "specfem3D_cm", "MILC", "NAS_MG"} <= set(WORKLOADS)
+    """Exactly the paper's four evaluated workloads are registered."""
+    assert {"specfem3D_oc", "specfem3D_cm", "MILC", "NAS_MG"} == set(WORKLOADS)
 
 
 # -- specfem (sparse) ----------------------------------------------------------
