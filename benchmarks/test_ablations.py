@@ -24,7 +24,6 @@ show *why* the framework is built the way §IV describes.
 from repro.bench import run_bulk_exchange
 from repro.bench.figures import FIG_BASE
 from repro.config import ProtocolCfg
-from repro.core import KernelFusionScheme, ModelBasedPolicy
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import us
 
@@ -33,11 +32,9 @@ KiB = 1024
 ABLATION = FIG_BASE.with_overrides({"workload.name": "specfem3D_cm", "workload.dim": 2000})
 
 
-def _run(overrides=None, *, scheme_factory=None):
+def _run(overrides=None):
     """One ablation point: dotted-path ``overrides`` on :data:`ABLATION`."""
-    return run_bulk_exchange(
-        ABLATION.with_overrides(overrides or {}), scheme_factory=scheme_factory
-    )
+    return run_bulk_exchange(ABLATION.with_overrides(overrides or {}))
 
 
 def test_ablation_rput_overlaps_handshake(report):
@@ -68,8 +65,8 @@ def test_ablation_sync_point_linger(report):
 
 
 def test_ablation_request_list_capacity(report):
-    big = _run({"scheme.fusion.capacity": 256})
-    tiny = _run({"scheme.fusion.capacity": 2})
+    big = _run({"scheme.options.capacity": 256})
+    tiny = _run({"scheme.options.capacity": 2})
     report(
         "ablation_capacity",
         "Ablation — circular request list capacity (proposed)\n"
@@ -81,16 +78,8 @@ def test_ablation_request_list_capacity(report):
 
 
 def test_ablation_cooperative_grid(report):
-    def grid_factory(grid_blocks):
-        def factory(site, trace):
-            scheme = KernelFusionScheme(site, trace)
-            scheme.scheduler.grid_blocks = grid_blocks
-            return scheme
-
-        return factory
-
-    full = _run(scheme_factory=grid_factory(None))  # saturation grid
-    starved = _run(scheme_factory=grid_factory(8))
+    full = _run()  # saturation grid
+    starved = _run({"scheme.options.grid_blocks": 8})
     report(
         "ablation_grid",
         "Ablation — fused-kernel grid size (proposed)\n"
@@ -101,18 +90,12 @@ def test_ablation_cooperative_grid(report):
 
 
 def test_ablation_model_based_policy(report):
-    def model_factory(site, trace):
-        policy = ModelBasedPolicy(
-            arch=site.device.arch, threshold_bytes=1 << 40, launch_cost_multiple=2.0
-        )
-        return KernelFusionScheme(site, trace, policy=policy)
-
     rows = []
     ok = True
     for workload, dim in (("specfem3D_cm", 2000), ("MILC", 16), ("NAS_MG", 64)):
         point = {"workload.name": workload, "workload.dim": dim}
         tuned = _run(point)
-        model = _run(point, scheme_factory=model_factory)
+        model = _run({**point, "scheme.options.policy": "model"})
         rows.append(
             f"  {workload:<14} heuristic={tuned.mean_latency * 1e6:9.2f}us  "
             f"model-based={model.mean_latency * 1e6:9.2f}us"

@@ -13,7 +13,6 @@ Run:  python examples/threshold_tuning.py
 
 from repro.bench import run_bulk_exchange
 from repro.config import ExperimentConfig
-from repro.core import KernelFusionScheme, ModelBasedPolicy
 
 KiB = 1024
 THRESHOLDS = [16 * KiB, 64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB,
@@ -30,21 +29,9 @@ EXPERIMENT = ExperimentConfig().with_overrides(
 )
 
 
-def run(overrides=None, scheme_factory=None) -> tuple[float, object]:
-    result = run_bulk_exchange(
-        EXPERIMENT.with_overrides(overrides or {}), scheme_factory=scheme_factory
-    )
+def run(overrides) -> tuple[float, object]:
+    result = run_bulk_exchange(EXPERIMENT.with_overrides(overrides))
     return result.mean_latency * 1e6, result.scheduler_stats
-
-
-def model_based_scheme(site, trace):
-    """The fusion scheme under the model-based launch policy, which the
-    config cannot name: it launches once the cost model says the batch
-    out-runs two kernel-launch overheads."""
-    policy = ModelBasedPolicy(
-        arch=site.device.arch, threshold_bytes=1 << 40, launch_cost_multiple=2.0
-    )
-    return KernelFusionScheme(site, trace, policy=policy)
 
 
 def main() -> None:
@@ -53,7 +40,7 @@ def main() -> None:
     print("-" * 45)
     curve = {}
     for threshold in THRESHOLDS:
-        latency, stats = run({"scheme.fusion.threshold_bytes": threshold})
+        latency, stats = run({"scheme.options.threshold_bytes": threshold})
         curve[threshold] = latency
         print(
             f"{threshold // KiB:>10}KB{latency:>10.1f}us{stats.launches:>9}"
@@ -67,7 +54,9 @@ def main() -> None:
         "over-fused above (§IV-C)"
     )
 
-    latency, stats = run(scheme_factory=model_based_scheme)
+    # The model-based policy launches once the cost model says the batch
+    # out-runs two kernel-launch overheads.
+    latency, stats = run({"scheme.options.policy": "model"})
     print(
         f"\nmodel-based policy (no tuning): {latency:.1f} us "
         f"({stats.launches} fused kernels, mean batch {stats.mean_batch:.1f})"

@@ -134,9 +134,9 @@ def _scheme_overrides(
         if tuned_threshold is None:
             raise ValueError("Proposed-Tuned needs a tuned threshold")
         return {
-            "scheme.name": "Proposed-Tuned",
-            "scheme.label": "Proposed-Tuned",
-            "scheme.fusion.threshold_bytes": tuned_threshold,
+            "scheme.name": "Proposed",
+            "scheme.options.name": "Proposed-Tuned",
+            "scheme.options.threshold_bytes": tuned_threshold,
         }
     return {"scheme.name": scheme}
 
@@ -203,7 +203,7 @@ def _fig08_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpe
             f"thr={threshold // KiB}KB/dim={dim}",
             {
                 "scheme.name": "Proposed",
-                "scheme.fusion.threshold_bytes": threshold,
+                "scheme.options.threshold_bytes": threshold,
                 "workload.dim": dim,
             },
         )
@@ -271,7 +271,7 @@ def _fig11_expand(_tuning: Mapping[str, ExperimentResult]) -> List[ExperimentSpe
             "workload.nbuffers": FIG11_NBUF,
         }
         if scheme == "Proposed":
-            overrides["scheme.fusion.threshold_bytes"] = 512 * KiB
+            overrides["scheme.options.threshold_bytes"] = 512 * KiB
         specs.append(_spec("fig11_breakdown", scheme, overrides))
     return specs
 
@@ -291,7 +291,7 @@ def _figure12_tuning(experiment: str, system: str) -> List[ExperimentSpec]:
                     _tuning_key(workload, threshold),
                     {
                         "scheme.name": "Proposed",
-                        "scheme.fusion.threshold_bytes": threshold,
+                        "scheme.options.threshold_bytes": threshold,
                         "system.name": system,
                         "workload.name": workload,
                         "workload.dim": mid,
@@ -330,7 +330,7 @@ def threshold_curve(
         ExperimentSpec(
             "autotune",
             f"thr={threshold}",
-            base.with_overrides({"scheme.fusion.threshold_bytes": threshold}),
+            base.with_overrides({"scheme.options.threshold_bytes": threshold}),
         )
         for threshold in thresholds
     ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,14 +46,12 @@ from ..mpi.communicator import Runtime
 from ..net.topology import Cluster
 from ..obs.metrics import MetricsSnapshot
 from ..obs.observer import Observer
-from ..schemes.base import PackingScheme
+from ..schemes import make_scheme_factory
 from ..sim.engine import Simulator
 from ..sim.faults import FaultPlan
 from ..sim.trace import Category
 
 __all__ = ["ExperimentResult", "RecoveryReport", "run_bulk_exchange"]
-
-SchemeFactory = Callable[..., PackingScheme]
 
 #: the token every inter-iteration barrier message carries
 _BARRIER_TOKEN = DataLayout.contiguous(8)
@@ -267,7 +265,6 @@ def run_bulk_exchange(
     cfg: ExperimentConfig,
     *,
     obs: Optional[Observer] = None,
-    scheme_factory: Optional[SchemeFactory] = None,
     faults: Optional[FaultPlan] = None,
 ) -> ExperimentResult:
     """Run one configured experiment and return its measurements.
@@ -295,12 +292,12 @@ def run_bulk_exchange(
     :class:`RecoveryReport` off the same object counters the snapshot
     is published from, observer or not.
 
-    Two overrides exist for what the config cannot name:
-    ``scheme_factory`` builds each rank's scheme instead of
-    ``cfg.scheme`` (ablation variants outside the registry), and
-    ``faults`` attaches a live plan — a scripted test plan, or one whose
-    ``stats`` the caller reads afterwards — instead of ``cfg.faults``,
-    which must then stay disabled.
+    Every rank's scheme is built from ``cfg.scheme``
+    (:func:`~repro.schemes.make_scheme_factory`).  One override exists
+    for what the config cannot name: ``faults`` attaches a live plan — a
+    scripted test plan, or one whose ``stats`` the caller reads
+    afterwards — instead of ``cfg.faults``, which must then stay
+    disabled.
     """
     if faults is not None and cfg.faults.enabled:
         raise TypeError(
@@ -309,10 +306,7 @@ def run_bulk_exchange(
         )
     system = cfg.system.resolve()
     spec = cfg.workload.resolve()
-    if scheme_factory is None:
-        from ..schemes import make_scheme_factory
-
-        scheme_factory = make_scheme_factory(cfg.scheme)
+    scheme_factory = make_scheme_factory(cfg.scheme)
     noise = cfg.noise.build(cfg.harness.seed)
     if faults is None:
         faults = cfg.faults.build(cfg.harness.seed)

@@ -9,7 +9,6 @@ from .tree import (
     CONFIG_SCHEMA,
     ExperimentConfig,
     FaultsCfg,
-    FusionCfg,
     HarnessCfg,
     NoiseCfg,
     ObsCfg,
@@ -25,7 +24,6 @@ __all__ = [
     "ExperimentConfig",
     "SystemCfg",
     "WorkloadCfg",
-    "FusionCfg",
     "SchemeCfg",
     "ProtocolCfg",
     "FaultsCfg",

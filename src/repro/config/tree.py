@@ -20,7 +20,7 @@ Contracts:
   and :meth:`ExperimentConfig.from_dict` rejects unknown keys by dotted
   path;
 * **dotted-path overrides** —
-  ``cfg.with_overrides({"scheme.fusion.threshold_bytes": 1 << 19})``
+  ``cfg.with_overrides({"scheme.options.threshold_bytes": 1 << 19})``
   returns a new validated config; unknown paths raise;
 * **canonical hash** — :meth:`ExperimentConfig.content_hash` is a
   sha256 over the sorted-key canonical JSON, independent of
@@ -48,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "SystemCfg",
     "WorkloadCfg",
-    "FusionCfg",
     "SchemeCfg",
     "ProtocolCfg",
     "FaultsCfg",
@@ -62,15 +61,13 @@ __all__ = [
 #: bump only on a deliberate canonical-form change (the golden-hash pin
 #: test fails loudly when the form drifts by accident); v2: ``obs`` holds
 #: only ``metrics``; v3: the single-valued protocol and fusion knobs are
-#: module constants, not fields
-CONFIG_SCHEMA = "repro.config/v3"
+#: module constants, not fields; v4: ``scheme.options`` holds every
+#: fusion-variant knob, the display name included
+CONFIG_SCHEMA = "repro.config/v4"
 
 #: rendezvous protocol names (mirrors ``repro.mpi.protocols`` RPUT/RGET;
 #: duplicated by value so this module stays import-light)
 _RENDEZVOUS = ("rput", "rget")
-
-#: :class:`FusionCfg` fields written into the artifact ``config`` block
-_FUSION_KEYS = ("threshold_bytes", "capacity")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -172,78 +169,43 @@ class WorkloadCfg:
 
 
 @dataclass(frozen=True)
-class FusionCfg:
-    """Kernel-fusion overrides (§IV-C policy + scheduler capacity).
-
-    ``None`` everywhere means "registry defaults" — the scheme runs
-    exactly as ``SCHEME_REGISTRY[name]`` builds it.  Setting any field
-    (or :attr:`SchemeCfg.label`) switches the factory onto the
-    :class:`~repro.core.framework.KernelFusionScheme` path with a
-    :class:`~repro.core.fusion_policy.FusionPolicy` built from the
-    non-``None`` fields.
-    """
-
-    threshold_bytes: Optional[int] = None
-    capacity: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _check_opt_int("scheme.fusion.threshold_bytes", self.threshold_bytes, 0)
-        _check_opt_int("scheme.fusion.capacity", self.capacity, 1)
-
-    @property
-    def configured(self) -> bool:
-        """True when any override is set."""
-        return any(
-            getattr(self, f.name) is not None for f in dataclasses.fields(self)
-        )
-
-    def policy_kwargs(self) -> Dict[str, int]:
-        """The set policy fields, as ``FusionPolicy`` keyword arguments."""
-        if self.threshold_bytes is None:
-            return {}
-        return {"threshold_bytes": self.threshold_bytes}
-
-
-@dataclass(frozen=True)
 class SchemeCfg:
     """Which datatype-processing scheme packs/unpacks the messages."""
 
-    #: registry name (``repro.schemes.SCHEME_REGISTRY``) or a display
-    #: name for a fusion variant (e.g. ``Proposed-Tuned``)
+    #: registry name (``repro.schemes.SCHEME_REGISTRY``)
     name: str = "Proposed"
-    #: display-name override for fusion variants (``None`` = default)
-    label: Optional[str] = None
-    fusion: FusionCfg = field(default_factory=FusionCfg)
-    #: extra constructor keywords for registry schemes (validated
-    #: against the scheme's signature by ``make_scheme_factory``)
+    #: constructor keywords of the scheme (checked against its
+    #: signature by ``make_scheme_factory``); on ``Proposed`` they name
+    #: a fusion variant: ``threshold_bytes``, ``policy``, ``capacity``,
+    #: ``grid_blocks``, ``idle_linger`` and the display ``name``
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require(bool(self.name) and isinstance(self.name, str), "scheme.name must be a non-empty string")
-        _require(
-            self.label is None or (bool(self.label) and isinstance(self.label, str)),
-            "scheme.label must be None or a non-empty string",
-        )
-        object.__setattr__(self, "options", dict(self.options))
+        options = dict(self.options)
+        object.__setattr__(self, "options", options)
+        for key, minimum in (("threshold_bytes", 0), ("capacity", 1), ("grid_blocks", 1)):
+            if key in options:
+                _check_int(f"scheme.options.{key}", options[key], minimum)
+        if "policy" in options:
+            from ..core.framework import POLICIES
 
-    @property
-    def fusion_configured(self) -> bool:
-        """True when this config names a fusion variant (not a plain
-        registry lookup) — any fusion override or an explicit label."""
-        return self.fusion.configured or self.label is not None
+            _require(
+                options["policy"] in POLICIES,
+                f"scheme.options.policy must be one of {list(POLICIES)}, "
+                f"got {options['policy']!r}",
+            )
+        if "name" in options:
+            name = options["name"]
+            _require(
+                bool(name) and isinstance(name, str),
+                f"scheme.options.name must be a non-empty string, got {name!r}",
+            )
 
     def overrides_dict(self) -> Dict[str, Any]:
         """The ``config`` block this scheme config records into artifact
-        entries: set fusion fields, the label as ``name``, and options."""
-        out: Dict[str, Any] = {
-            k: v
-            for k in _FUSION_KEYS
-            if (v := getattr(self.fusion, k)) is not None
-        }
-        if self.label is not None:
-            out["name"] = self.label
-        out.update(self.options)
-        return out
+        entries: its options."""
+        return dict(self.options)
 
 
 @dataclass(frozen=True)
@@ -463,7 +425,7 @@ class ExperimentConfig:
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ExperimentConfig":
         """A new config with dotted-path overrides applied.
 
-        ``cfg.with_overrides({"scheme.fusion.threshold_bytes": 1 << 19})``
+        ``cfg.with_overrides({"scheme.options.threshold_bytes": 1 << 19})``
         — every path must name an existing field (free-form mapping
         fields ``scheme.options.*`` and ``faults.spec.*`` accept new
         keys); the result re-validates from scratch.
@@ -479,7 +441,6 @@ class ExperimentConfig:
         return config_diff(self.to_dict(), other.to_dict())
 
 
-_NESTED[SchemeCfg] = {"fusion": FusionCfg}
 _NESTED[ExperimentConfig] = {
     "system": SystemCfg,
     "workload": WorkloadCfg,

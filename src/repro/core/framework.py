@@ -28,14 +28,18 @@ from ..sim.trace import Category, Trace
 from ..schemes import base
 from ..schemes.base import OpHandle, PackingScheme, SchemeCapabilities, SchemeGen
 from ..schemes.gpu_sync import GPUSyncScheme
-from .fusion_policy import FusionPolicy
+from .fusion_policy import FusionPolicy, ModelBasedPolicy
 from .request_list import REQUEST_LIST_CAPACITY
 from .scheduler import FusionScheduler
 
-__all__ = ["KernelFusionScheme"]
+__all__ = ["POLICIES", "KernelFusionScheme"]
 
 #: CPU cost of one response-flag read (a host memory load per request)
 FLAG_POLL_COST = us(0.05)
+
+#: launch rules ``policy=`` names: the §IV-C byte threshold, or the
+#: model-based criterion the paper leaves as future work
+POLICIES = ("threshold", "model")
 
 
 class KernelFusionScheme(PackingScheme):
@@ -54,13 +58,23 @@ class KernelFusionScheme(PackingScheme):
         site: RankSite,
         trace: Optional[Trace] = None,
         *,
-        policy: Optional[FusionPolicy] = None,
+        threshold_bytes: int = FusionPolicy.threshold_bytes,
+        policy: str = "threshold",
         capacity: int = REQUEST_LIST_CAPACITY,
+        grid_blocks: Optional[int] = None,
         idle_linger: float = us(6.0),
         name: Optional[str] = None,
     ):
         super().__init__(site, trace)
-        self.scheduler = FusionScheduler(site, self.trace, policy, capacity=capacity)
+        if policy == "threshold":
+            launch_policy = FusionPolicy(threshold_bytes)
+        elif policy == "model":
+            launch_policy = ModelBasedPolicy(arch=site.device.arch)
+        else:
+            raise ValueError(f"policy must be one of {list(POLICIES)}, got {policy!r}")
+        self.scheduler = FusionScheduler(
+            site, self.trace, launch_policy, capacity=capacity, grid_blocks=grid_blocks
+        )
         #: how long the progress engine must be enqueue-idle before a
         #: sync-point flush launches a below-threshold batch (§IV-C
         #: scenario 1: "no more operations to request")
@@ -69,11 +83,6 @@ class KernelFusionScheme(PackingScheme):
         self.fallback_count = 0
         if name is not None:
             self.name = name
-
-    @property
-    def policy(self) -> FusionPolicy:
-        """The active launch policy."""
-        return self.scheduler.policy
 
     def submit(self, op: KernelOp, label: str = "") -> SchemeGen:
         request = yield from self.scheduler.enqueue(op, label)

@@ -37,7 +37,7 @@ __all__ = [
     "REQUEST_LIST_CAPACITY",
 ]
 
-#: ring slots per rank unless ``scheme.fusion.capacity`` says otherwise
+#: ring slots per rank unless ``scheme.options.capacity`` says otherwise
 REQUEST_LIST_CAPACITY = 256
 
 

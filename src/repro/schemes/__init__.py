@@ -8,6 +8,7 @@ and validates every override against the scheme's constructor
 signature.
 """
 
+import functools
 import inspect
 from typing import Any, Callable, Dict
 
@@ -43,10 +44,11 @@ def _openmpi_factory(site: RankSite, trace: Trace) -> PackingScheme:
     return NaiveCopyScheme(site, trace, per_copy_factor=0.85, name="OpenMPI")
 
 
-def _proposed_factory(site: RankSite, trace: Trace) -> PackingScheme:
+def _proposed_factory(site: RankSite, trace: Trace, **options: Any) -> PackingScheme:
+    # Imported at call time: ``repro.core`` builds on this package.
     from ..core.framework import KernelFusionScheme
 
-    return KernelFusionScheme(site, trace)
+    return KernelFusionScheme(site, trace, **options)
 
 
 #: name -> factory(site, trace) for every evaluated scheme.
@@ -61,8 +63,7 @@ SCHEME_REGISTRY: Dict[str, Callable[[RankSite, Trace], PackingScheme]] = {
 }
 
 
-#: alias factories take no constructor overrides (options on
-#: ``Proposed`` build a fusion variant instead)
+#: alias factories take no constructor overrides
 _ALIASED = (_spectrum_factory, _openmpi_factory)
 
 
@@ -70,16 +71,19 @@ def _validate_scheme_kwargs(name: str, ctor: Callable, kwargs: Dict[str, Any]) -
     """Reject keyword overrides the scheme's constructor cannot accept.
 
     Validated eagerly (at factory-build time, not first call), naming
-    the bad key and the scheme — the satellite fix for the old silent
-    forwarding of unknown kwargs.
+    the bad key and the scheme.  ``Proposed``'s keys are checked
+    against :class:`~repro.core.framework.KernelFusionScheme`, not
+    against the forwarding wrapper that builds it.
     """
     if not kwargs:
         return
     if ctor in _ALIASED:
         raise ValueError(f"overrides not supported for aliased scheme {name!r}")
+    if ctor is _proposed_factory:
+        from ..core.framework import KernelFusionScheme
+
+        ctor = KernelFusionScheme
     params = inspect.signature(ctor).parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        return
     accepted = {
         pname
         for pname, p in params.items()
@@ -94,52 +98,22 @@ def _validate_scheme_kwargs(name: str, ctor: Callable, kwargs: Dict[str, Any]) -
             )
 
 
-def _fusion_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme]:
-    from ..core.framework import KernelFusionScheme
-    from ..core.fusion_policy import FusionPolicy
-    from ..core.request_list import REQUEST_LIST_CAPACITY
-
-    policy = FusionPolicy(**cfg.fusion.policy_kwargs())
-    capacity = (
-        cfg.fusion.capacity if cfg.fusion.capacity is not None else REQUEST_LIST_CAPACITY
-    )
-    options = dict(cfg.options)
-    _validate_scheme_kwargs(cfg.name, KernelFusionScheme, options)
-
-    def factory(site: RankSite, trace: Trace) -> PackingScheme:
-        return KernelFusionScheme(
-            site, trace, policy=policy, capacity=capacity, name=cfg.label, **options
-        )
-
-    return factory
-
-
 def make_scheme_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme]:
     """The single scheme-instantiation path: ``factory(site, trace)``.
 
-    A fusion variant — any ``fusion`` override, a ``label``, or
-    constructor ``options`` on ``Proposed`` — builds a
-    :class:`~repro.core.framework.KernelFusionScheme` exactly as the
-    benchmark drivers do; everything else resolves through
-    :data:`SCHEME_REGISTRY`.  Unknown scheme names raise ``KeyError``;
-    unknown constructor overrides raise ``ValueError`` naming the bad
-    key and the scheme.
+    The registry entry for ``cfg.name`` with ``cfg.options`` bound as
+    constructor keywords; options on ``Proposed`` name a fusion variant
+    (threshold, launch policy, ring capacity, grid, linger, display
+    name).  Unknown scheme names raise ``KeyError``; unknown options
+    raise ``ValueError`` naming the bad key and the scheme.
     """
-    if cfg.fusion_configured or (cfg.name == "Proposed" and cfg.options):
-        return _fusion_factory(cfg)
-
     if cfg.name not in SCHEME_REGISTRY:
         raise KeyError(
-            f"scheme {cfg.name!r} is not in the registry and carries no "
-            "fusion config — cannot build its factory"
+            f"scheme {cfg.name!r} is not in the registry — cannot build its factory"
         )
     base = SCHEME_REGISTRY[cfg.name]
     options = dict(cfg.options)
     _validate_scheme_kwargs(cfg.name, base, options)
     if not options:
         return base
-
-    def factory(site: RankSite, trace: Trace) -> PackingScheme:
-        return base(site, trace, **options)
-
-    return factory
+    return functools.partial(base, **options)

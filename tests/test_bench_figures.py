@@ -72,7 +72,7 @@ def test_fig12_tuning_phase_shape():
     assert {t.key for t in tuning} == set(_fake_tuning())
     # candidates only vary the fusion threshold
     assert all(
-        t.cfg.scheme.fusion.threshold_bytes in TUNE_CANDIDATES for t in tuning
+        t.cfg.scheme.options["threshold_bytes"] in TUNE_CANDIDATES for t in tuning
     )
 
 
@@ -99,10 +99,10 @@ def test_tuned_threshold_reaches_grid_specs():
     for workload in FIG12_SWEEPS:
         fake[f"tune/{workload}/thr={TUNE_CANDIDATES[-1] // 1024}KB"] = _fake_view(0.5)
     grid = FIGURES["fig12"].expand(fake)
-    tuned = [s for s in grid if s.cfg.scheme.name == "Proposed-Tuned"]
+    tuned = [s for s in grid if s.cfg.scheme.options.get("name") == "Proposed-Tuned"]
     assert tuned
     assert all(
-        s.cfg.scheme.fusion.threshold_bytes == TUNE_CANDIDATES[-1] for s in tuned
+        s.cfg.scheme.options["threshold_bytes"] == TUNE_CANDIDATES[-1] for s in tuned
     )
 
 

@@ -101,17 +101,6 @@ def test_live_fault_plan_and_configured_faults_are_exclusive():
         run_bulk_exchange(cfg, faults=FaultPlan(seed=1))
 
 
-@pytest.mark.parametrize("scheme", ["GPU-Sync", "Proposed"])
-def test_scheme_factory_override_matches_config_named_run(scheme):
-    cfg = NAS_MG.with_overrides(
-        {"scheme.name": scheme, "workload.nbuffers": 2, "harness.data_plane": False}
-    )
-    named = run_bulk_exchange(cfg)
-    injected = run_bulk_exchange(cfg, scheme_factory=SCHEME_REGISTRY[scheme])
-    assert injected.scheme == named.scheme == scheme
-    assert injected.latencies == named.latencies
-
-
 def test_verification_detects_dropped_bytes(monkeypatch):
     """verify=True really checks: sabotage the data plane — drop every
     byte, pack from one byte off the layout, or pack the right bytes

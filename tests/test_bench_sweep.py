@@ -52,7 +52,7 @@ def small_spec(key="shard", scheme="GPU-Sync", overrides=None):
 
 def test_spec_dict_round_trip():
     spec = small_spec(
-        overrides={"scheme.fusion.threshold_bytes": 1024, "scheme.label": "X"}
+        overrides={"scheme.options.threshold_bytes": 1024, "scheme.options.name": "X"}
     )
     clone = ExperimentSpec.from_dict(spec.to_dict())
     assert clone == spec
@@ -61,7 +61,7 @@ def test_spec_dict_round_trip():
 
 
 def test_spec_pickle_round_trip():
-    spec = small_spec(overrides={"scheme.fusion.threshold_bytes": 2048})
+    spec = small_spec(overrides={"scheme.options.threshold_bytes": 2048})
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec
     assert clone.cache_key("s") == spec.cache_key("s")
@@ -69,7 +69,7 @@ def test_spec_pickle_round_trip():
 
 def test_result_from_entry_inverts_run_entry():
     spec = small_spec(
-        scheme="Proposed", overrides={"scheme.fusion.threshold_bytes": 512 * 1024}
+        scheme="Proposed", overrides={"scheme.options.threshold_bytes": 512 * 1024}
     )
     entry = spec.run_entry()
     assert entry["config"] == {"threshold_bytes": 512 * 1024}
@@ -107,7 +107,7 @@ def test_cache_key_is_stable_and_spec_sensitive():
     other_dim = small_spec(overrides={"workload.dim": 3})
     assert other_dim.cache_key("salt") != spec.cache_key("salt")
     assert (
-        small_spec(overrides={"scheme.fusion.threshold_bytes": 1}).cache_key("salt")
+        small_spec(overrides={"scheme.options.threshold_bytes": 1}).cache_key("salt")
         != spec.cache_key("salt")
     )
 

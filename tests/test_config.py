@@ -20,7 +20,6 @@ from repro.bench.sweep import ExperimentSpec
 from repro.config import (
     ExperimentConfig,
     FaultsCfg,
-    FusionCfg,
     HarnessCfg,
     NoiseCfg,
     ProtocolCfg,
@@ -31,12 +30,12 @@ from repro.config import (
 
 KiB = 1024
 
-#: sha256 of the documented default config under ``repro.config/v3``.
+#: sha256 of the documented default config under ``repro.config/v4``.
 #: This pin fails loudly when the canonical form drifts — a deliberate
 #: schema change must bump CONFIG_SCHEMA and update this value (which
 #: also invalidates every sweep-cache entry, as it must).
 GOLDEN_DEFAULT_HASH = (
-    "abed0f2563d32480074983916c0b9d5b98e41601b75d3a8c6e583573f1d4b827"
+    "86671d622b5686b711fac8be31309792a33491698908e21fbf348d030b4e2d13"
 )
 
 
@@ -55,10 +54,13 @@ def test_nondefault_round_trips_through_json():
         system=SystemCfg(name="ABCI"),
         workload=WorkloadCfg(name="MILC", dim=32, nbuffers=8),
         scheme=SchemeCfg(
-            name="Proposed-Tuned",
-            label="Proposed-Tuned",
-            fusion=FusionCfg(threshold_bytes=512 * KiB, capacity=128),
-            options={"idle_linger": 2e-6},
+            name="Proposed",
+            options={
+                "name": "Proposed-Tuned",
+                "threshold_bytes": 512 * KiB,
+                "capacity": 128,
+                "idle_linger": 2e-6,
+            },
         ),
         protocol=ProtocolCfg(rendezvous="rget", eager_threshold=8 * KiB),
         faults=FaultsCfg(preset="light", spec={"control_drop": 0.5}, seed=7),
@@ -91,13 +93,13 @@ def test_with_overrides_sets_nested_leaves():
     cfg = ExperimentConfig.default().with_overrides(
         {
             "workload.dim": 2000,
-            "scheme.fusion.threshold_bytes": 512 * KiB,
+            "scheme.options.threshold_bytes": 512 * KiB,
             "protocol.rendezvous": "rget",
             "harness.iterations": 2,
         }
     )
     assert cfg.workload.dim == 2000
-    assert cfg.scheme.fusion.threshold_bytes == 512 * KiB
+    assert cfg.scheme.options["threshold_bytes"] == 512 * KiB
     assert cfg.protocol.rendezvous == "rget"
     assert cfg.harness.iterations == 2
     # The original is untouched (frozen + copy-on-write).
@@ -154,9 +156,9 @@ def test_with_overrides_revalidates():
         (lambda: FaultsCfg(spec={"gremlins": 1}), "unknown fault spec field"),
         (
             lambda: ExperimentConfig.from_dict(
-                {"scheme": {"fusion": {"max_batch_requests": 0}}}
+                {"scheme": {"fusion": {"threshold_bytes": 0}}}
             ),
-            "max_batch_requests",
+            "scheme.fusion",
         ),
         (lambda: SchemeCfg(name=""), "scheme.name"),
     ],
@@ -174,10 +176,8 @@ def test_validation_fails_at_construction(build, match):
         ("harness.warmup", 1.5),
         ("noise.cv", "high"),
         ("noise.cv", True),
-        ("protocol.poll_interval", "fast"),
-        ("protocol.poll_interval", 0),
-        ("protocol.flatten_base_cost", None),
-        ("protocol.flatten_block_cost", False),
+        ("protocol.eager_threshold", "big"),
+        ("protocol.host_staging_threshold", -1),
         ("protocol.pipeline_chunk_bytes", 0),
         ("harness.verify", 1),
         ("harness.verify", "yes"),
@@ -186,11 +186,29 @@ def test_validation_fails_at_construction(build, match):
         ("protocol.layout_cache_enabled", 1),
         ("obs.metrics", 1),
         ("obs.metrics", "true"),
+        ("faults.seed", -1),
+        ("noise.seed", 1.5),
+        ("system.ranks_per_node", 0),
+        ("scheme.options.threshold_bytes", -1),
+        ("scheme.options.capacity", 0),
+        ("scheme.options.grid_blocks", 0),
+        ("scheme.options.policy", "bytes"),
     ],
 )
 def test_bad_value_is_a_value_error_naming_its_path(path, value):
     with pytest.raises(ValueError, match=re.escape(path)):
         ExperimentConfig.default().with_overrides({path: value})
+
+
+def test_bad_fusion_option_fails_at_construction_whichever_way_given():
+    message = "scheme.options.capacity must be an integer >= 1, got 0"
+    for build in (
+        lambda: SchemeCfg(options={"capacity": 0}),
+        lambda: ExperimentConfig.from_dict({"scheme": {"options": {"capacity": 0}}}),
+        lambda: ExperimentConfig.default().with_overrides({"scheme.options.capacity": 0}),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_integral_number_hashes_like_its_float():
@@ -214,19 +232,12 @@ def test_resolve_rejects_unknown_registry_names():
 def test_scheme_overrides_dict_writes_the_config_block():
     cfg = SchemeCfg(
         name="Proposed",
-        label="Tuned",
-        fusion=FusionCfg(threshold_bytes=512 * KiB, capacity=64),
+        options={"threshold_bytes": 512 * KiB, "capacity": 64, "name": "Tuned"},
     )
     assert cfg.overrides_dict() == {
         "threshold_bytes": 512 * KiB, "capacity": 64, "name": "Tuned",
     }
     assert SchemeCfg(name="GPU-Async").overrides_dict() == {}
-
-
-def test_scheme_fusion_configured_flags():
-    assert not SchemeCfg().fusion_configured
-    assert SchemeCfg(fusion=FusionCfg(capacity=4)).fusion_configured
-    assert SchemeCfg(label="Tuned").fusion_configured
 
 
 # -- canonical hash -----------------------------------------------------------
@@ -256,7 +267,7 @@ def test_hash_changes_with_any_knob():
     seen = {base.content_hash()}
     for overrides in (
         {"workload.dim": 2000},
-        {"scheme.fusion.threshold_bytes": 512 * KiB},
+        {"scheme.options.threshold_bytes": 512 * KiB},
         {"protocol.rendezvous": "rget"},
         {"harness.seed": 7},
         {"noise.cv": 0.05},
@@ -296,12 +307,12 @@ def test_hash_stable_across_processes_and_hashseeds():
 def test_diff_reports_dotted_paths():
     a = ExperimentConfig.default()
     b = a.with_overrides(
-        {"workload.dim": 2000, "scheme.fusion.capacity": 64}
+        {"workload.dim": 2000, "scheme.options.capacity": 64}
     )
     assert a.diff(a) == {}
     assert a.diff(b) == {
         "workload.dim": (1000, 2000),
-        "scheme.fusion.capacity": (None, 64),
+        "scheme.options.capacity": (None, 64),
     }
 
 

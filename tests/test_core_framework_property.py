@@ -9,7 +9,7 @@ once and every handle completes.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FusionPolicy, KernelFusionScheme
+from repro.core import KernelFusionScheme
 from repro.datatypes import DataLayout
 from repro.net import Cluster, LASSEN
 from repro.sim import Simulator, Trace, us
@@ -36,7 +36,7 @@ def test_fusion_never_loses_or_duplicates(ops, threshold_kib, capacity):
     scheme = KernelFusionScheme(
         site,
         Trace(sim),
-        policy=FusionPolicy(threshold_bytes=threshold_kib * 1024),
+        threshold_bytes=threshold_kib * 1024,
         capacity=capacity,
     )
     dev = site.device

@@ -87,7 +87,7 @@ def test_observer_populates_the_catalog_metrics(counted):
     """Every counter series is read off the object that keeps it."""
     obs = Observer()
     cfg = RUN.with_overrides(
-        {"protocol.eager_threshold": 0, "scheme.fusion.capacity": 2,
+        {"protocol.eager_threshold": 0, "scheme.options.capacity": 2,
          "harness.data_plane": False}
     )
     result = run_bulk_exchange(cfg, obs=obs)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench import run_bulk_exchange
 from repro.cli import main
-from repro.config import ExperimentConfig, FusionCfg, SchemeCfg
+from repro.config import ExperimentConfig, SchemeCfg
 from repro.mpi.communicator import Runtime
 from repro.obs import (
     experiment_artifact,
@@ -41,7 +41,7 @@ def baseline():
     entries = []
     for scheme in (
         SchemeCfg(name="GPU-Sync"),
-        SchemeCfg(name="Proposed", fusion=FusionCfg(threshold_bytes=512 * 1024)),
+        SchemeCfg(name="Proposed", options={"threshold_bytes": 512 * 1024}),
     ):
         result = run_bulk_exchange(dataclasses.replace(base, scheme=scheme))
         config = scheme.overrides_dict() or None

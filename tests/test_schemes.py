@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import FusionCfg, SchemeCfg
-from repro.core import FusionPolicy, KernelFusionScheme
+from repro.config import SchemeCfg
+from repro.core import KernelFusionScheme, ModelBasedPolicy
 from repro.core.scheduler import ENQUEUE_OVERHEAD
 from repro.datatypes import DOUBLE, DataLayout, Vector
 from repro.mpi import Runtime
@@ -249,7 +249,7 @@ def test_naive_per_copy_factor(env):
 def test_fusion_submit_is_cheap_and_deferred(env):
     sim, site = env
     trace = Trace(sim)
-    scheme = KernelFusionScheme(site, trace, policy=FusionPolicy(threshold_bytes=1 << 30))
+    scheme = KernelFusionScheme(site, trace, threshold_bytes=1 << 30)
     op, *_ = _sparse_op(site)
     out = {}
 
@@ -270,7 +270,7 @@ def test_fusion_submit_is_cheap_and_deferred(env):
 def test_fusion_fallback_on_full_list(env):
     sim, site = env
     scheme = KernelFusionScheme(
-        site, Trace(sim), policy=FusionPolicy(threshold_bytes=1 << 30), capacity=1
+        site, Trace(sim), threshold_bytes=1 << 30, capacity=1
     )
     ops = [_sparse_op(site, seed=i)[0] for i in range(2)]
     out = {}
@@ -346,18 +346,22 @@ def test_make_scheme_factory_with_overrides(env):
 
 
 def test_make_scheme_factory_fusion_override_builds_fusion_scheme(env):
-    """A fusion knob on 'Proposed' routes to KernelFusionScheme (the
-    same rule the sweep engine's config blocks follow), instead of the
-    old alias-override rejection."""
-    from repro.core.framework import KernelFusionScheme
-
+    """A fusion knob on 'Proposed' is a KernelFusionScheme keyword."""
     _sim, site = env
     factory = make_scheme_factory(
-        SchemeCfg(name="Proposed", fusion=FusionCfg(capacity=4))
+        SchemeCfg(name="Proposed", options={"capacity": 4})
     )
     scheme = factory(site, Trace(site.device.sim))
     assert isinstance(scheme, KernelFusionScheme)
     assert scheme.scheduler.request_list.capacity == 4
+
+    factory = make_scheme_factory(
+        SchemeCfg(name="Proposed", options={"grid_blocks": 8, "policy": "model"})
+    )
+    scheme = factory(site, Trace(site.device.sim))
+    assert scheme.scheduler.grid_blocks == 8
+    assert isinstance(scheme.scheduler.policy, ModelBasedPolicy)
+    assert scheme.scheduler.policy.arch is site.device.arch
 
 
 def test_make_scheme_factory_proposed_options_build_fusion_scheme(env):
@@ -381,6 +385,10 @@ def test_make_scheme_factory_rejects_alias_overrides():
 def test_make_scheme_factory_rejects_unknown_option():
     with pytest.raises(ValueError, match="'num_streamz' for scheme 'GPU-Async'"):
         make_scheme_factory(SchemeCfg(name="GPU-Async", options={"num_streamz": 2}))
+    # Proposed's keys are checked against KernelFusionScheme, not the
+    # forwarding wrapper that accepts any keyword.
+    with pytest.raises(ValueError, match="'treshold_bytes' for scheme 'Proposed'"):
+        make_scheme_factory(SchemeCfg(name="Proposed", options={"treshold_bytes": 1}))
 
 
 def test_capabilities_table1_rows():
