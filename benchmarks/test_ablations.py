@@ -23,8 +23,6 @@ show *why* the framework is built the way §IV describes.
 
 from repro.bench import run_bulk_exchange
 from repro.bench.figures import FIG_BASE
-from repro.config import ProtocolCfg
-from repro.schemes import SCHEME_REGISTRY
 from repro.sim import us
 
 KiB = 1024
@@ -152,50 +150,3 @@ def test_ablation_layout_cache(report):
     assert effects["specfem3D_cm"] > 1.1
     assert effects["specfem3D_cm"] > effects["MILC"]
 
-
-def test_ablation_pipeline_chunk_size(report):
-    """The classic staged-pipeline tuning curve: chunk size trades
-    per-chunk latency (too small) against lost stage overlap (too
-    large).  This is the large-message transport the production
-    MVAPICH stack uses where GPUDirect RDMA underperforms; its optimum
-    chunk lands in the classic few-hundred-KB band."""
-    from repro.datatypes import DataLayout
-    from repro.mpi import Runtime
-    from repro.net import ABCI, Cluster
-    from repro.sim import Simulator
-
-    PAYLOAD = 4 << 20  # 4 MB, contiguous: isolates the transport
-
-    def staged_latency(chunk_bytes):
-        sim = Simulator()
-        cluster = Cluster(sim, ABCI, nodes=2, functional=False)
-        protocol = ProtocolCfg(host_staging_threshold=1, pipeline_chunk_bytes=chunk_bytes)
-        rt = Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"], protocol=protocol)
-        lay = DataLayout.contiguous(PAYLOAD)
-        r0, r1 = rt.rank(0), rt.rank(1)
-        sbuf, rbuf = r0.device.alloc(PAYLOAD), r1.device.alloc(PAYLOAD)
-
-        def sender():
-            yield from r0.send(sbuf, lay, 1, dest=1)
-
-        def receiver():
-            yield from r1.recv(rbuf, lay, 1, source=0)
-
-        procs = [sim.process(sender()), sim.process(receiver())]
-        sim.run(sim.all_of(procs))
-        return sim.now
-
-    chunks = [16 * KiB, 64 * KiB, 256 * KiB, 1024 * KiB, 4096 * KiB]
-    curve = {c: staged_latency(c) for c in chunks}
-    rows = [
-        f"  chunk {c // KiB:>5} KB: {t * 1e6:9.1f}us" for c, t in curve.items()
-    ]
-    report(
-        "ablation_pipeline_chunks",
-        "Ablation — host-staged pipeline chunk size (4 MB payload, ABCI)\n"
-        + "\n".join(rows),
-    )
-    best = min(curve, key=curve.get)
-    assert 64 * KiB <= best <= 1024 * KiB
-    assert curve[16 * KiB] > curve[best]
-    assert curve[4096 * KiB] > curve[best]

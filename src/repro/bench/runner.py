@@ -269,7 +269,7 @@ def run_bulk_exchange(
 ) -> ExperimentResult:
     """Run one configured experiment and return its measurements.
 
-    Everything — system, workload, scheme, protocol, noise, faults,
+    Everything — system, workload, scheme, protocol, faults,
     harness — resolves from the one validated
     :class:`~repro.config.ExperimentConfig`.
 
@@ -307,7 +307,6 @@ def run_bulk_exchange(
     system = cfg.system.resolve()
     spec = cfg.workload.resolve()
     scheme_factory = make_scheme_factory(cfg.scheme)
-    noise = cfg.noise.build(cfg.harness.seed)
     if faults is None:
         faults = cfg.faults.build(cfg.harness.seed)
     if obs is None:
@@ -317,25 +316,12 @@ def run_bulk_exchange(
     warmup = cfg.harness.warmup
     verify = cfg.harness.verify
     data_plane = cfg.harness.data_plane
-    total_ranks = cfg.system.nodes * cfg.system.ranks_per_node
-    if total_ranks != 2:
-        raise ValueError(
-            f"the bulk-exchange program needs exactly 2 ranks, got "
-            f"{total_ranks} (system.nodes * system.ranks_per_node)"
-        )
 
     sim = Simulator()
-    sim.noise = noise
     sim.faults = faults
     if obs is not None:
         sim.obs = obs
-    cluster = Cluster(
-        sim,
-        system,
-        nodes=cfg.system.nodes,
-        ranks_per_node=cfg.system.ranks_per_node,
-        functional=data_plane,
-    )
+    cluster = Cluster(sim, system, functional=data_plane)
     runtime = Runtime(sim, cluster, scheme_factory, protocol=cfg.protocol)
     rng = np.random.default_rng(cfg.harness.seed)
     layout = spec.datatype.flatten().replicate(spec.count)

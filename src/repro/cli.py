@@ -26,8 +26,9 @@ Every run launched here is described by one ``ExperimentConfig`` — the
 flags above are folded into it by ``_experiment_config`` before the
 harness is invoked.
 
-``--seed`` seeds both the payload RNG and (for ``faults``) the fault
-plan, so every run is reproducible end to end.
+``faults --seed`` seeds both the payload RNG and the fault plan, so
+every run is reproducible end to end; the other commands run dry and
+fault-free, so no draw of theirs depends on a seed.
 
 Telemetry flags (all default-off; the default output of every command
 is byte-identical to running without :mod:`repro.obs` at all):
@@ -48,12 +49,12 @@ from .config import (
     ExperimentConfig,
     FaultsCfg,
     HarnessCfg,
-    NoiseCfg,
     SchemeCfg,
     SystemCfg,
     WorkloadCfg,
 )
 from .core.autotune import recommend_threshold
+from .core.fusion_policy import LAUNCH_COST_MULTIPLE
 from .net import SYSTEMS
 from .obs import Observer, Recorder
 from .schemes import SCHEME_REGISTRY
@@ -79,14 +80,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", default="Lassen", choices=sorted(SYSTEMS))
     p.add_argument("--nbuffers", type=int, default=16, help="buffers per direction")
     p.add_argument("--iterations", type=int, default=3)
-    p.add_argument(
-        "--seed", type=int, default=42,
-        help="seed for payload data and fault/noise draws",
-    )
-    p.add_argument(
-        "--noise", type=_nonnegative_float, default=0.0, metavar="CV",
-        help="execution-noise coefficient of variation (0 = deterministic)",
-    )
 
 
 def _experiment_config(
@@ -104,13 +97,14 @@ def _experiment_config(
             name=args.workload, dim=args.dim, nbuffers=args.nbuffers
         ),
         scheme=SchemeCfg(name=scheme),
-        noise=NoiseCfg(cv=getattr(args, "noise", 0.0)),
         faults=FaultsCfg(preset=fault_preset),
         harness=HarnessCfg(
             iterations=args.iterations,
             warmup=1,
             data_plane=fault_preset is not None,
-            seed=args.seed,
+            # Only ``faults`` takes --seed: every other command runs dry
+            # and fault-free, where no draw reads it.
+            seed=getattr(args, "seed", HarnessCfg.seed),
         ),
     )
 
@@ -245,7 +239,7 @@ def cmd_autotune(args) -> int:
     layout = spec.datatype.flatten().replicate(spec.count)
     model = recommend_threshold(system.gpu_arch, layout)
     print(f"model-based recommendation: {model // KiB} KB "
-          f"(§IV-C: fused time >= 2x launch overhead)\n")
+          f"(§IV-C: fused time >= {LAUNCH_COST_MULTIPLE:g}x launch overhead)\n")
     curve = threshold_curve(_experiment_config(args, "Proposed"))
     best = best_threshold(curve)
     print("empirical sweep:")
@@ -496,6 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults", help="chaos sweep under fault-injection presets")
     _add_common(p)
     p.add_argument("--scheme", default="Proposed", choices=sorted(SCHEME_REGISTRY))
+    p.add_argument(
+        "--seed", type=int, default=HarnessCfg.seed,
+        help="seed for payload data and fault draws",
+    )
     p.add_argument(
         "--presets", nargs="+", default=["light", "moderate", "heavy"],
         choices=sorted(FAULT_PRESETS),

@@ -10,7 +10,6 @@ from .tree import (
     ExperimentConfig,
     FaultsCfg,
     HarnessCfg,
-    NoiseCfg,
     ObsCfg,
     ProtocolCfg,
     SchemeCfg,
@@ -27,7 +26,6 @@ __all__ = [
     "SchemeCfg",
     "ProtocolCfg",
     "FaultsCfg",
-    "NoiseCfg",
     "ObsCfg",
     "HarnessCfg",
     "config_diff",

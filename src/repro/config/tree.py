@@ -1,7 +1,7 @@
 """The canonical experiment-config plane: one frozen, validated tree.
 
 Every experiment the repro can run — any (system, scheme, workload,
-protocol, faults, noise, obs, harness) point of the paper's §V
+protocol, faults, obs, harness) point of the paper's §V
 evaluation space — is fully described by one :class:`ExperimentConfig`.
 The tree is the single source of truth threaded through the runner
 (:func:`repro.bench.runner.run_bulk_exchange`), the runtime
@@ -51,7 +51,6 @@ __all__ = [
     "SchemeCfg",
     "ProtocolCfg",
     "FaultsCfg",
-    "NoiseCfg",
     "ObsCfg",
     "HarnessCfg",
     "config_diff",
@@ -62,8 +61,9 @@ __all__ = [
 #: test fails loudly when the form drifts by accident); v2: ``obs`` holds
 #: only ``metrics``; v3: the single-valued protocol and fusion knobs are
 #: module constants, not fields; v4: ``scheme.options`` holds every
-#: fusion-variant knob, the display name included
-CONFIG_SCHEMA = "repro.config/v4"
+#: fusion-variant knob, the display name included; v5: no ``noise``
+#: section, no host-staging protocol knobs, no rank-shape system knobs
+CONFIG_SCHEMA = "repro.config/v5"
 
 #: rendezvous protocol names (mirrors ``repro.mpi.protocols`` RPUT/RGET;
 #: duplicated by value so this module stays import-light)
@@ -87,19 +87,6 @@ def _check_opt_int(name: str, value: Any, minimum: int) -> None:
         _check_int(name, value, minimum)
 
 
-def _check_float(obj: Any, section: str, name: str, minimum: float) -> None:
-    """A real number ``>= minimum``, stored as a float so ``0`` and
-    ``0.0`` hash alike."""
-    value = getattr(obj, name)
-    _require(
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and value >= minimum,
-        f"{section}.{name} must be a number >= {minimum}, got {value!r}",
-    )
-    object.__setattr__(obj, name, float(value))
-
-
 def _check_bool(obj: Any, section: str, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
@@ -118,13 +105,9 @@ class SystemCfg:
 
     #: registered system name (``repro.net.SYSTEMS``: Lassen, ABCI, …)
     name: str = "Lassen"
-    nodes: int = 2
-    ranks_per_node: int = 1
 
     def __post_init__(self) -> None:
         _require(bool(self.name) and isinstance(self.name, str), "system.name must be a non-empty string")
-        _check_int("system.nodes", self.nodes, 1)
-        _check_int("system.ranks_per_node", self.ranks_per_node, 1)
 
     def resolve(self) -> Any:
         """The live :class:`~repro.net.systems.SystemConfig`."""
@@ -220,10 +203,6 @@ class ProtocolCfg:
     enable_direct_ipc: bool = False
     #: datatype layout cache of [24] (Table I ablation axis)
     layout_cache_enabled: bool = True
-    #: messages at/above this use the host-staged chunked pipeline
-    #: (``None`` = never)
-    host_staging_threshold: Optional[int] = None
-    pipeline_chunk_bytes: int = 256 * 1024
 
     def __post_init__(self) -> None:
         if self.rendezvous not in _RENDEZVOUS:
@@ -232,9 +211,7 @@ class ProtocolCfg:
                 f"(choose from {list(_RENDEZVOUS)})"
             )
         _check_opt_int("protocol.eager_threshold", self.eager_threshold, 0)
-        _check_opt_int("protocol.host_staging_threshold", self.host_staging_threshold, 0)
         _check_bool(self, "protocol", "enable_direct_ipc", "layout_cache_enabled")
-        _check_int("protocol.pipeline_chunk_bytes", self.pipeline_chunk_bytes, 1)
 
 
 @dataclass(frozen=True)
@@ -292,30 +269,6 @@ class FaultsCfg:
 
 
 @dataclass(frozen=True)
-class NoiseCfg:
-    """Execution-noise model: seeded multiplicative jitter."""
-
-    #: coefficient of variation (0 = deterministic, no model attached)
-    cv: float = 0.0
-    #: ``None`` derives the stream seed from :attr:`HarnessCfg.seed`
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _check_float(self, "noise", "cv", 0)
-        _check_opt_int("noise.seed", self.seed, 0)
-
-    def build(self, default_seed: int) -> Optional[Any]:
-        """The live :class:`~repro.sim.noise.NoiseModel` (or ``None``)."""
-        if self.cv <= 0.0:
-            return None
-        from ..sim.noise import NoiseModel
-
-        return NoiseModel(
-            seed=self.seed if self.seed is not None else default_seed, cv=self.cv
-        )
-
-
-@dataclass(frozen=True)
 class ObsCfg:
     """Telemetry switch (observation never moves virtual time)."""
 
@@ -348,7 +301,7 @@ class HarnessCfg:
     verify: bool = True
     #: move real bytes (False prices operations without NumPy copies)
     data_plane: bool = True
-    #: seeds the payload RNG and, by default, fault/noise draws
+    #: seeds the payload RNG and, by default, fault draws
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -376,7 +329,6 @@ class ExperimentConfig:
     scheme: SchemeCfg = field(default_factory=SchemeCfg)
     protocol: ProtocolCfg = field(default_factory=ProtocolCfg)
     faults: FaultsCfg = field(default_factory=FaultsCfg)
-    noise: NoiseCfg = field(default_factory=NoiseCfg)
     obs: ObsCfg = field(default_factory=ObsCfg)
     harness: HarnessCfg = field(default_factory=HarnessCfg)
 
@@ -447,7 +399,6 @@ _NESTED[ExperimentConfig] = {
     "scheme": SchemeCfg,
     "protocol": ProtocolCfg,
     "faults": FaultsCfg,
-    "noise": NoiseCfg,
     "obs": ObsCfg,
     "harness": HarnessCfg,
 }

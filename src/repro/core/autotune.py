@@ -5,9 +5,11 @@ The paper tunes the fusion threshold per system/workload by hand
 threshold") and names model-based auto-tuning as future work.
 :func:`recommend_threshold` is that model: the closed-form §IV-C
 principle, the smallest pooled byte count whose *estimated* fused
-execution time exceeds a multiple of the kernel-launch overhead,
-computed from the workload's block shape and the architecture cost
-model.  No runs needed.
+execution time reaches
+:data:`~repro.core.fusion_policy.LAUNCH_COST_MULTIPLE` kernel-launch
+overheads (the criterion :class:`~repro.core.fusion_policy.ModelBasedPolicy`
+launches on), computed from the workload's block shape and the
+architecture cost model.  No runs needed.
 
 The empirical method the paper actually used — run the bulk exchange
 across a candidate grid and take the argmin — is a sweep like any
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from ..datatypes.layout import DataLayout
 from ..gpu.archs import GPUArchitecture
-from ..gpu.kernels import kernel_compute_time
+from .fusion_policy import outruns_launch
 
 __all__ = ["recommend_threshold"]
 
@@ -33,24 +35,22 @@ def recommend_threshold(
     arch: GPUArchitecture,
     layout: DataLayout,
     *,
-    launch_cost_multiple: float = 2.0,
     max_threshold: int = 4096 * KiB,
 ) -> int:
-    """Closed-form threshold: pool messages until the fused kernel's
-    estimated time exceeds ``launch_cost_multiple`` launch overheads.
+    """Closed-form threshold: pool messages until the fused kernel
+    out-runs its launch (:func:`~repro.core.fusion_policy.outruns_launch`).
 
     ``layout`` is one message's flattened layout; the returned value is
     a pooled byte count suitable for ``FusionPolicy.threshold_bytes``.
     """
     if layout.size <= 0:
         raise ValueError("layout must carry payload bytes")
-    target = launch_cost_multiple * arch.kernel_launch_overhead
     for messages in range(1, 4097):
         pooled_bytes = messages * layout.size
         pooled_blocks = messages * layout.num_blocks
-        estimate = kernel_compute_time(
-            arch, pooled_bytes, pooled_blocks, layout.mean_block
-        )
-        if estimate >= target or pooled_bytes >= max_threshold:
+        if (
+            outruns_launch(arch, pooled_bytes, pooled_blocks, layout.mean_block)
+            or pooled_bytes >= max_threshold
+        ):
             return min(pooled_bytes, max_threshold)
     return max_threshold

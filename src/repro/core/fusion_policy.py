@@ -16,19 +16,29 @@ Around **512 KB** of pooled data was best on both test systems.
 :class:`FusionPolicy` implements that heuristic plus a request-count
 cap (the fused grid serves at most :data:`MAX_BATCH_REQUESTS` groups) and
 an optional model-based mode (the paper's stated future work): launch
-when the *estimated fused execution time* exceeds a multiple of the
-launch overhead, computed from the cost model instead of a byte count.
+when the *estimated fused execution time* exceeds
+:data:`LAUNCH_COST_MULTIPLE` launch overheads, computed from the cost
+model instead of a byte count.  :func:`outruns_launch` is that
+criterion; :class:`ModelBasedPolicy` and
+:func:`repro.core.autotune.recommend_threshold` both apply it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..gpu.archs import GPUArchitecture
 from ..gpu.kernels import KernelOp, kernel_compute_time
 
-__all__ = ["MAX_BATCH_REQUESTS", "MIN_BATCH_REQUESTS", "FusionPolicy", "ModelBasedPolicy"]
+__all__ = [
+    "LAUNCH_COST_MULTIPLE",
+    "MAX_BATCH_REQUESTS",
+    "MIN_BATCH_REQUESTS",
+    "FusionPolicy",
+    "ModelBasedPolicy",
+    "outruns_launch",
+]
 
 KiB = 1024
 
@@ -38,6 +48,18 @@ MAX_BATCH_REQUESTS = 64
 #: never auto-launch below this many pending requests: a single request
 #: big enough to beat the threshold is worth launching on its own
 MIN_BATCH_REQUESTS = 1
+#: §IV-C model criterion: a fused launch is worth it once its estimated
+#: execution time reaches this many kernel launch overheads
+LAUNCH_COST_MULTIPLE = 2.0
+
+
+def outruns_launch(
+    arch: GPUArchitecture, nbytes: int, nblocks: int, mean_block: float
+) -> bool:
+    """Whether a fused kernel over ``nblocks`` blocks and ``nbytes``
+    bytes runs at least :data:`LAUNCH_COST_MULTIPLE` launch overheads."""
+    estimate = kernel_compute_time(arch, nbytes, nblocks, mean_block)
+    return estimate >= LAUNCH_COST_MULTIPLE * arch.kernel_launch_overhead
 
 
 @dataclass
@@ -65,20 +87,17 @@ class FusionPolicy:
 class ModelBasedPolicy(FusionPolicy):
     """Model-based launch criterion (the paper's stated future work).
 
-    Launches when the *estimated* fused-kernel execution time exceeds
-    ``launch_cost_multiple`` × the kernel launch overhead — a direct
-    encoding of the §IV-C principle ("make sure the running time of the
-    fused kernel is longer than the kernel launch overhead") with no
-    per-system byte-threshold tuning.  Requires the architecture to
-    price the estimate.
+    Launches when the *estimated* fused-kernel execution time reaches
+    :data:`LAUNCH_COST_MULTIPLE` × the kernel launch overhead
+    (:func:`outruns_launch`) — a direct encoding of the §IV-C principle
+    ("make sure the running time of the fused kernel is longer than the
+    kernel launch overhead") with no per-system byte-threshold tuning.
+    ``arch`` prices the estimate and is required.
     """
 
-    arch: Optional[GPUArchitecture] = None
-    launch_cost_multiple: float = 2.0
+    arch: GPUArchitecture = field(kw_only=True)
 
     def should_launch(self, pending: Sequence[KernelOp]) -> bool:
-        if self.arch is None:
-            raise ValueError("ModelBasedPolicy requires an architecture")
         if len(pending) >= MAX_BATCH_REQUESTS:
             return True
         if len(pending) < MIN_BATCH_REQUESTS:
@@ -88,5 +107,4 @@ class ModelBasedPolicy(FusionPolicy):
         if total_bytes == 0:
             return False
         mean_block = total_bytes / max(1, total_blocks)
-        estimate = kernel_compute_time(self.arch, total_bytes, total_blocks, mean_block)
-        return estimate >= self.launch_cost_multiple * self.arch.kernel_launch_overhead
+        return outruns_launch(self.arch, total_bytes, total_blocks, mean_block)

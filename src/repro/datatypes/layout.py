@@ -249,6 +249,26 @@ class DataLayout:
             coalesce=False, validate=False,
         )
 
+    def prefix(self, nbytes: int) -> "DataLayout":
+        """The layout of its first ``nbytes`` payload bytes, the last
+        block cut short: where a message shorter than its receive lands.
+
+        ``self`` when ``nbytes`` covers the whole payload, and the
+        empty contiguous layout for ``nbytes == 0``.
+        """
+        if nbytes >= self.size:
+            return self
+        if nbytes <= 0:
+            return DataLayout.contiguous(0)
+        ends = np.cumsum(self.lengths)
+        last = int(np.searchsorted(ends, nbytes))
+        lengths = self.lengths[: last + 1].copy()
+        lengths[last] -= int(ends[last]) - nbytes
+        return DataLayout(
+            self.offsets[: last + 1], lengths, extent=self.extent,
+            coalesce=False, validate=False,
+        )
+
     def slice_blocks(self, start: int, stop: int) -> "DataLayout":
         """Sub-layout containing blocks ``[start, stop)`` (no re-basing)."""
         return DataLayout(

@@ -88,16 +88,13 @@ class Stream:
     def occupy(self, duration: float) -> float:
         """Reserve the stream for one operation nobody awaits.
 
-        Books the stream and device time (with the noise draw of
-        :meth:`enqueue_callable`) but puts no completion event on the
-        calendar; returns the operation's end time.
+        Books the stream and device time as :meth:`enqueue_callable`
+        does but puts no completion event on the calendar; returns the
+        operation's end time.
         """
         if duration < 0:
             raise ValueError(f"negative duration: {duration}")
-        sim = self.sim
-        if sim.noise is not None:
-            duration *= sim.noise.factor("gpu")
-        start = self.engine.reserve(max(sim.now, self._tail), duration)
+        start = self.engine.reserve(max(self.sim.now, self._tail), duration)
         end = start + duration
         self._tail = end
         return end

@@ -3,7 +3,7 @@
 from .collectives import allreduce
 from .communicator import Rank, Runtime
 from .matching import ANY_SOURCE, ANY_TAG, MatchingEngine, MessageRecord
-from .protocols import DIRECT, EAGER, PIPELINE, RGET, RPUT
+from .protocols import DIRECT, EAGER, RGET, RPUT
 from .request import RecvRequest, Request, SendRequest
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "RGET",
     "RPUT",
     "DIRECT",
-    "PIPELINE",
 ]

@@ -45,14 +45,12 @@ from .matching import ANY_SOURCE, MatchingEngine, MessageRecord
 from .protocols import (
     DIRECT,
     EAGER,
-    PIPELINE,
     RGET,
     RPUT,
     WatchdogStats,
     receiver_pull_rget,
     sender_direct,
     sender_eager,
-    sender_pipeline,
     sender_rget,
     sender_rput,
 )
@@ -94,11 +92,6 @@ class Runtime:
         #: pays the flatten cost (the Table I "Layout Cache" column made
         #: measurable; see the cache ablation benchmark)
         self.layout_cache_enabled = protocol.layout_cache_enabled
-        #: messages at/above this use the host-staged chunked pipeline
-        #: instead of GPUDirect rendezvous (None = never; the classic
-        #: MVAPICH large-message path for PCIe-limited systems)
-        self.host_staging_threshold = protocol.host_staging_threshold
-        self.pipeline_chunk_bytes = protocol.pipeline_chunk_bytes
         #: control-plane counters: first RTS sends, plus the recovery
         #: actions (RTS retransmits, CTS re-offers) that only fault
         #: injection makes nonzero
@@ -135,7 +128,7 @@ class Runtime:
         faults = self.sim.faults
         dropped = (
             faults is not None
-            and record.protocol in (RPUT, RGET, PIPELINE)
+            and record.protocol in (RPUT, RGET)
             and faults.drop_control("rts")
         )
 
@@ -161,7 +154,7 @@ class Runtime:
         carrier.add_callback(deliver)
 
     def _send_cts(self, record: MessageRecord) -> bool:
-        """Offer the CTS for a matched RPUT/PIPELINE message.
+        """Offer the CTS for a matched RPUT message.
 
         Returns True when a CTS actually left.  A lost CTS is never
         retransmitted directly — the sender's RTS watchdog times out,
@@ -169,7 +162,7 @@ class Runtime:
         CTS-less protocols, unmatched records, and already-sent CTS.
         """
         rreq = record.matched
-        if rreq is None or record.protocol not in (RPUT, PIPELINE):
+        if rreq is None or record.protocol != RPUT:
             return False
         if record.cts_event.triggered:
             return False
@@ -185,7 +178,7 @@ class Runtime:
         """Receiver-side reactions once a message is matched (§IV-B2)."""
         record: MessageRecord = result.record
         rreq: RecvRequest = result.request
-        if record.protocol in (RPUT, PIPELINE):
+        if record.protocol == RPUT:
             # CTS travels back to the sender (may be lost under faults;
             # the sender's watchdog then provokes a re-offer).
             self._send_cts(record)
@@ -208,17 +201,18 @@ class Runtime:
         """Put a message's packed bytes where its receive reads them.
 
         Called when the message's transfer ends, with the sender's
-        packed bytes read in place.  A matched non-contiguous receive
-        gets its staging from the receiving rank's pool, sized for the
-        whole layout so the pool zeroes the tail a shorter message
-        leaves unwritten, and the bytes go straight into it.  A matched
-        contiguous receive gets only the bytes that arrived, written
-        into its user buffer.  An eager message is not matched yet when
-        its payload arrives, since its envelope travels with it: it
-        keeps one packed copy in ``record.payload``, which
-        :meth:`_on_match` lands through this same method.  ``packed``
-        is ``None`` in dry mode: staging is still acquired, but no byte
-        moves.
+        packed bytes read in place.  The message lands in the prefix of
+        the receive layout it fills (:meth:`DataLayout.prefix`), so the
+        receive's bytes past a short message stay as they were.  A
+        non-contiguous prefix gets its staging from the receiving rank's
+        pool and the bytes go straight into it.  A contiguous one (an
+        empty message's among them) gets its bytes written into the
+        user buffer, with no staging and no kernel.  An eager message
+        is not matched yet when its payload arrives, since its envelope
+        travels with it: it keeps one packed copy in ``record.payload``,
+        which :meth:`_on_match` lands through this same method.
+        ``packed`` is ``None`` in dry mode: staging is still acquired,
+        but no byte moves.
         """
         rreq = record.matched
         if rreq is None:
@@ -227,7 +221,8 @@ class Runtime:
         record.payload = None
         nbytes = record.nbytes
         assert packed is None or len(packed) == nbytes
-        if rreq.layout.is_contiguous:
+        layout = rreq.layout.prefix(nbytes)
+        if layout.is_contiguous:
             if packed is not None:
                 store, store_layout, offset = rreq.user_buffer.address(
                     DataLayout.contiguous(nbytes), rreq.user_offset
@@ -235,7 +230,7 @@ class Runtime:
                 unpack_bytes(packed, store_layout, store, base_offset=offset)
             return
         staging = self.ranks[record.dest].staging_pool.acquire(
-            rreq.layout.size, name=f"rstage:req{rreq.req_id}"
+            nbytes, name=f"rstage:req{rreq.req_id}"
         )
         if packed is not None:
             staging.data[:nbytes] = packed
@@ -257,7 +252,8 @@ class Runtime:
         record = rreq.record
         assert record is not None
         yield record.payload_ready
-        if rreq.layout.is_contiguous:
+        layout = rreq.layout.prefix(record.nbytes)
+        if layout.is_contiguous:
             rreq._complete()
             return
         origin = getattr(rreq, "origin_datatype", None)
@@ -267,7 +263,7 @@ class Runtime:
         assert staging is not None
         op = rank.device.unpack_op(
             staging,
-            rreq.layout,
+            layout,
             rreq.user_buffer,
             dest_offset=rreq.user_offset,
             label=f"unpack:req{rreq.req_id}",
@@ -292,7 +288,7 @@ class Runtime:
             sreq.user_buffer,
             sreq.layout.shifted(sreq.user_offset),
             rreq.user_buffer,
-            rreq.layout.shifted(rreq.user_offset),
+            rreq.layout.prefix(sreq.nbytes).shifted(rreq.user_offset),
             peer_bandwidth=self.cluster.system.gpu_gpu.bandwidth,
             label=f"ipc:req{rreq.req_id}",
         )
@@ -319,7 +315,6 @@ _SENDER_PROCS = {
     RPUT: sender_rput,
     RGET: sender_rget,
     DIRECT: sender_direct,
-    PIPELINE: sender_pipeline,
 }
 
 
@@ -446,11 +441,6 @@ class Rank:
             protocol = DIRECT
         elif layout.size <= self.runtime.eager_threshold:
             protocol = EAGER
-        elif (
-            self.runtime.host_staging_threshold is not None
-            and layout.size >= self.runtime.host_staging_threshold
-        ):
-            protocol = PIPELINE
         else:
             protocol = self.runtime.rendezvous_protocol
         sreq.protocol = protocol

@@ -23,8 +23,8 @@ continuations"):
 Protocol processes never charge CPU-bucket costs themselves (control
 packets ride the NIC); CPU costs live in the schemes.  Byte movement
 happens at simulated completion instants, keeping memory state
-consistent with the clock: when a write (eager, RPUT, pipeline) or a
-read (RGET) ends, :meth:`Runtime._land_payload` copies the sender's
+consistent with the clock: when a write (eager, RPUT) or a read (RGET)
+ends, :meth:`Runtime._land_payload` copies the sender's
 packed bytes, read in place, straight into the memory the receive
 reads.  No copy is taken at write start and none rides the wire.
 
@@ -33,7 +33,7 @@ Fault tolerance
 Under an attached :class:`~repro.sim.faults.FaultPlan`, RTS and CTS
 control packets can be lost.  Rendezvous senders therefore arm a
 **control watchdog** (:func:`arm_control_watchdog`): if the expected
-response (CTS for RPUT/PIPELINE, payload pull for RGET) has not arrived
+response (CTS for RPUT, payload pull for RGET) has not arrived
 within a retransmission timeout, the RTS is re-sent with capped
 exponential backoff.  The receiver deduplicates retransmitted RTS on
 the record's ``envelope_delivered`` flag and re-offers a lost CTS, so
@@ -64,14 +64,12 @@ __all__ = [
     "RGET",
     "RPUT",
     "DIRECT",
-    "PIPELINE",
     "WatchdogStats",
     "arm_control_watchdog",
     "sender_eager",
     "sender_rput",
     "sender_rget",
     "sender_direct",
-    "sender_pipeline",
     "receiver_pull_rget",
 ]
 
@@ -141,7 +139,6 @@ EAGER = "eager"
 RGET = "rget"
 RPUT = "rput"
 DIRECT = "direct"
-PIPELINE = "pipeline"
 
 
 def _note_rts(rank: "Rank", record: MessageRecord) -> None:
@@ -236,53 +233,6 @@ def sender_direct(
     record.sender_context = sreq
     runtime._deliver_envelope(record)
     yield record.fin_event
-    sreq._complete()
-
-
-def sender_pipeline(
-    runtime: "Runtime", rank: "Rank", sreq: SendRequest, record: MessageRecord
-) -> Generator[Event, None, None]:
-    """Host-staged chunked rendezvous (the classic MVAPICH large-message
-    path for systems where GPUDirect RDMA underperforms).
-
-    RPUT-style handshake, then the packed payload moves in
-    ``runtime.pipeline_chunk_bytes`` chunks through a three-stage
-    pipeline: device→host over the sender's CPU–GPU link, host→host
-    over the fabric, host→device on the receiver.  Each stage's link
-    resource serializes its own chunks, so chunk *k*'s D2H overlaps
-    chunk *k−1*'s wire time and chunk *k−2*'s H2D — classic pipelining,
-    with the chunk size trading per-chunk latency against overlap
-    (see the pipeline ablation benchmark).
-    """
-    from ..net.transfer import staged_host_copy  # local: avoid cycle at import
-
-    _note_rts(rank, record)
-    runtime._deliver_envelope(record)  # RTS leaves immediately
-    arm_control_watchdog(runtime, rank, record, record.cts_event)
-    pack_done = _pack_done_event(rank, sreq)
-    yield rank.sim.all_of([pack_done, record.cts_event])
-
-    sim = rank.sim
-    cluster = runtime.cluster
-    chunk_bytes = runtime.pipeline_chunk_bytes
-    total = sreq.nbytes
-    chunks = [
-        min(chunk_bytes, total - off) for off in range(0, total, chunk_bytes)
-    ] or [0]
-    done_events = []
-
-    def chunk_flow(nbytes: int):
-        yield from staged_host_copy(cluster, sreq.rank, nbytes, to_host=True)
-        yield from rdma_write(cluster, sreq.rank, sreq.peer, nbytes)
-        yield from staged_host_copy(cluster, sreq.peer, nbytes, to_host=False)
-
-    for nbytes in chunks:
-        done_events.append(sim.process(chunk_flow(nbytes), name="pipe-chunk"))
-    yield sim.all_of(done_events)
-
-    runtime._land_payload(record, _wire_bytes(sreq))
-    record.payload_ready.succeed()
-    runtime._release_send_staging(sreq)
     sreq._complete()
 
 

@@ -87,7 +87,7 @@ class SendRequest(Request):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: protocol chosen by the runtime
-        #: ("eager" | "rget" | "rput" | "direct" | "pipeline")
+        #: ("eager" | "rget" | "rput" | "direct")
         self.protocol: str = ""
 
 

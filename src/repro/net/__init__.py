@@ -1,14 +1,14 @@
 """Interconnect and cluster substrate.
 
 Link cost models, the Table II system configurations (Lassen, ABCI),
-cluster topology wiring ranks to GPUs and links, and the RDMA/staging
-transfer helpers the MPI protocols build on.
+cluster topology wiring ranks to GPUs and links, and the RDMA transfer
+helpers the MPI protocols build on.
 """
 
 from .link import Link, LinkSpec
 from .systems import ABCI, LASSEN, SYSTEMS, SystemConfig
 from .topology import Cluster, RankSite
-from .transfer import rdma_read, rdma_write, staged_host_copy
+from .transfer import rdma_read, rdma_write
 
 __all__ = [
     "Link",
@@ -21,5 +21,4 @@ __all__ = [
     "RankSite",
     "rdma_write",
     "rdma_read",
-    "staged_host_copy",
 ]

@@ -120,7 +120,6 @@ class Link:
         start = sim.now
         port = self._port(direction)
         faults = sim.faults
-        noise = sim.noise
         backoff = self.spec.latency
         attempts = 0
         while True:
@@ -135,8 +134,6 @@ class Link:
                         # nothing else can inject either.
                         yield sim.timeout(downtime)
                 duration = self.spec.transfer_time(nbytes)
-                if noise is not None:
-                    duration *= noise.factor("net")
                 if faults is not None:
                     duration *= faults.latency_multiplier(self.name)
                     failed = faults.transfer_fails(self.name)

@@ -6,13 +6,11 @@ the Table II links between them:
 
 * ranks on the same node talk over the node's GPU–GPU link (NVLink-2),
 * ranks on different nodes talk over per-node-pair inter-node links
-  (GPUDirect-RDMA-capable InfiniBand),
-* each rank's host path (staging, GDRCopy) uses the node's CPU–GPU
-  link.
+  (GPUDirect-RDMA-capable InfiniBand).
 
-The benchmark experiments use ``nodes=2, ranks_per_node=1`` — "bulk
-non-contiguous inter-node data transfer between two GPU nodes" — but
-the topology supports arbitrary shapes for the examples.
+The benchmark experiments use the default ``nodes=2, ranks_per_node=1``
+— "bulk non-contiguous inter-node data transfer between two GPU nodes"
+— but the topology supports other shapes for the examples.
 """
 
 from __future__ import annotations
@@ -30,13 +28,11 @@ __all__ = ["RankSite", "Cluster"]
 
 @dataclass
 class RankSite:
-    """Where one MPI rank lives: its node, GPU, and host links."""
+    """Where one MPI rank lives: its node and GPU."""
 
     rank: int
     node: int
     device: GPUDevice
-    #: CPU <-> GPU link of this rank's node (staging / GDRCopy path)
-    cpu_gpu_link: Link
 
 
 class Cluster:
@@ -64,32 +60,23 @@ class Cluster:
         #: when False, devices price operations but move no bytes
         self.functional = functional
 
-        self.sites: List[RankSite] = []
-        self._node_cpu_gpu: List[Link] = []
-        self._node_gpu_gpu: List[Link] = []
-        for node in range(nodes):
-            self._node_cpu_gpu.append(
-                Link(sim, system.cpu_gpu, name=f"n{node}:{system.cpu_gpu.name}")
+        self._node_gpu_gpu: List[Link] = [
+            Link(sim, system.gpu_gpu, name=f"n{node}:{system.gpu_gpu.name}")
+            for node in range(nodes)
+        ]
+        self.sites: List[RankSite] = [
+            RankSite(
+                rank=rank,
+                node=rank // ranks_per_node,
+                device=GPUDevice(
+                    sim,
+                    arch=system.gpu_arch,
+                    name=f"r{rank}:{system.gpu_arch.name}",
+                    functional=functional,
+                ),
             )
-            self._node_gpu_gpu.append(
-                Link(sim, system.gpu_gpu, name=f"n{node}:{system.gpu_gpu.name}")
-            )
-        for rank in range(nodes * ranks_per_node):
-            node = rank // ranks_per_node
-            device = GPUDevice(
-                sim,
-                arch=system.gpu_arch,
-                name=f"r{rank}:{system.gpu_arch.name}",
-                functional=functional,
-            )
-            self.sites.append(
-                RankSite(
-                    rank=rank,
-                    node=node,
-                    device=device,
-                    cpu_gpu_link=self._node_cpu_gpu[node],
-                )
-            )
+            for rank in range(nodes * ranks_per_node)
+        ]
         self._internode: Dict[Tuple[int, int], Link] = {}
 
     @property
@@ -138,7 +125,6 @@ class Cluster:
         Used by the harness to aggregate byte counters and fault
         recovery statistics (retransmits) across the whole fabric.
         """
-        yield from self._node_cpu_gpu
         yield from self._node_gpu_gpu
         yield from self._internode.values()
 

@@ -1,19 +1,16 @@
-"""Wire-transfer helpers: RDMA reads/writes and staged host copies.
+"""Wire-transfer helpers: one-sided RDMA writes and reads.
 
 These generators are the payload-movement vocabulary of the MPI
-protocols:
-
-* :func:`rdma_write` / :func:`rdma_read` — one-sided GPUDirect-RDMA
-  moves between two ranks' GPU memories (the RPUT / RGET data paths);
-* :func:`staged_host_copy` — a device↔host staging move over a node's
-  CPU–GPU link (used by the hybrid scheme's host-packed sends).
+protocols: :func:`rdma_write` and :func:`rdma_read` are one-sided
+GPUDirect-RDMA moves between two ranks' GPU memories (the eager and
+RPUT data path, and the RGET one).
 
 They advance the simulated clock only; the *byte* movement is performed
 by the caller at completion (the runtime lands the sender's packed
 bytes in the receive's memory when the transfer ends), keeping data
 state consistent with simulated time.
 
-All three helpers are failure-aware by construction: they ride
+Both helpers are failure-aware by construction: they ride
 :meth:`~repro.net.link.Link.transmit`, which (under an attached
 :class:`~repro.sim.faults.FaultPlan`) absorbs link flaps, latency
 spikes, and mid-flight transfer failures via retransmission with capped
@@ -29,7 +26,7 @@ from typing import Generator
 from ..sim.engine import Event
 from .topology import Cluster
 
-__all__ = ["rdma_write", "rdma_read", "staged_host_copy"]
+__all__ = ["rdma_write", "rdma_read"]
 
 
 def rdma_write(
@@ -61,12 +58,3 @@ def rdma_read(
     elapsed = yield from link.transmit(nbytes, direction)
     return post + link.control_delay() + elapsed
 
-
-def staged_host_copy(
-    cluster: Cluster, rank: int, nbytes: int, to_host: bool
-) -> Generator[Event, None, float]:
-    """Move ``nbytes`` between ``rank``'s GPU and its host staging area."""
-    site = cluster.site(rank)
-    direction = "d2h" if to_host else "h2d"
-    elapsed = yield from site.cpu_gpu_link.transmit(nbytes, direction)
-    return elapsed

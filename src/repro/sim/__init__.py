@@ -20,7 +20,6 @@ from .engine import (
 )
 from .resources import Resource
 from .faults import FAULT_PRESETS, FaultError, FaultPlan, FaultSpec, FaultStats
-from .noise import NoiseModel
 from .timeline import render_timeline
 from .trace import Category, Trace
 
@@ -37,7 +36,6 @@ __all__ = [
     "Category",
     "Trace",
     "render_timeline",
-    "NoiseModel",
     "FaultPlan",
     "FaultSpec",
     "FaultStats",

@@ -25,7 +25,7 @@ Events scheduled for the same timestamp fire in FIFO order of their
 scheduling (a monotonically increasing sequence number breaks ties), so
 a simulation is fully deterministic given deterministic process code.
 This property is relied on by the regression tests and by the benchmark
-harness, which compares scheme timings without noise.
+harness, whose figures repeat byte for byte.
 
 Hot path
 --------
@@ -586,9 +586,6 @@ class Simulator:
         #: calendar events fired so far (the artifacts' ``work.events``
         #: count reads this)
         self.events_processed: int = 0
-        #: optional multiplicative jitter applied by streams and links
-        #: (see :mod:`repro.sim.noise`); None = exact determinism
-        self.noise: Optional[Any] = None
         #: optional seeded fault-injection plan consulted by links,
         #: protocols, and the fusion scheduler (see
         #: :mod:`repro.sim.faults`); None = a perfect fabric and GPU

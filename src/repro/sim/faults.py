@@ -6,8 +6,7 @@ flapping links, lost RTS/CTS control packets, RDMA transfers that die
 mid-flight, kernel launches the driver rejects, straggling thread
 blocks, and request-list pressure.  A :class:`FaultPlan` models all of
 these as *seeded, reproducible* adversities that attach to a
-:class:`~repro.sim.engine.Simulator` exactly the way
-:class:`~repro.sim.noise.NoiseModel` does::
+:class:`~repro.sim.engine.Simulator` as an attribute::
 
     sim = Simulator()
     sim.faults = FaultPlan(seed=7, spec=FAULT_PRESETS["moderate"])

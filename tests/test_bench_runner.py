@@ -125,10 +125,10 @@ def test_verification_detects_dropped_bytes(monkeypatch):
             run_bulk_exchange(cfg)
 
     class SabotagedCluster(RealCluster):
-        def __init__(self, sim, system, nodes=2, ranks_per_node=1, functional=True):
+        def __init__(self, sim, system, functional=True):
             # Devices silently drop all byte movement while the harness
             # believes the data plane is live.
-            super().__init__(sim, system, nodes, ranks_per_node, functional=False)
+            super().__init__(sim, system, functional=False)
 
     with monkeypatch.context() as m:
         m.setattr(runner_mod, "Cluster", SabotagedCluster)

@@ -82,18 +82,18 @@ def _timeline(capsys, *flags):
 
 
 def test_timeline_charts_the_run_it_reports(capsys):
-    """The chart is drawn from the reported run itself: noise moves it,
-    and its window ends where that run's last rank-0 cost span ends."""
+    """The chart is drawn from the reported run itself: the system moves
+    it, and its window ends where that run's last rank-0 cost span ends."""
     from repro.bench import run_bulk_exchange
     from repro.cli import _experiment_config
     from repro.obs import Observer
     from repro.sim import Category
 
     charts = {}
-    for noise in ("0", "0.5"):
-        args, out = _timeline(capsys, "--noise", noise)
+    for system in ("Lassen", "ABCI"):
+        args, out = _timeline(capsys, "--system", system)
         latency, chart = out.split("\n\n", 1)
-        charts[noise] = chart
+        charts[system] = chart
         obs = Observer()
         run_bulk_exchange(_experiment_config(args, "GPU-Sync"), obs=obs)
         buckets = {c.value for c in Category}
@@ -103,7 +103,7 @@ def test_timeline_charts_the_run_it_reports(capsys):
         )
         header = chart.splitlines()[0]
         assert header.rstrip().endswith(f"{end * 1e6:.1f}us"), (header, end)
-    assert charts["0"] != charts["0.5"]
+    assert charts["Lassen"] != charts["ABCI"]
 
 
 def test_autotune_command(capsys):
@@ -117,9 +117,9 @@ def test_autotune_command(capsys):
 
 
 def test_autotune_runs_the_common_flags(capsys):
-    """``--seed`` and ``--noise`` reach every candidate run."""
+    """``--system`` and ``--nbuffers`` reach every candidate run."""
     outputs = []
-    for flags in ([], ["--noise", "0.3", "--seed", "3"], ["--noise", "0.3", "--seed", "4"]):
+    for flags in ([], ["--system", "ABCI"], ["--nbuffers", "8"]):
         assert main([
             "autotune", "--workload", "NAS_MG", "--dim", "64", "--nbuffers", "4",
             *flags,
@@ -155,13 +155,13 @@ def test_seed_flag_reproduces_and_varies(capsys):
     assert first != other
 
 
-def test_noise_flag_accepted(capsys):
-    rc = main([
-        "compare", "--workload", "NAS_MG", "--dim", "32", "--nbuffers", "2",
-        "--iterations", "2", "--skip-production", "--noise", "0.05",
-    ])
-    assert rc == 0
-    assert "Proposed" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["compare", "breakdown", "autotune", "timeline"])
+def test_seed_is_a_faults_flag_only(command, capsys):
+    """Only ``faults`` draws from a seed; the dry, fault-free commands
+    reject ``--seed`` instead of ignoring it."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--seed", "3"])
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

@@ -2,11 +2,13 @@
 empirical candidate sweep ``repro autotune`` runs through the sweep
 engine."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench.figures import best_threshold, threshold_curve
 from repro.config import ExperimentConfig
-from repro.core import recommend_threshold
+from repro.core import ModelBasedPolicy, fusion_policy, recommend_threshold
 from repro.gpu import TESLA_V100, TESLA_V100_PCIE
 from repro.net import LASSEN
 from repro.workloads import WORKLOADS
@@ -52,11 +54,29 @@ def test_recommend_threshold_sparse_needs_less_pooling():
     )
 
 
-def test_recommend_threshold_multiple_matters():
+def test_recommend_threshold_multiple_matters(monkeypatch):
     lay = WORKLOADS["MILC"](16).datatype.flatten()
-    low = recommend_threshold(TESLA_V100, lay, launch_cost_multiple=1.0)
-    high = recommend_threshold(TESLA_V100, lay, launch_cost_multiple=4.0)
-    assert high >= low
+    monkeypatch.setattr(fusion_policy, "LAUNCH_COST_MULTIPLE", 1.0)
+    low = recommend_threshold(TESLA_V100, lay)
+    monkeypatch.setattr(fusion_policy, "LAUNCH_COST_MULTIPLE", 4.0)
+    high = recommend_threshold(TESLA_V100, lay)
+    assert high > low
+
+
+def test_recommend_threshold_is_where_the_model_policy_launches():
+    """One §IV-C criterion: the recommended pool is the first pooled
+    count of messages at which ``ModelBasedPolicy`` launches."""
+    lay = WORKLOADS["MILC"](16).datatype.flatten()
+    rec = recommend_threshold(TESLA_V100, lay)
+    assert rec % lay.size == 0
+    policy = ModelBasedPolicy(arch=TESLA_V100)
+
+    def launches(messages):
+        message = SimpleNamespace(nbytes=lay.size, num_blocks=lay.num_blocks)
+        return policy.should_launch([message] * messages)
+
+    assert launches(rec // lay.size)
+    assert rec == lay.size or not launches(rec // lay.size - 1)
 
 
 def test_recommend_threshold_rejects_empty_layout():

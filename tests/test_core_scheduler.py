@@ -75,8 +75,7 @@ def test_policy_max_batch(env, monkeypatch):
 
 def test_model_based_policy(env):
     _sim, site = env
-    policy = ModelBasedPolicy(arch=TESLA_V100, launch_cost_multiple=1.0,
-                              threshold_bytes=1 << 30)
+    policy = ModelBasedPolicy(arch=TESLA_V100, threshold_bytes=1 << 30)
     tiny = [_op(site, nbytes=256, blocks=2)[0] for _ in range(2)]
     assert not policy.should_launch(tiny)
     # A megabyte of sparse work out-runs one launch overhead easily.
@@ -86,8 +85,8 @@ def test_model_based_policy(env):
 
 def test_model_based_policy_requires_arch(env):
     _sim, site = env
-    with pytest.raises(ValueError):
-        ModelBasedPolicy().should_launch([_op(site)[0]] * 2)
+    with pytest.raises(TypeError, match="arch"):
+        ModelBasedPolicy()
 
 
 # -- fused kernel launch -------------------------------------------------------------

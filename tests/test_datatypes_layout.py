@@ -123,6 +123,15 @@ def test_slice_blocks():
     assert list(sub.offsets) == [10, 20]
 
 
+def test_prefix_cuts_the_last_block_short():
+    lay = DataLayout([0, 4, 10], [2, 3, 2])
+    assert lay.prefix(lay.size) is lay
+    assert lay.prefix(0) == DataLayout.contiguous(0)
+    cut = lay.prefix(4)
+    assert cut.offsets.tolist() == [0, 4] and cut.lengths.tolist() == [2, 2]
+    assert lay.prefix(5).lengths.tolist() == [2, 3]
+
+
 def test_density():
     dense = DataLayout([0], [64])
     sparse = DataLayout([0, 100], [4, 4])

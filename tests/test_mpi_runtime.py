@@ -263,6 +263,34 @@ def test_direct_ipc_intra_node():
     assert (rbuf.data[lay.gather_index()] == 5).all()
 
 
+def test_direct_ipc_short_message_leaves_the_rest_of_the_receive():
+    """A DirectIPC message shorter than its receive writes only the
+    received prefix of the receive layout."""
+    sim = Simulator()
+    cluster = Cluster(sim, LASSEN, nodes=1, ranks_per_node=2)
+    rt = Runtime(
+        sim, cluster, SCHEME_REGISTRY["GPU-Sync"],
+        protocol=ProtocolCfg(enable_direct_ipc=True),
+    )
+    dt = Vector(2, 1, 2, DOUBLE).commit()
+    recv_lay = rt.rank(1).resolve_layout(dt, 2)
+    r0, r1 = rt.rank(0), rt.rank(1)
+    sbuf = r0.device.alloc(dt.extent, fill=5)
+    rbuf = r1.device.alloc(2 * dt.extent, fill=0xEE)
+
+    def sender():
+        yield from r0.send(sbuf, dt, 1, dest=1)
+
+    def receiver():
+        yield from r1.recv(rbuf, dt, 2, source=0)
+
+    run_pair(sim, rt, sender(), receiver())
+    index = recv_lay.gather_index()
+    half = len(index) // 2
+    assert (rbuf.data[index[:half]] == 5).all()
+    assert (rbuf.data[index[half:]] == 0xEE).all()
+
+
 def test_layout_memo_reused():
     sim, rt = make_runtime()
     dt = Vector(8, 1, 2, DOUBLE).commit()

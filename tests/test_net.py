@@ -11,7 +11,6 @@ from repro.net import (
     LinkSpec,
     rdma_read,
     rdma_write,
-    staged_host_copy,
 )
 from repro.sim import FaultPlan, Simulator, us
 
@@ -189,15 +188,3 @@ def test_rdma_read_pays_request_latency():
     sim2.run(sim2.process(writer2()))
     assert out["read"] > out["write"]
 
-
-def test_staged_host_copy_uses_cpu_gpu_link():
-    sim = Simulator()
-    c = Cluster(sim, ABCI, nodes=1)
-    out = []
-
-    def proc():
-        t = yield from staged_host_copy(c, 0, 32 << 20, to_host=True)
-        out.append(t)
-
-    sim.run(sim.process(proc()))
-    assert out[0] == pytest.approx(ABCI.cpu_gpu.transfer_time(32 << 20))

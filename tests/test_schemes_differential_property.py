@@ -5,7 +5,9 @@ in *what* arrives: for any derived-datatype exchange, every scheme of
 :data:`~repro.schemes.SCHEME_REGISTRY` must complete it under eager,
 RPUT and RGET, use the protocol the eager threshold selects, and leave
 a receive buffer byte-identical to every other scheme's, holding the
-sent bytes where a plain gather/scatter reference puts them.
+sent bytes where a plain gather/scatter reference puts them.  Every
+other receive byte keeps its value, those of the receive layout past a
+short message included: MPI modifies only the received bytes.
 
 The drawn exchanges include count 0, a message shorter than its
 receive, a contiguous ``BYTE`` receive of a derived send, and an eager
@@ -13,7 +15,7 @@ threshold one byte either side of the message size.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ProtocolCfg
@@ -113,18 +115,26 @@ def _exchange(scheme, protocol, ex):
     assert reqs["send"].done and reqs["recv"].done, (scheme, protocol)
 
     # The message lands in the first bytes of the receive layout, and
-    # nothing outside that layout is touched.
-    recv_index = recv_layout.gather_index()
+    # nothing else is touched: not the layout's bytes past the message,
+    # not the bytes outside it.
+    landed = recv_layout.gather_index()[: send_layout.size]
     sent = sbuf.data[send_layout.gather_index()]
-    assert np.array_equal(rbuf.data[recv_index[: len(sent)]], sent), (scheme, protocol)
-    outside = np.ones(rbuf.nbytes, dtype=bool)
-    outside[recv_index] = False
-    assert (rbuf.data[outside] == RECV_FILL).all(), (scheme, protocol)
+    assert np.array_equal(rbuf.data[landed], sent), (scheme, protocol)
+    untouched = np.ones(rbuf.nbytes, dtype=bool)
+    untouched[landed] = False
+    assert (rbuf.data[untouched] == RECV_FILL).all(), (scheme, protocol)
     return reqs["send"].protocol, rbuf.data.tobytes()
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(ex=EXCHANGES)
+# An empty message into a two-block receive leaves all three bytes.
+@example(ex={"datatype": Vector(2, 1, 2, BYTE), "count": 0, "byte_receive": False,
+             "extra": 1, "seed": 0})
+# Two instances coalesce into three blocks: one instance ends inside the
+# middle one.
+@example(ex={"datatype": Indexed([1, 1], [0, 2], BYTE), "count": 1, "byte_receive": False,
+             "extra": 1, "seed": 1})
 def test_every_scheme_delivers_the_same_bytes(ex):
     for protocol in PROTOCOLS:
         outcomes = {
